@@ -11,7 +11,10 @@ two-layer feed-forward network:
     out = gamma * t' + delta * ffn(t')
 
 All four coefficients start at 1.  Heads slice the channel axis into
-contiguous blocks; scores are scaled by 1/sqrt(C / heads).
+contiguous blocks; scores are scaled by 1/sqrt(C / heads), folded into the
+queries.  After the three projections the whole multi-head attention is
+one tape op, ``tensor_core.multi_head_attention``, with a hand-written
+adjoint.
 """
 
 from __future__ import annotations
@@ -109,31 +112,11 @@ def cross_attention(q_tokens: TokenSeq, kv_tokens: TokenSeq, p: CfeParams,
         raise DimensionError(
             f"token channels {c} do not match parameter channels {p.channels}"
         )
-    heads = p.heads
-    d_k = c // heads
-    scale = 1.0 / math.sqrt(d_k)
     with tc.op_stage("proj"):
         q = tc.matmul(q_tokens.tokens, p.w_q)
         k = tc.matmul(kv_tokens.tokens, p.w_k)
         v = tc.matmul(kv_tokens.tokens, p.w_v)
-    outputs = []
-    weights = []
-    for j in range(heads):
-        lo, hi = j * d_k, (j + 1) * d_k
-        qj = tc.col_slice(q, lo, hi)
-        kj = tc.col_slice(k, lo, hi)
-        vj = tc.col_slice(v, lo, hi)
-        with tc.op_stage("attention_qk"):
-            scores = tc.matmul(qj, tc.transpose(kj))
-        probs = tc.softmax_rows(tc.const_scale(scores, scale))
-        if return_weights:
-            weights.append(probs)
-        with tc.op_stage("attention_av"):
-            outputs.append(tc.matmul(probs, vj))
-    z = outputs[0] if heads == 1 else tc.concat_cols(outputs)
-    if return_weights:
-        return z, weights
-    return z
+    return tc.multi_head_attention(q, k, v, p.heads, return_weights=return_weights)
 
 
 def ffn(x: Tensor, p: CfeParams) -> Tensor:

@@ -1,10 +1,11 @@
 """Dense tensor substrate with exact reverse-mode adjoints.
 
 Every operation the fusion stack needs lives here: matrix products,
-row-wise softmax, 2-d pooling, bilinear resizing, and the supporting
-elementwise/reshape plumbing.  Forward calls optionally record onto a
-:class:`Tape`; :func:`backward` replays the tape in reverse to produce a
-:class:`GradRecord` for all watched (named) tensors.
+row-wise softmax, fused multi-head attention, 2-d pooling, bilinear
+resizing, and the supporting elementwise/reshape plumbing.  Forward calls
+optionally record onto a :class:`Tape`; :func:`backward` replays the tape
+in reverse to produce a :class:`GradRecord` for all watched (named)
+tensors.
 
 Tensors are immutable after construction (the underlying numpy buffer is
 write-protected) and carry either standard (float32) or wide (float64)
@@ -183,6 +184,11 @@ def record_on(tape: Tape):
         stack.pop()
 
 
+def _recording() -> bool:
+    """Whether a tape is active, i.e. whether the next `_emit` records."""
+    return bool(_tape_stack())
+
+
 def _emit(out: Tensor, parents, backward_fn):
     stack = _tape_stack()
     if stack:
@@ -276,10 +282,11 @@ def op_stage(name: str):
         state["stage"].pop()
 
 
-def _note_matmul(m: int, k: int, n: int):
+def _note_matmul(m: int, k: int, n: int, stage: str | None = None):
+    """Count an m x k by k x n product under `stage` (default: the active one)."""
     state = _counter_state()
     if state["active"]:
-        stage = state["stage"][-1]
+        stage = stage or state["stage"][-1]
         mults = m * k * n
         for counter in state["active"]:
             counter.add(stage, mults)
@@ -516,6 +523,94 @@ def softmax_rows(m: Tensor) -> Tensor:
     return _emit(out, (m,), bwd)
 
 
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """T x C -> heads x T x (C / heads); head j owns a contiguous channel block."""
+    t, c = x.shape
+    return np.ascontiguousarray(x.reshape(t, heads, c // heads).transpose(1, 0, 2))
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    heads, t, d = x.shape
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, heads * d)
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                         return_weights: bool = False):
+    """Concatenated head outputs softmax(Q_j K_j^T / sqrt(d)) V_j, T_q x C.
+
+    Head j owns channels [j*d, (j+1)*d), d = C / heads.  The scale is folded
+    into Q (T_q x d) instead of the T_q x T_k scores.  Each head's scores are
+    shifted by their row max and exponentiated in place in one T_q x T_k
+    buffer, and rows are normalised after the product with V.  Untaped calls
+    reuse that buffer for every head; taped calls keep one per head for the
+    adjoint, which is written out directly:
+
+        dV = P^T g,  dS = P * (g V^T - rowsum(g * O)),
+        dQ = scale * dS K,  dK = dS^T (scale * Q).
+
+    With ``return_weights`` also returns the per-head probability matrices
+    (not recorded on the tape).
+    """
+    for t, what in ((q, "queries"), (k, "keys"), (v, "values")):
+        _require_rank(t, 2, f"attention {what}")
+    dt = _common_dtype(q, k, v)
+    tq, c = q.shape
+    tk = k.shape[0]
+    if k.shape != v.shape or k.shape[1] != c:
+        raise DimensionError(
+            f"attention operands do not conform: q {q.shape}, k {k.shape}, v {v.shape}"
+        )
+    if heads < 1 or c % heads:
+        raise ConfigurationError(f"channel width {c} not divisible by {heads} heads")
+    d = c // heads
+    _note_matmul(heads * tq, d, tk, stage="attention_qk")
+    _note_matmul(heads * tq, tk, d, stage="attention_av")
+    scale = dt.type(1.0 / np.sqrt(d))
+    qh = _split_heads(q.data, heads) * scale
+    kh = _split_heads(k.data, heads)
+    vh = _split_heads(v.data, heads)
+    taped = _recording()
+    oh = np.empty((heads, tq, d), dtype=dt)
+    exps, sums, weights = [], [], []
+    e = None
+    for j in range(heads):
+        if e is None or taped:
+            e = np.empty((tq, tk), dtype=dt)
+        np.matmul(qh[j], kh[j].T, out=e)
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        s = e.sum(axis=1, keepdims=True)
+        np.matmul(e, vh[j], out=oh[j])
+        oh[j] /= s
+        if taped:
+            exps.append(e)
+            sums.append(s)
+        if return_weights:
+            weights.append(Tensor._wrap(e / s))
+    out = Tensor._wrap(_merge_heads(oh))
+
+    def bwd(g):
+        gh = _split_heads(g, heads)
+        dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
+        ds = np.empty((tq, tk), dtype=dt)
+        for j in range(heads):
+            # with P = E / s, the adjoint only needs E and g / s (T_q x d)
+            gs = gh[j] / sums[j]
+            np.matmul(exps[j].T, gs, out=dv[j])
+            np.matmul(gs, vh[j].T, out=ds)
+            ds -= (gs * oh[j]).sum(axis=1, keepdims=True)
+            ds *= exps[j]
+            np.matmul(ds, kh[j], out=dq[j])
+            np.matmul(ds.T, qh[j], out=dk[j])
+        dq *= scale
+        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+
+    out = _emit(out, (q, k, v), bwd)
+    if return_weights:
+        return out, weights
+    return out
+
+
 def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
     """Window pooling of an HxWxC map by non-overlapping s x s windows.
 
@@ -533,18 +628,22 @@ def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
     if kind not in ("avg", "max"):
         raise ConfigurationError(f"unknown pooling kind {kind!r}")
     ho, wo = h // s, w // s
-    # (ho, wo, c, s*s) with the window flattened row-major
-    windows = np.ascontiguousarray(
-        fmap.data.reshape(ho, s, wo, s, c).transpose(0, 2, 4, 1, 3)
-    ).reshape(ho, wo, c, s * s)
+    blocks = fmap.data.reshape(ho, s, wo, s, c)
+
+    def gather():
+        # (ho, wo, c, s*s) with the window flattened row-major
+        return np.ascontiguousarray(
+            blocks.transpose(0, 2, 4, 1, 3)
+        ).reshape(ho, wo, c, s * s)
 
     def scatter(gwin):
-        # inverse of the window gather above
+        # inverse of gather
         return np.ascontiguousarray(
             gwin.reshape(ho, wo, c, s, s).transpose(0, 3, 1, 4, 2)
         ).reshape(h, w, c)
 
     if kind == "avg":
+        windows = gather()
         out = Tensor._wrap(np.ascontiguousarray(windows.mean(axis=-1)))
 
         def bwd_avg(g):
@@ -553,15 +652,20 @@ def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
 
         return _emit(out, (fmap,), bwd_avg)
 
-    argmax = windows.argmax(axis=-1)
-    out = Tensor._wrap(
-        np.ascontiguousarray(
-            np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
-        )
-    )
+    # A maximum is exact in any order, so fold the s*s window offsets in
+    # elementwise; a reduction over a trailing axis of s*s is far slower.
+    out_arr = blocks[:, 0, :, 0].copy()
+    for i in range(s):
+        for j in range(s):
+            if i or j:
+                np.maximum(out_arr, blocks[:, i, :, j], out=out_arr)
+    out = Tensor._wrap(out_arr)
+    if not _recording():
+        return out
+    argmax = gather().argmax(axis=-1)
 
     def bwd_max(g):
-        gwin = np.zeros_like(windows)
+        gwin = np.zeros((ho, wo, c, s * s), dtype=g.dtype)
         np.put_along_axis(gwin, argmax[..., None], g[..., None], axis=-1)
         return (scatter(gwin),)
 
@@ -580,36 +684,39 @@ def _resize_coords(n_in: int, n_out: int):
     return lo, hi, w_hi
 
 
+def _resize_matrix(n_in: int, n_out: int, dt) -> np.ndarray:
+    """n_out x n_in linear interpolation weights along one axis."""
+    lo, hi, w_hi = _resize_coords(n_in, n_out)
+    w_hi = w_hi.astype(dt)
+    rows = np.arange(n_out)
+    r = np.zeros((n_out, n_in), dtype=dt)
+    r[rows, lo] = dt.type(1.0) - w_hi
+    r[rows, hi] += w_hi  # lo == hi only where w_hi == 0
+    return r
+
+
 def bilinear_resize(fmap: Tensor, h_out: int, w_out: int) -> Tensor:
-    """Bilinear resampling of an HxWxC map, per channel."""
+    """Bilinear resampling of an HxWxC map, per channel.
+
+    Separable: out = R_h X R_w^T with one interpolation matrix per axis, so
+    the adjoint is the two transposed products.  Their multiplies count
+    under the ``resize`` stage.
+    """
     _require_rank(fmap, 3, "bilinear_resize input")
     if h_out < 1 or w_out < 1:
         raise DimensionError(f"output extents must be >= 1, got {h_out}x{w_out}")
     h, w, c = fmap.shape
     dt = fmap.dtype
-    i0, i1, wi1 = _resize_coords(h, h_out)
-    j0, j1, wj1 = _resize_coords(w, w_out)
-    wi1 = wi1.astype(dt)[:, None, None]
-    wj1 = wj1.astype(dt)[None, :, None]
-    wi0 = dt.type(1.0) - wi1
-    wj0 = dt.type(1.0) - wj1
-    x = fmap.data
-    corners = (
-        (i0, j0, wi0 * wj0),
-        (i0, j1, wi0 * wj1),
-        (i1, j0, wi1 * wj0),
-        (i1, j1, wi1 * wj1),
-    )
-    out_arr = np.zeros((h_out, w_out, c), dtype=dt)
-    for ri, cj, wgt in corners:
-        out_arr += wgt * x[np.ix_(ri, cj)]
-    out = Tensor._wrap(out_arr)
+    rh = _resize_matrix(h, h_out, dt)
+    rw = _resize_matrix(w, w_out, dt)
+    _note_matmul(h * w_out, w, c, stage="resize")
+    _note_matmul(h_out, h, w_out * c, stage="resize")
+    cols = np.matmul(rw, fmap.data)  # (h, w_out, c): each input row resized along w
+    out = Tensor._wrap((rh @ cols.reshape(h, w_out * c)).reshape(h_out, w_out, c))
 
     def bwd(g):
-        gx = np.zeros((h, w, c), dtype=g.dtype)
-        for ri, cj, wgt in corners:
-            np.add.at(gx, np.ix_(ri, cj), wgt * g)
-        return (gx,)
+        g_cols = (rh.T @ g.reshape(h_out, w_out * c)).reshape(h, w_out, c)
+        return (np.matmul(rw.T, g_cols),)
 
     return _emit(out, (fmap,), bwd)
 

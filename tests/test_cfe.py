@@ -95,6 +95,31 @@ def test_cross_attention_different_token_counts(rng):
     assert np.max(np.abs(got.data - want)) < 1e-10
 
 
+def test_cross_attention_multiply_counts_are_exact(rng):
+    heads, tq, tk, c = 2, 5, 3, 4
+    p = make_params(c, 8, heads, rng)
+    with tc.count_multiplies() as counter:
+        cfe.cross_attention(seq(rng.standard_normal((tq, c))),
+                            seq(rng.standard_normal((tk, c))), p)
+    d_k = c // heads
+    assert counter.counts == {
+        "proj": tq * c * c + 2 * tk * c * c,
+        "attention_qk": heads * tq * tk * d_k,
+        "attention_av": heads * tq * tk * d_k,
+    }
+
+
+def test_cross_attention_records_four_tape_steps(rng):
+    # three projections and one attention step, whatever the head count
+    for heads in (1, 2, 4):
+        p = make_params(4, 8, heads, rng)
+        tape = tc.Tape()
+        with tc.record_on(tape):
+            cfe.cross_attention(seq(rng.standard_normal((5, 4))),
+                                seq(rng.standard_normal((3, 4))), p)
+        assert tape.num_steps == 4, heads
+
+
 def test_channel_mismatch_rejected(rng):
     p = make_params(4, 8, 2, rng)
     with pytest.raises(tc.DimensionError):

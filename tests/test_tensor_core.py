@@ -53,6 +53,51 @@ def bilinear_point_oracle(x: np.ndarray, h_out: int, w_out: int, i: int, j: int,
     )
 
 
+def four_corners(h: int, w: int, h_out: int, w_out: int, dt):
+    """(row index, column index, weight) of the four samples behind each output."""
+    i0, i1, wi1 = tc._resize_coords(h, h_out)
+    j0, j1, wj1 = tc._resize_coords(w, w_out)
+    wi1 = wi1.astype(dt)[:, None, None]
+    wj1 = wj1.astype(dt)[None, :, None]
+    wi0, wj0 = dt.type(1.0) - wi1, dt.type(1.0) - wj1
+    return ((i0, j0, wi0 * wj0), (i0, j1, wi0 * wj1),
+            (i1, j0, wi1 * wj0), (i1, j1, wi1 * wj1))
+
+
+def bilinear_four_corner(x: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
+    """The former gather kernel: weighted sum of the four corner samples."""
+    h, w, c = x.shape
+    out = np.zeros((h_out, w_out, c), dtype=x.dtype)
+    for ri, cj, wgt in four_corners(h, w, h_out, w_out, x.dtype):
+        out += wgt * x[np.ix_(ri, cj)]
+    return out
+
+
+def bilinear_four_corner_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Adjoint of `bilinear_four_corner`: scatter-add into the four corners."""
+    h_out, w_out, c = g.shape
+    gx = np.zeros((h, w, c), dtype=g.dtype)
+    for ri, cj, wgt in four_corners(h, w, h_out, w_out, g.dtype):
+        np.add.at(gx, np.ix_(ri, cj), wgt * g)
+    return gx
+
+
+def per_head_attention(q: tc.Tensor, k: tc.Tensor, v: tc.Tensor, heads: int) -> tc.Tensor:
+    """The former per-head composition of tape ops."""
+    d = q.shape[1] // heads
+    outputs = []
+    for j in range(heads):
+        lo, hi = j * d, (j + 1) * d
+        scores = tc.matmul(tc.col_slice(q, lo, hi), tc.transpose(tc.col_slice(k, lo, hi)))
+        probs = tc.softmax_rows(tc.const_scale(scores, 1.0 / np.sqrt(d)))
+        outputs.append(tc.matmul(probs, tc.col_slice(v, lo, hi)))
+    return outputs[0] if heads == 1 else tc.concat_cols(outputs)
+
+
+# Fixed before comparing: a reassociated kernel against its former form.
+DTYPE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
 # --- matmul ------------------------------------------------------------------
 
 
@@ -169,6 +214,29 @@ def test_pool_max_tie_break_first_index():
     )
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_pool_max_taped_matches_untaped_and_routes_to_first_max(s, rng):
+    # integer values in a small range give ties inside most windows
+    x = rng.integers(0, 3, size=(2 * s, 3 * s, 2)).astype(np.float64)
+    m = tc.Tensor(x, dtype=np.float64)
+    untaped = tc.pool2d(m, s, "max").data
+    tape = tc.Tape()
+    tape.watch(m, "m")
+    with tc.record_on(tape):
+        out = tc.pool2d(m, s, "max")
+        loss = tc.sum_all(out)
+    npt.assert_array_equal(out.data, untaped)
+    grad = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)["m"].data
+    expected = np.zeros_like(x)
+    for a in range(2):
+        for b in range(3):
+            for ch in range(2):
+                win = x[a * s:(a + 1) * s, b * s:(b + 1) * s, ch]
+                i, j = divmod(int(np.argmax(win)), s)  # first maximum, row-major
+                expected[a * s + i, b * s + j, ch] = 1.0
+    npt.assert_array_equal(grad, expected)
+
+
 def test_pool_gradients_match_finite_differences(rng):
     x = rng.standard_normal((4, 4, 2))
     for kind in ("avg", "max"):
@@ -234,6 +302,25 @@ def test_bilinear_gradient_matches_finite_differences(rng):
         loss = tc.sum_all(tc.mul(out, out))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
     assert rel_err(rec["x"].data, fd_gradient(loss_fn, xt)) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape,out_hw", [((5, 7, 3), (11, 13)), ((9, 7, 2), (4, 3)),
+                                          ((3, 5, 4), (7, 2))])
+def test_bilinear_matches_four_corner_reference(dtype, shape, out_hw, rng):
+    x = rng.standard_normal(shape).astype(dtype)
+    g = rng.standard_normal(out_hw + shape[2:]).astype(dtype)
+    xt = tc.Tensor(x, dtype=dtype)
+    tape = tc.Tape()
+    tape.watch(xt, "x")
+    with tc.record_on(tape):
+        out = tc.bilinear_resize(xt, *out_hw)
+        loss = tc.sum_all(tc.mul(out, tc.Tensor(g, dtype=dtype)))
+    grad = tc.backward(tc.scalar(1.0, dtype=dtype), tape, loss)["x"].data
+    tol = DTYPE_TOL[dtype]
+    assert out.dtype == grad.dtype == np.dtype(dtype)
+    assert np.max(np.abs(out.data - bilinear_four_corner(x, *out_hw))) < tol
+    assert np.max(np.abs(grad - bilinear_four_corner_adjoint(g, *shape[:2]))) < tol
 
 
 # --- backward / tape ----------------------------------------------------------
@@ -319,7 +406,7 @@ def test_composed_graph_matches_finite_differences(rng):
     "matmul", "transpose", "add", "add_bias", "sub", "mul", "scalar_mul",
     "const_scale", "relu", "sigmoid", "softmax_rows", "reshape", "col_slice",
     "concat_cols", "pool_avg", "pool_max", "bilinear", "space_to_channel",
-    "sum_all", "mean_all",
+    "sum_all", "mean_all", "attention_q", "attention_k", "attention_v",
 ])
 def test_every_op_adjoint_matches_finite_differences(opname, rng):
     x = tc.Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
@@ -329,6 +416,8 @@ def test_every_op_adjoint_matches_finite_differences(opname, rng):
     bias = tc.Tensor(rng.standard_normal(6), dtype=np.float64)
     coeff = tc.scalar(0.7, dtype=np.float64)
     probe2 = rng.standard_normal((4, 6))
+    keys = tc.Tensor(rng.standard_normal((5, 6)), dtype=np.float64)
+    values = tc.Tensor(rng.standard_normal((5, 6)), dtype=np.float64)
 
     builders = {
         "matmul": (x, lambda t: tc.matmul(t, rhs)),
@@ -351,6 +440,9 @@ def test_every_op_adjoint_matches_finite_differences(opname, rng):
         "space_to_channel": (m3, lambda t: tc.space_to_channel(t, 2)),
         "sum_all": (x, tc.sum_all),
         "mean_all": (x, tc.mean_all),
+        "attention_q": (x, lambda t: tc.multi_head_attention(t, keys, values, 2)),
+        "attention_k": (keys, lambda t: tc.multi_head_attention(x, t, values, 2)),
+        "attention_v": (values, lambda t: tc.multi_head_attention(x, keys, t, 2)),
     }
     leaf, op = builders[opname]
 
@@ -378,6 +470,79 @@ def test_determinism_bitwise(rng):
 
     first, second = run(), run()
     npt.assert_array_equal(first, second)
+
+
+# --- multi-head attention ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("heads,tq,tk", [(1, 5, 5), (2, 6, 4), (4, 3, 9)])
+def test_attention_matches_per_head_composition(dtype, heads, tq, tk, rng):
+    c = 8
+    arrays = [rng.standard_normal((tq, c)) * 2, rng.standard_normal((tk, c)) * 2,
+              rng.standard_normal((tk, c))]
+    probe = tc.Tensor(rng.standard_normal((tq, c)), dtype=dtype)
+
+    def run(attend):
+        leaves = [tc.Tensor(a, dtype=dtype) for a in arrays]
+        tape = tc.Tape()
+        tape.watch_all(zip("qkv", leaves))
+        with tc.record_on(tape):
+            out = attend(*leaves)
+            loss = tc.sum_all(tc.mul(out, probe))
+        rec = tc.backward(tc.scalar(1.0, dtype=dtype), tape, loss)
+        return out.data, [rec[n].data for n in "qkv"]
+
+    out, grads = run(lambda q, k, v: tc.multi_head_attention(q, k, v, heads))
+    ref_out, ref_grads = run(lambda q, k, v: per_head_attention(q, k, v, heads))
+    tol = DTYPE_TOL[dtype]
+    assert out.dtype == np.dtype(dtype)
+    assert np.max(np.abs(out - ref_out)) < tol
+    for name, g, ref_g in zip("qkv", grads, ref_grads):
+        assert g.dtype == np.dtype(dtype)
+        assert np.max(np.abs(g - ref_g)) < tol, name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_attention_taped_and_untaped_forward_are_bit_identical(dtype, rng):
+    q = tc.Tensor(rng.standard_normal((12, 16)) * 3, dtype=dtype)
+    k = tc.Tensor(rng.standard_normal((10, 16)) * 3, dtype=dtype)
+    v = tc.Tensor(rng.standard_normal((10, 16)), dtype=dtype)
+    untaped, untaped_w = tc.multi_head_attention(q, k, v, 4, return_weights=True)
+    tape = tc.Tape()
+    with tc.record_on(tape):
+        taped, taped_w = tc.multi_head_attention(q, k, v, 4, return_weights=True)
+    assert tape.num_steps == 1
+    npt.assert_array_equal(taped.data, untaped.data)
+    for a, b in zip(taped_w, untaped_w):
+        npt.assert_array_equal(a.data, b.data)
+
+
+def test_attention_weights_match_softmax_of_scaled_scores(rng):
+    q = rng.standard_normal((5, 6))
+    k = rng.standard_normal((7, 6))
+    v = rng.standard_normal((7, 6))
+    _, weights = tc.multi_head_attention(*(tc.Tensor(a, dtype=np.float64) for a in (q, k, v)),
+                                         3, return_weights=True)
+    assert len(weights) == 3
+    for j, probs in enumerate(weights):
+        cols = slice(2 * j, 2 * j + 2)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(2)
+        for row, got in zip(scores, probs.data):
+            assert np.max(np.abs(got - softmax_oracle(row))) < 1e-12
+
+
+def test_attention_rejects_nonconforming_operands():
+    q = tc.Tensor(np.zeros((3, 4)), dtype=np.float64)
+    kv = tc.Tensor(np.zeros((5, 4)), dtype=np.float64)
+    with pytest.raises(tc.DimensionError):
+        tc.multi_head_attention(q, kv, tc.Tensor(np.zeros((4, 4)), dtype=np.float64), 2)
+    with pytest.raises(tc.DimensionError):
+        tc.multi_head_attention(q, tc.Tensor(np.zeros((5, 6)), dtype=np.float64), kv, 2)
+    with pytest.raises(tc.ConfigurationError):
+        tc.multi_head_attention(q, kv, kv, 3)
+    with pytest.raises(tc.ConfigurationError):
+        tc.multi_head_attention(q, kv, tc.Tensor(np.zeros((5, 4)), dtype=np.float32), 2)
 
 
 # --- elementwise / shape ops ---------------------------------------------------
