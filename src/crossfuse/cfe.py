@@ -14,7 +14,11 @@ All four coefficients start at 1.  Heads slice the channel axis into
 contiguous blocks; scores are scaled by 1/sqrt(C / heads), folded into the
 queries.  After the three projections the whole multi-head attention is
 one tape op, ``tensor_core.multi_head_attention``, with a hand-written
-adjoint.
+adjoint.  It exponentiates the scores without the row-max shift whenever
+the Cauchy-Schwarz bound max|q|*max|k|/sqrt(C / heads) proves that exp
+cannot overflow, and takes the softmax row sums from a ones column
+appended to V, so the only pass over the T_q x T_k scores besides the two
+products is the exp.
 """
 
 from __future__ import annotations

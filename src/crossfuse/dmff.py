@@ -60,6 +60,10 @@ class DmffConfig:
             raise ConfigurationError(f"unknown shrink variant {self.shrink_variant!r}")
         if self.shrink_window < 1:
             raise ConfigurationError(f"shrink window must be >= 1, got {self.shrink_window}")
+        if self.heads < 1:
+            raise ConfigurationError(f"heads must be >= 1, got {self.heads}")
+        if self.ffn_hidden < 1:
+            raise ConfigurationError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
         if self.iterations < 0:
             raise ConfigurationError(f"iterations must be >= 0, got {self.iterations}")
 

@@ -1,11 +1,12 @@
 """Dense tensor substrate with exact reverse-mode adjoints.
 
 Every operation the fusion stack needs lives here: matrix products,
-row-wise softmax, fused multi-head attention, 2-d pooling, bilinear
-resizing, and the supporting elementwise/reshape plumbing.  Forward calls
-optionally record onto a :class:`Tape`; :func:`backward` replays the tape
-in reverse to produce a :class:`GradRecord` for all watched (named)
-tensors.
+row-wise softmax, fused multi-head attention (shift-free when the scores
+provably cannot overflow ``exp``, with softmax row sums from a ones column
+appended to V), 2-d pooling, bilinear resizing, and the supporting
+elementwise/reshape plumbing.  Forward calls optionally record onto a
+:class:`Tape`; :func:`backward` replays the tape in reverse to produce a
+:class:`GradRecord` for all watched (named) tensors.
 
 Tensors are immutable after construction (the underlying numpy buffer is
 write-protected) and carry either standard (float32) or wide (float64)
@@ -14,6 +15,7 @@ precision.  Wide precision is what the finite-difference oracles run in.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from contextlib import contextmanager
@@ -534,16 +536,44 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, heads * d)
 
 
+# Untaped calls batch as many heads per score block as fit this many elements
+# (always at least one head): at T = 1024 that is one 4 MiB f32 block.
+_ATTENTION_BLOCK_ELEMENTS = 1 << 20
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          return_weights: bool = False):
     """Concatenated head outputs softmax(Q_j K_j^T / sqrt(d)) V_j, T_q x C.
 
     Head j owns channels [j*d, (j+1)*d), d = C / heads.  The scale is folded
-    into Q (T_q x d) instead of the T_q x T_k scores.  Each head's scores are
-    shifted by their row max and exponentiated in place in one T_q x T_k
-    buffer, and rows are normalised after the product with V.  Untaped calls
-    reuse that buffer for every head; taped calls keep one per head for the
-    adjoint, which is written out directly:
+    into Q (T_q x d) instead of the T_q x T_k scores.  Per score block the
+    op makes one product Q K^T, one in-place ``exp`` and one product with
+    [V | 1], a T_k x (d + 1) operand whose ones column yields each row's
+    sum s, so the normaliser needs no pass of its own; rows are divided by
+    s after the product.
+
+    Softmax is shift-invariant, so the usual row-max shift only guards
+    ``exp`` against overflow, and it is skipped per head when overflow is
+    impossible.  With M the dtype's largest finite value and L = ln(M) / 4,
+    Cauchy-Schwarz bounds every scaled score by
+
+        |q_i . k_j / sqrt(d)| <= b = max_i |q_i / sqrt(d)| * max_j |k_j|.
+
+    If b <= L, each exponential lies in [M^(-1/4), M^(1/4)]: finite and far
+    above the smallest normal number, so none is subnormal.  Row sums are
+    at most T_k M^(1/4), and |E [V | 1]| <= T_k M^(1/4) max(1, max|v|),
+    which is finite when also T_k max(1, max|v|) <= M^(3/4).  When both
+    hold the head is exponentiated unshifted: E, s and g / s then differ
+    from their shifted values by a factor of at most e^b <= M^(1/4), so the
+    adjoint stays finite as well, and the factor 4 in L leaves room for
+    rounding in b and the scores.  Otherwise (or for non-finite input) that
+    head takes the exact row-max shift.  b costs O(T d) per head.
+
+    Taped calls compute all heads in one heads x T_q x T_k block and keep
+    it for the adjoint; untaped calls reuse one block of as many heads as
+    fit ``_ATTENTION_BLOCK_ELEMENTS``.  Either way each head does the same
+    arithmetic.  The adjoint is written out directly and runs per head
+    with one reused T_q x T_k buffer:
 
         dV = P^T g,  dS = P * (g V^T - rowsum(g * O)),
         dQ = scale * dS K,  dK = dS^T (scale * Q).
@@ -568,38 +598,47 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     scale = dt.type(1.0 / np.sqrt(d))
     qh = _split_heads(q.data, heads) * scale
     kh = _split_heads(k.data, heads)
-    vh = _split_heads(v.data, heads)
+    v1 = np.ones((heads, tk, d + 1), dtype=dt)  # [V | 1] per head
+    v1[..., :d] = v.data.reshape(tk, heads, d).transpose(1, 0, 2)
+    vh = v1[..., :d]
+
+    big = np.finfo(dt).max
+    bound = (np.sqrt((qh * qh).sum(axis=2).max(axis=1))
+             * np.sqrt((kh * kh).sum(axis=2).max(axis=1)))
+    vmax = np.maximum(np.abs(vh).max(axis=(1, 2)), 1.0)
+    # NaN compares False, so non-finite input takes the shifted path
+    shift_free = (bound <= np.log(big) / 4) & (tk * vmax <= big ** 0.75)
+
     taped = _recording()
-    oh = np.empty((heads, tq, d), dtype=dt)
-    exps, sums, weights = [], [], []
-    e = None
-    for j in range(heads):
-        if e is None or taped:
-            e = np.empty((tq, tk), dtype=dt)
-        np.matmul(qh[j], kh[j].T, out=e)
-        e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
-        s = e.sum(axis=1, keepdims=True)
-        np.matmul(e, vh[j], out=oh[j])
-        oh[j] /= s
-        if taped:
-            exps.append(e)
-            sums.append(s)
+    block = heads if taped else max(1, min(heads, _ATTENTION_BLOCK_ELEMENTS // (tq * tk)))
+    e = np.empty((block, tq, tk), dtype=dt)
+    av = np.empty((heads, tq, d + 1), dtype=dt)
+    weights = []
+    for j0 in range(0, heads, block):
+        j1 = min(j0 + block, heads)
+        eb = e[: j1 - j0]
+        np.matmul(qh[j0:j1], kh[j0:j1].transpose(0, 2, 1), out=eb)
+        for j in np.flatnonzero(~shift_free[j0:j1]):
+            eb[j] -= eb[j].max(axis=1, keepdims=True)
+        np.exp(eb, out=eb)
+        np.matmul(eb, v1[j0:j1], out=av[j0:j1])
         if return_weights:
-            weights.append(Tensor._wrap(e / s))
+            weights.extend(Tensor._wrap(ej / sj) for ej, sj in zip(eb, av[j0:j1, :, d:]))
+    sums = av[..., d:]
+    oh = av[..., :d] / sums
     out = Tensor._wrap(_merge_heads(oh))
 
     def bwd(g):
-        gh = _split_heads(g, heads)
-        dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
+        # with P = E / s, the adjoint only needs E and g / s (T_q x d)
+        gs = _split_heads(g, heads) / sums
+        rowdot = (gs * oh).sum(axis=2, keepdims=True)
+        dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(kh)
         ds = np.empty((tq, tk), dtype=dt)
         for j in range(heads):
-            # with P = E / s, the adjoint only needs E and g / s (T_q x d)
-            gs = gh[j] / sums[j]
-            np.matmul(exps[j].T, gs, out=dv[j])
-            np.matmul(gs, vh[j].T, out=ds)
-            ds -= (gs * oh[j]).sum(axis=1, keepdims=True)
-            ds *= exps[j]
+            np.matmul(e[j].T, gs[j], out=dv[j])
+            np.matmul(gs[j], vh[j].T, out=ds)
+            ds -= rowdot[j]
+            ds *= e[j]
             np.matmul(ds, kh[j], out=dq[j])
             np.matmul(ds.T, qh[j], out=dk[j])
         dq *= scale
@@ -630,39 +669,39 @@ def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
     ho, wo = h // s, w // s
     blocks = fmap.data.reshape(ho, s, wo, s, c)
 
-    def gather():
-        # (ho, wo, c, s*s) with the window flattened row-major
-        return np.ascontiguousarray(
-            blocks.transpose(0, 2, 4, 1, 3)
-        ).reshape(ho, wo, c, s * s)
-
     def scatter(gwin):
-        # inverse of gather
+        # (ho, wo, c, s*s) window-flattened gradients back to h x w x c
         return np.ascontiguousarray(
             gwin.reshape(ho, wo, c, s, s).transpose(0, 3, 1, 4, 2)
         ).reshape(h, w, c)
 
-    if kind == "avg":
-        windows = gather()
-        out = Tensor._wrap(np.ascontiguousarray(windows.mean(axis=-1)))
-
-        def bwd_avg(g):
-            gwin = np.broadcast_to(g[..., None] / (s * s), windows.shape)
-            return (scatter(np.ascontiguousarray(gwin)),)
-
-        return _emit(out, (fmap,), bwd_avg)
-
-    # A maximum is exact in any order, so fold the s*s window offsets in
-    # elementwise; a reduction over a trailing axis of s*s is far slower.
+    # Fold the s*s window offsets in elementwise, in row-major order; a
+    # reduction over a trailing axis of s*s is far slower.  A maximum is
+    # exact in any order; at s = 2 the sum is bit-identical to that
+    # reduction, and at s >= 3 it differs from numpy's pairwise sum only
+    # by rounding.
+    fold = np.add if kind == "avg" else np.maximum
     out_arr = blocks[:, 0, :, 0].copy()
     for i in range(s):
         for j in range(s):
             if i or j:
-                np.maximum(out_arr, blocks[:, i, :, j], out=out_arr)
+                fold(out_arr, blocks[:, i, :, j], out=out_arr)
+    if kind == "avg":
+        out_arr /= s * s
+
+        def bwd_avg(g):
+            gwin = np.broadcast_to(g[..., None] / (s * s), (ho, wo, c, s * s))
+            return (scatter(np.ascontiguousarray(gwin)),)
+
+        return _emit(Tensor._wrap(out_arr), (fmap,), bwd_avg)
+
     out = Tensor._wrap(out_arr)
     if not _recording():
         return out
-    argmax = gather().argmax(axis=-1)
+    # first maximal element of each window, flattened row-major
+    argmax = np.ascontiguousarray(
+        blocks.transpose(0, 2, 4, 1, 3)
+    ).reshape(ho, wo, c, s * s).argmax(axis=-1)
 
     def bwd_max(g):
         gwin = np.zeros((ho, wo, c, s * s), dtype=g.dtype)
@@ -684,14 +723,21 @@ def _resize_coords(n_in: int, n_out: int):
     return lo, hi, w_hi
 
 
-def _resize_matrix(n_in: int, n_out: int, dt) -> np.ndarray:
-    """n_out x n_in linear interpolation weights along one axis."""
+@functools.lru_cache(maxsize=64)
+def _resize_matrix(n_in: int, n_out: int, dt: np.dtype) -> np.ndarray:
+    """n_out x n_in linear interpolation weights along one axis.
+
+    Cached per (n_in, n_out, dtype), since every forward resizes to the
+    same few extents; all callers share the returned array, so it is
+    read-only.
+    """
     lo, hi, w_hi = _resize_coords(n_in, n_out)
     w_hi = w_hi.astype(dt)
     rows = np.arange(n_out)
     r = np.zeros((n_out, n_in), dtype=dt)
     r[rows, lo] = dt.type(1.0) - w_hi
     r[rows, hi] += w_hi  # lo == hi only where w_hi == 0
+    r.setflags(write=False)
     return r
 
 

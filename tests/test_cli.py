@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import crossfuse
 from crossfuse import tensor_core as tc
 from crossfuse.cli import main
 
@@ -124,6 +127,16 @@ def test_bad_config_key_is_clean_error(tmp_path, capsys):
     assert "modez" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["heads", "ffn_hidden"])
+def test_nonpositive_width_is_clean_error(tmp_path, capsys, key):
+    dmff_cfg = {"heads": 2, "ffn_hidden": 16, "mode": "d", key: 0}
+    cfg = write_json(tmp_path / "bad.json", {"dmff": dmff_cfg})
+    rc = main(["gradcheck", "--config", cfg])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert key in err and "Traceback" not in err
+
+
 def test_corrupt_weights_is_clean_error(tmp_path, synth_spec, capsys):
     prefix = tmp_path / "scene"
     main(["gen", "--spec", synth_spec, "--out-prefix", str(prefix)])
@@ -137,9 +150,12 @@ def test_corrupt_weights_is_clean_error(tmp_path, synth_spec, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child process imports the same crossfuse as these tests
+    src = str(Path(crossfuse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "crossfuse.cli", "audit", "--t", "4", "--c", "8", "--h", "32"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "QK^T" in proc.stdout

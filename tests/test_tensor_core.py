@@ -82,6 +82,13 @@ def bilinear_four_corner_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
     return gx
 
 
+def pool_avg_gather_mean(x: np.ndarray, s: int) -> np.ndarray:
+    """The former average-pooling kernel: gather each window, then `mean`."""
+    h, w, c = x.shape
+    windows = x.reshape(h // s, s, w // s, s, c).transpose(0, 2, 4, 1, 3)
+    return np.ascontiguousarray(windows).reshape(h // s, w // s, c, s * s).mean(axis=-1)
+
+
 def per_head_attention(q: tc.Tensor, k: tc.Tensor, v: tc.Tensor, heads: int) -> tc.Tensor:
     """The former per-head composition of tape ops."""
     d = q.shape[1] // heads
@@ -92,6 +99,20 @@ def per_head_attention(q: tc.Tensor, k: tc.Tensor, v: tc.Tensor, heads: int) -> 
         probs = tc.softmax_rows(tc.const_scale(scores, 1.0 / np.sqrt(d)))
         outputs.append(tc.matmul(probs, tc.col_slice(v, lo, hi)))
     return outputs[0] if heads == 1 else tc.concat_cols(outputs)
+
+
+def attend_with_grads(attend, arrays, probe: tc.Tensor):
+    """Output of `attend` on q, k, v built from `arrays` in the probe's
+    dtype, and the q, k, v gradients of sum(output * probe)."""
+    dtype = probe.dtype
+    leaves = [tc.Tensor(a, dtype=dtype) for a in arrays]
+    tape = tc.Tape()
+    tape.watch_all(zip("qkv", leaves))
+    with tc.record_on(tape):
+        out = attend(*leaves)
+        loss = tc.sum_all(tc.mul(out, probe))
+    rec = tc.backward(tc.scalar(1.0, dtype=dtype), tape, loss)
+    return out.data, [rec[n].data for n in "qkv"]
 
 
 # Fixed before comparing: a reassociated kernel against its former form.
@@ -255,7 +276,37 @@ def test_pool_gradients_match_finite_differences(rng):
         assert rel_err(rec["x"].data, fd_gradient(loss_fn, xt)) < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_pool_avg_matches_gather_mean_reference(dtype, s, rng):
+    x = (rng.standard_normal((3 * s, 2 * s, 5)) * 3).astype(dtype)
+    out = tc.pool2d(tc.Tensor(x, dtype=dtype), s, "avg").data
+    ref = pool_avg_gather_mean(x, s)
+    assert out.dtype == ref.dtype == np.dtype(dtype)
+    if s == 2:
+        assert out.tobytes() == ref.tobytes()
+    else:
+        # two summation orders of s*s terms, each within s*s rounding
+        # steps of the exact mean
+        tol = 2 * s * s * np.finfo(dtype).eps * np.abs(x).max()
+        assert np.max(np.abs(out - ref)) <= tol
+
+
 # --- bilinear resize ----------------------------------------------------------
+
+
+def test_resize_matrix_is_cached_and_read_only(rng):
+    tc._resize_matrix.cache_clear()
+    xt = tc.Tensor(rng.standard_normal((5, 7, 3)), dtype=np.float32)
+    cold = tc.bilinear_resize(xt, 11, 4).data
+    warm = tc.bilinear_resize(xt, 11, 4).data
+    assert cold.tobytes() == warm.tobytes()
+    dt = np.dtype(np.float32)
+    r = tc._resize_matrix(5, 11, dt)
+    assert tc._resize_matrix(5, 11, dt) is r
+    npt.assert_array_equal(r, tc._resize_matrix.__wrapped__(5, 11, dt))
+    with pytest.raises(ValueError):
+        r[0, 0] = 2.0
 
 
 def test_bilinear_same_size_is_bit_identical(rng):
@@ -482,19 +533,10 @@ def test_attention_matches_per_head_composition(dtype, heads, tq, tk, rng):
     arrays = [rng.standard_normal((tq, c)) * 2, rng.standard_normal((tk, c)) * 2,
               rng.standard_normal((tk, c))]
     probe = tc.Tensor(rng.standard_normal((tq, c)), dtype=dtype)
-
-    def run(attend):
-        leaves = [tc.Tensor(a, dtype=dtype) for a in arrays]
-        tape = tc.Tape()
-        tape.watch_all(zip("qkv", leaves))
-        with tc.record_on(tape):
-            out = attend(*leaves)
-            loss = tc.sum_all(tc.mul(out, probe))
-        rec = tc.backward(tc.scalar(1.0, dtype=dtype), tape, loss)
-        return out.data, [rec[n].data for n in "qkv"]
-
-    out, grads = run(lambda q, k, v: tc.multi_head_attention(q, k, v, heads))
-    ref_out, ref_grads = run(lambda q, k, v: per_head_attention(q, k, v, heads))
+    out, grads = attend_with_grads(
+        lambda q, k, v: tc.multi_head_attention(q, k, v, heads), arrays, probe)
+    ref_out, ref_grads = attend_with_grads(
+        lambda q, k, v: per_head_attention(q, k, v, heads), arrays, probe)
     tol = DTYPE_TOL[dtype]
     assert out.dtype == np.dtype(dtype)
     assert np.max(np.abs(out - ref_out)) < tol
@@ -516,6 +558,70 @@ def test_attention_taped_and_untaped_forward_are_bit_identical(dtype, rng):
     npt.assert_array_equal(taped.data, untaped.data)
     for a, b in zip(taped_w, untaped_w):
         npt.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("block_heads", [0, 1, 3])
+def test_attention_untaped_head_blocks_match_taped_all_heads(dtype, block_heads, rng,
+                                                             monkeypatch):
+    # a budget below one head's scores still gives blocks of one head; with
+    # 3 the last block is partial.  Head 0's scores are large enough to take
+    # the shifted path, so both paths share a block.
+    tq, tk, heads = 12, 10, 4
+    grow = np.ones(16)
+    grow[:4] = 30.0
+    q = tc.Tensor(rng.standard_normal((tq, 16)) * grow, dtype=dtype)
+    k = tc.Tensor(rng.standard_normal((tk, 16)) * grow, dtype=dtype)
+    v = tc.Tensor(rng.standard_normal((tk, 16)), dtype=dtype)
+    tape = tc.Tape()
+    with tc.record_on(tape):
+        taped, taped_w = tc.multi_head_attention(q, k, v, heads, return_weights=True)
+    monkeypatch.setattr(tc, "_ATTENTION_BLOCK_ELEMENTS", block_heads * tq * tk)
+    untaped, untaped_w = tc.multi_head_attention(q, k, v, heads, return_weights=True)
+    assert len(untaped_w) == heads
+    npt.assert_array_equal(untaped.data, taped.data)
+    for a, b in zip(untaped_w, taped_w):
+        npt.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_shifted_fallback_matches_per_head_composition(heads, rng):
+    # In head 0 queries and keys share a large component, so every scaled
+    # score exceeds 1000, where an unshifted f32 exp overflows, while scores
+    # within a row differ by O(1).  Entries are multiples of 1/64 and
+    # d = 4 makes the scale 1/2, so both kernels get the exact scores.
+    # With two heads, head 1 stays small and runs unshifted.
+    dtype, tq, tk, d = np.float32, 7, 5, 4
+    c = d * heads
+    common = np.zeros(c)
+    common[:d] = 24.0
+    spread = np.full(c, 0.25)
+    spread[:d] = 1 / 64
+    arrays = [common + rng.integers(-2, 3, (tq, c)) * np.where(common > 0, 1.0, 0.25),
+              common + rng.integers(-4, 5, (tk, c)) * spread,
+              rng.standard_normal((tk, c))]
+    scores = arrays[0][:, :d] @ arrays[1][:, :d].T / np.sqrt(d)
+    assert scores.min() > 1000 > np.log(np.finfo(dtype).max)
+    probe = tc.Tensor(rng.standard_normal((tq, c)), dtype=dtype)
+    out, grads = attend_with_grads(
+        lambda q, k, v: tc.multi_head_attention(q, k, v, heads), arrays, probe)
+    ref_out, ref_grads = attend_with_grads(
+        lambda q, k, v: per_head_attention(q, k, v, heads), arrays, probe)
+    for name, a, b in zip(("out", "q", "k", "v"), [out, *grads], [ref_out, *ref_grads]):
+        assert np.all(np.isfinite(a)), name
+        assert np.max(np.abs(a - b)) < DTYPE_TOL[dtype], name
+
+
+def test_attention_huge_values_take_shifted_path(rng):
+    # Scores near 19 pass the f32 score bound (ln(M) / 4 = 22.2), but with
+    # |v| ~ 1e31 an unshifted E V would reach ~1e40 and overflow.
+    q = tc.Tensor(np.full((3, 1), 4.4), dtype=np.float32)
+    k = tc.Tensor(4.4 - 0.1 * np.arange(5)[:, None], dtype=np.float32)
+    v = tc.Tensor((1.0 + rng.random((5, 1))) * 1e31, dtype=np.float32)
+    out = tc.multi_head_attention(q, k, v, 1).data
+    ref = per_head_attention(q, k, v, 1).data
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out - ref)) < DTYPE_TOL[np.float32] * np.abs(v.data).max()
 
 
 def test_attention_weights_match_softmax_of_scaled_scores(rng):

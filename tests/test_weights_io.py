@@ -111,6 +111,24 @@ def test_manifest_with_missing_tensor_is_manifest_error(tmp_path, rng):
         weights_io.load_weights(path)
 
 
+@pytest.mark.parametrize("key", ["heads", "ffn_hidden"])
+def test_nonpositive_meta_width_is_manifest_error(tmp_path, rng, key):
+    import json
+
+    path = tmp_path / "w.icaf"
+    weights_io.save_weights(build_weights(rng), path)
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack("<I", blob[8:12])
+    manifest = json.loads(blob[12 : 12 + mlen])
+    manifest["meta"][key] = 0
+    new_manifest = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(
+        blob[:8] + struct.pack("<I", len(new_manifest)) + new_manifest + blob[12 + mlen :]
+    )
+    with pytest.raises(weights_io.ManifestError, match=key):
+        weights_io.load_weights(path)
+
+
 def test_corrupt_json_is_manifest_error(tmp_path, rng):
     path = tmp_path / "w.icaf"
     weights_io.save_weights(build_weights(rng), path)
