@@ -29,9 +29,12 @@ from .dmff import (
     DmffConfig,
     DmffWeights,
     FusionOutput,
+    ParamSpec,
+    assemble,
     dmff_fuse,
     init_dmff_weights,
     nin_fuse,
+    param_spec,
     replace_parameters,
 )
 from .complexity_audit import (

@@ -32,6 +32,9 @@ from . import tensor_core as tc
 from .tensor_core import ConfigurationError, DimensionError, Tensor
 from .token_codec import TokenSeq
 
+PARAM_NAMES = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
+               "alpha", "beta", "gamma", "delta")
+
 
 @dataclass
 class CfeParams:
@@ -65,8 +68,7 @@ class CfeParams:
         return self.ffn_w1.shape[1]
 
     def named_tensors(self, prefix: str = ""):
-        for name in ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2",
-                     "ffn_b2", "alpha", "beta", "gamma", "delta"):
+        for name in PARAM_NAMES:
             yield prefix + name, getattr(self, name)
 
 

@@ -14,6 +14,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import tensor_core as tc
 from .complexity_audit import audit_csv, audit_report
 from .dmff import DmffConfig, dmff_fuse
@@ -107,13 +109,19 @@ def _cmd_gradcheck(args) -> int:
     return 0 if report.passed else 1
 
 
+def _require_finite(t: tc.Tensor, what: str) -> tc.Tensor:
+    if not np.isfinite(t.data).all():
+        raise tc.ConfigurationError(f"{what} holds NaN or infinite values")
+    return t
+
+
 def _cmd_fuse(args) -> int:
     wts = load_weights(args.weights)
     cfg = dataclasses.replace(wts.cfg, mode=_MODE_FLAGS[args.mode])
-    f_r = tc.read_rawtensor(args.rgb)
-    f_t = tc.read_rawtensor(args.thermal)
+    f_r = _require_finite(tc.read_rawtensor(args.rgb), args.rgb)
+    f_t = _require_finite(tc.read_rawtensor(args.thermal), args.thermal)
     out = dmff_fuse(f_r, f_t, cfg, wts)
-    tc.write_rawtensor(args.out, out.primary)
+    tc.write_rawtensor(args.out, _require_finite(out.primary, "fused map"))
     print(f"wrote {args.out}")
     return 0
 

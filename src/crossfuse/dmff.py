@@ -16,26 +16,28 @@ Fusion modes select which stages run and what is emitted:
     f_thermal  raw thermal pass-through
 
 Modes a/b/f carry no fusion weights; mode e carries only fusion weights.
+``param_spec`` is the one list of what each mode carries.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor_core as tc
-from .cfe import CfeParams, cfe_forward
-from .icfe import IcfeParams, icfe_forward, init_icfe_params
-from .sfs import (ConvShrinkParam, MixedPoolParam, init_conv_shrink_param,
-                  init_mixed_pool_param, shrink)
+from .cfe import PARAM_NAMES as CFE_PARAM_NAMES, CfeParams, cfe_forward
+from .icfe import IcfeParams, icfe_forward
+from .sfs import ConvShrinkParam, MixedPoolParam, shrink
 from .tensor_core import ConfigurationError, DimensionError, Tensor
-from .token_codec import PositionalEmbedding, init_positional_embedding, tokenize, detokenize
+from .token_codec import PositionalEmbedding, tokenize, detokenize
 
 MODES = ("a", "b", "c", "d", "e", "f_rgb", "f_thermal")
 DUPLICATIONS = ("none", "rgb_both", "thermal_both")
 ATTENTION_MODES = ("a", "b", "c", "d")
+NIN_MODES = ("c", "d", "e")
 
 
 @dataclass
@@ -112,50 +114,119 @@ class FusionOutput:
     enhanced_thermal: Tensor | None = None
 
 
-def _needs_rgb_branch(mode: str) -> bool:
-    return mode in ("a", "b", "c", "d")
+class ParamSpec(NamedTuple):
+    """Shape and init rule of one learnable: uniform in +-bound, else fill."""
+
+    shape: tuple
+    bound: float | None = None
+    fill: float = 0.0
 
 
-def _mode_uses_nin(mode: str) -> bool:
-    return mode in ("c", "d", "e")
+def _cfe_spec(prefix: str, c: int, hidden: int) -> dict:
+    bound = 1.0 / math.sqrt(c)
+    proj = ParamSpec((c, c), bound)
+    coefficient = ParamSpec((1,), fill=1.0)
+    leaves = dict(w_q=proj, w_k=proj, w_v=proj, w_o=proj,
+                  ffn_w1=ParamSpec((c, hidden), bound), ffn_b1=ParamSpec((hidden,)),
+                  ffn_w2=ParamSpec((hidden, c), bound), ffn_b2=ParamSpec((c,)),
+                  alpha=coefficient, beta=coefficient, gamma=coefficient,
+                  delta=coefficient)
+    return {prefix + leaf: leaves[leaf] for leaf in CFE_PARAM_NAMES}
+
+
+def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
+    """Every learnable of the configured pipeline: name -> ParamSpec, in
+    ``DmffWeights.named_tensors`` order, which is also the init draw order.
+
+    One enhancement set serves every iteration; modes a, b and c also share
+    it between the two directions (prefix ``cfe.``), mode d keeps one per
+    branch (``cfe_r.``, ``cfe_t.``).
+    """
+    s, c = cfg.shrink_window, channels
+    if min(height, width, channels) < 1 or height % s or width % s:
+        raise ConfigurationError(f"input extents {height}x{width}x{channels} must be "
+                                 f">= 1 and divisible by the shrink window {s}")
+    spec = {}
+    if cfg.mode in ATTENTION_MODES:
+        for prefix in (("cfe_r.", "cfe_t.") if cfg.mode == "d" else ("cfe.",)):
+            spec.update(_cfe_spec(prefix, c, cfg.ffn_hidden))
+        tokens = (height // s) * (width // s)
+        spec["pe_r.table"] = spec["pe_t.table"] = ParamSpec((tokens, c), 0.02)
+        for branch in ("sfs_r.", "sfs_t."):
+            if cfg.shrink_variant == "pool":
+                spec[branch + "lambda_raw"] = ParamSpec((1,))
+            else:
+                spec[branch + "w"] = ParamSpec((s * s * c, c), 1.0 / math.sqrt(s * s * c))
+                spec[branch + "b"] = ParamSpec((c,))
+    if cfg.mode in NIN_MODES:
+        spec["nin.w"] = ParamSpec((2 * c, c), 1.0 / math.sqrt(2 * c))
+        spec["nin.b"] = ParamSpec((c,))
+    return spec
+
+
+def _build(cfg: DmffConfig, height: int, width: int, channels: int, t) -> DmffWeights:
+    # trusts `t` to hold exactly the param_spec names, shapes and one dtype
+    wts = DmffWeights(cfg=cfg, height=height, width=width, channels=channels)
+    if cfg.mode in ATTENTION_MODES:
+        def cfe(prefix):
+            return CfeParams(**{leaf: t[prefix + leaf] for leaf in CFE_PARAM_NAMES},
+                             heads=cfg.heads)
+
+        if cfg.mode == "d":
+            wts.icfe = IcfeParams(cfe("cfe_r."), cfe("cfe_t."), shared=False,
+                                  iterations=cfg.iterations)
+        else:
+            shared = cfe("cfe.")
+            wts.icfe = IcfeParams(shared, shared, shared=True, iterations=cfg.iterations)
+        wts.pe_r = PositionalEmbedding(t["pe_r.table"])
+        wts.pe_t = PositionalEmbedding(t["pe_t.table"])
+        if cfg.shrink_variant == "pool":
+            wts.sfs_r = MixedPoolParam(t["sfs_r.lambda_raw"])
+            wts.sfs_t = MixedPoolParam(t["sfs_t.lambda_raw"])
+        else:
+            wts.sfs_r = ConvShrinkParam(t["sfs_r.w"], t["sfs_r.b"])
+            wts.sfs_t = ConvShrinkParam(t["sfs_t.w"], t["sfs_t.b"])
+    if cfg.mode in NIN_MODES:
+        wts.nin_w, wts.nin_b = t["nin.w"], t["nin.b"]
+    return wts
+
+
+def assemble(cfg: DmffConfig, height: int, width: int, channels: int,
+             tensors) -> DmffWeights:
+    """Weights from named tensors, checked against ``param_spec``.
+
+    The names must be exactly the spec's, every shape must match it and
+    all tensors must share one dtype.  Raises ConfigurationError or
+    DimensionError.
+    """
+    spec = param_spec(cfg, height, width, channels)
+    missing = [n for n in spec if n not in tensors]
+    unknown = [n for n in tensors if n not in spec]
+    if missing or unknown:
+        raise ConfigurationError(
+            f"mode {cfg.mode!r} tensors: missing {missing}, unknown {unknown}"
+        )
+    dtypes = sorted({str(t.dtype) for t in tensors.values()})
+    if len(dtypes) > 1:
+        raise ConfigurationError(f"tensors mix precisions {dtypes}")
+    for name, p in spec.items():
+        if tensors[name].shape != p.shape:
+            raise DimensionError(
+                f"tensor {name!r} has shape {tensors[name].shape}, expected {p.shape}"
+            )
+    return _build(cfg, height, width, channels, tensors)
 
 
 def init_dmff_weights(cfg: DmffConfig, height: int, width: int, channels: int,
                       rng: np.random.Generator, dtype=tc.STANDARD) -> DmffWeights:
     """Construct weights for one pipeline instance at the given input size."""
-    s = cfg.shrink_window
-    if height % s or width % s:
-        raise ConfigurationError(
-            f"shrink window {s} does not divide input extents {height}x{width}"
-        )
-    wts = DmffWeights(cfg=cfg, height=height, width=width, channels=channels)
-    mode = cfg.mode
-    if mode in ATTENTION_MODES:
-        if mode in ("a", "b"):
-            # single-branch modes carry exactly one enhancement parameter set
-            single = init_icfe_params(channels, cfg.ffn_hidden, cfg.heads, rng,
-                                      iterations=cfg.iterations, shared=True,
-                                      dtype=dtype)
-            wts.icfe = single
+    tensors = {}
+    for name, p in param_spec(cfg, height, width, channels).items():
+        if p.bound is None:
+            tensors[name] = tc.full(p.shape, p.fill, dtype=dtype)
         else:
-            wts.icfe = init_icfe_params(channels, cfg.ffn_hidden, cfg.heads, rng,
-                                        iterations=cfg.iterations,
-                                        shared=(mode == "c"), dtype=dtype)
-        tokens = (height // s) * (width // s)
-        wts.pe_r = init_positional_embedding(tokens, channels, rng, dtype=dtype)
-        wts.pe_t = init_positional_embedding(tokens, channels, rng, dtype=dtype)
-        if cfg.shrink_variant == "pool":
-            wts.sfs_r = init_mixed_pool_param(dtype=dtype)
-            wts.sfs_t = init_mixed_pool_param(dtype=dtype)
-        else:
-            wts.sfs_r = init_conv_shrink_param(s, channels, rng, dtype=dtype)
-            wts.sfs_t = init_conv_shrink_param(s, channels, rng, dtype=dtype)
-    if _mode_uses_nin(mode):
-        bound = 1.0 / np.sqrt(2 * channels)
-        wts.nin_w = Tensor(rng.uniform(-bound, bound, size=(2 * channels, channels)),
-                           dtype=dtype)
-        wts.nin_b = tc.zeros((channels,), dtype=dtype)
-    return wts
+            tensors[name] = Tensor(rng.uniform(-p.bound, p.bound, size=p.shape), dtype=dtype)
+    return _build(cfg, height, width, channels, tensors)
 
 
 def nin_fuse(f_r: Tensor, f_t: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -240,51 +311,28 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
 # ---------------------------------------------------------------------------
 
 
-def _replace_cfe(params: CfeParams, prefix: str, mapping) -> CfeParams:
-    updates = {}
-    for name, tensor in params.named_tensors():
-        new = mapping.get(prefix + name)
-        if new is not None:
-            updates[name] = new
-    return dataclasses.replace(params, **updates) if updates else params
-
-
-def _replace_sfs(param, prefix: str, mapping):
-    if param is None:
-        return None
-    if isinstance(param, MixedPoolParam):
-        new = mapping.get(prefix + "lambda_raw")
-        return MixedPoolParam(new) if new is not None else param
-    new_w = mapping.get(prefix + "w", param.w)
-    new_b = mapping.get(prefix + "b", param.b)
-    return ConvShrinkParam(new_w, new_b)
-
-
 def replace_parameters(wts: DmffWeights, mapping) -> DmffWeights:
     """Structurally identical weights with tensors swapped in by name.
 
-    Sharing is preserved: a shared enhancement pair stays one object.
+    Sharing is preserved: a shared enhancement pair stays one object.  Only
+    the swapped-in tensors are checked (known name, the shape and dtype of
+    the tensor they replace); the rest were checked when `wts` was built.
     """
-    new = dataclasses.replace(wts)
-    if wts.icfe is not None:
-        if wts.icfe.shared:
-            shared = _replace_cfe(wts.icfe.cfe_r, "cfe.", mapping)
-            new.icfe = IcfeParams(shared, shared, shared=True,
-                                  iterations=wts.icfe.iterations)
-        else:
-            new.icfe = IcfeParams(
-                _replace_cfe(wts.icfe.cfe_r, "cfe_r.", mapping),
-                _replace_cfe(wts.icfe.cfe_t, "cfe_t.", mapping),
-                shared=False,
-                iterations=wts.icfe.iterations,
+    current = dict(wts.named_tensors())
+    for name, t in mapping.items():
+        old = current.get(name)
+        if old is None:
+            raise ConfigurationError(f"unknown parameter {name!r}")
+        if t.shape != old.shape:
+            raise DimensionError(
+                f"parameter {name!r} has shape {old.shape}, got {t.shape}"
             )
-    if wts.pe_r is not None:
-        new.pe_r = PositionalEmbedding(mapping.get("pe_r.table", wts.pe_r.table))
-    if wts.pe_t is not None:
-        new.pe_t = PositionalEmbedding(mapping.get("pe_t.table", wts.pe_t.table))
-    new.sfs_r = _replace_sfs(wts.sfs_r, "sfs_r.", mapping)
-    new.sfs_t = _replace_sfs(wts.sfs_t, "sfs_t.", mapping)
-    if wts.nin_w is not None:
-        new.nin_w = mapping.get("nin.w", wts.nin_w)
-        new.nin_b = mapping.get("nin.b", wts.nin_b)
-    return new
+        if t.dtype != old.dtype:
+            raise ConfigurationError(
+                f"parameter {name!r} has dtype {old.dtype}, got {t.dtype}"
+            )
+    current.update(mapping)
+    try:
+        return _build(wts.cfg, wts.height, wts.width, wts.channels, current)
+    except KeyError as exc:  # hand-built weights that do not match their cfg
+        raise ConfigurationError(f"weights lack {exc} for mode {wts.cfg.mode!r}") from None

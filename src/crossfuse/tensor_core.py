@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -819,16 +820,23 @@ def read_rawtensor(path) -> Tensor:
         blob = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"bad rawtensor header in {path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ConfigurationError(f"rawtensor header in {path} is not a JSON object")
     if header.get("v") != 1:
         raise ConfigurationError(f"unsupported rawtensor version {header.get('v')!r}")
     dt_name = header.get("dtype")
-    if dt_name not in _NAME_TO_DTYPE:
+    if not isinstance(dt_name, str) or dt_name not in _NAME_TO_DTYPE:
         raise ConfigurationError(f"unknown rawtensor dtype {dt_name!r}")
-    shape = tuple(int(n) for n in header.get("shape", ()))
+    shape = header.get("shape")
+    if (not isinstance(shape, list) or not 1 <= len(shape) <= 3
+            or not all(type(n) is int and n >= 1 for n in shape)):
+        raise ConfigurationError(
+            f"rawtensor shape must be 1-3 integer extents >= 1, got {shape!r}"
+        )
     dt = np.dtype(_NAME_TO_DTYPE[dt_name]).newbyteorder("<")
-    expected = int(np.prod(shape)) * dt.itemsize
+    expected = math.prod(shape) * dt.itemsize
     if len(blob) != expected:
         raise ConfigurationError(
             f"rawtensor payload is {len(blob)} bytes, expected {expected}"

@@ -9,24 +9,23 @@ Layout:
     payload       tensors concatenated little-endian, manifest order
 
 The manifest meta carries the pipeline configuration and input extents,
-so a load reconstructs the full weight structure, sharing included.
-Round trips are byte-exact.
+so a load reconstructs the full weight structure, sharing included, through
+``dmff.assemble``, which checks the tensor names, shapes and dtype against
+the configuration.  Round trips are byte-exact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
 
 from . import tensor_core as tc
-from .cfe import CfeParams
-from .dmff import DmffConfig, DmffWeights, _mode_uses_nin
-from .icfe import IcfeParams
-from .sfs import ConvShrinkParam, MixedPoolParam
+from .dmff import DmffConfig, DmffWeights, assemble
 from .tensor_core import Tensor
-from .token_codec import PositionalEmbedding
 
 MAGIC = b"ICAF"
 VERSION = 1
@@ -53,22 +52,11 @@ class TruncatedPayloadError(WeightsFormatError):
 
 
 def save_weights(wts: DmffWeights, path):
-    cfg = wts.cfg
     tensors = list(wts.named_tensors())
     manifest = {
-        "meta": {
-            "mode": cfg.mode,
-            "shrink_variant": cfg.shrink_variant,
-            "shrink_window": cfg.shrink_window,
-            "heads": cfg.heads,
-            "ffn_hidden": cfg.ffn_hidden,
-            "iterations": cfg.iterations,
-            "input_duplication": cfg.input_duplication,
-            "sequential_update": cfg.sequential_update,
-            "height": wts.height,
-            "width": wts.width,
-            "channels": wts.channels,
-        },
+        # every DmffConfig field plus the input extents
+        "meta": dict(dataclasses.asdict(wts.cfg), height=wts.height, width=wts.width,
+                     channels=wts.channels),
         "tensors": [
             {"name": name, "shape": list(t.shape), "dtype": tc.dtype_name(t.dtype)}
             for name, t in tensors
@@ -84,91 +72,25 @@ def save_weights(wts: DmffWeights, path):
             fh.write(np.ascontiguousarray(t.data, dtype=t.data.dtype.newbyteorder("<")).tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    blob = fh.read(n)
-    if len(blob) != n:
-        raise TruncatedPayloadError(f"file ends inside {what}: wanted {n} bytes, got {len(blob)}")
-    return blob
+def _take(blob: bytes, start: int, n: int, what: str) -> bytes:
+    part = blob[start:start + n]
+    if len(part) != n:
+        raise TruncatedPayloadError(f"file ends inside {what}: wanted {n} bytes, got {len(part)}")
+    return part
 
 
-def load_weights(path) -> DmffWeights:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != VERSION:
-            raise VersionMismatchError(f"unsupported format version {version}")
-        (manifest_len,) = struct.unpack("<I", _read_exact(fh, 4, "manifest length"))
-        manifest_blob = _read_exact(fh, manifest_len, "manifest")
-        try:
-            manifest = json.loads(manifest_blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-        payload = fh.read()
+def _parse_entry(entry):
     try:
-        meta = manifest["meta"]
-        entries = manifest["tensors"]
-    except (KeyError, TypeError) as exc:
-        raise ManifestError(f"manifest missing section: {exc}") from exc
-
-    tensors = {}
-    offset = 0
-    for entry in entries:
-        try:
-            name = entry["name"]
-            shape = tuple(int(n) for n in entry["shape"])
-            dtype = tc.dtype_from_name(entry["dtype"])
-        except (KeyError, TypeError, ValueError, tc.ConfigurationError) as exc:
-            raise ManifestError(f"bad tensor entry {entry!r}: {exc}") from exc
-        if any(n < 1 for n in shape) or not shape:
-            raise ManifestError(f"tensor {name!r} declares invalid shape {shape}")
-        dt = np.dtype(dtype).newbyteorder("<")
-        nbytes = int(np.prod(shape)) * dt.itemsize
-        if offset + nbytes > len(payload):
-            raise TruncatedPayloadError(
-                f"payload ends inside tensor {name!r}: need {offset + nbytes} bytes, "
-                f"have {len(payload)}"
-            )
-        arr = np.frombuffer(payload, dtype=dt, count=int(np.prod(shape)),
-                            offset=offset).reshape(shape)
-        tensors[name] = Tensor._wrap(np.ascontiguousarray(arr, dtype=dtype))
-        offset += nbytes
-    if offset != len(payload):
-        raise ManifestError(
-            f"manifest accounts for {offset} payload bytes but file has {len(payload)}"
-        )
-    return _assemble(meta, tensors)
+        name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
+        dtype = tc.dtype_from_name(entry["dtype"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ManifestError(f"bad tensor entry {entry!r}: {exc}") from exc
+    if not isinstance(name, str) or not shape or any(n < 1 for n in shape):
+        raise ManifestError(f"tensor entry {entry!r} needs a string name and extents >= 1")
+    return name, shape, dtype
 
 
-def _build_cfe(tensors, prefix: str, heads: int) -> CfeParams:
-    def grab(leaf):
-        try:
-            return tensors[prefix + leaf]
-        except KeyError:
-            raise ManifestError(f"missing tensor {prefix + leaf!r}") from None
-
-    return CfeParams(
-        w_q=grab("w_q"), w_k=grab("w_k"), w_v=grab("w_v"), w_o=grab("w_o"),
-        ffn_w1=grab("ffn_w1"), ffn_b1=grab("ffn_b1"),
-        ffn_w2=grab("ffn_w2"), ffn_b2=grab("ffn_b2"),
-        alpha=grab("alpha"), beta=grab("beta"),
-        gamma=grab("gamma"), delta=grab("delta"),
-        heads=heads,
-    )
-
-
-def _build_sfs(tensors, prefix: str, variant: str):
-    if variant == "pool":
-        if prefix + "lambda_raw" not in tensors:
-            raise ManifestError(f"missing tensor {prefix}lambda_raw")
-        return MixedPoolParam(tensors[prefix + "lambda_raw"])
-    if prefix + "w" not in tensors or prefix + "b" not in tensors:
-        raise ManifestError(f"missing tensors under {prefix}")
-    return ConvShrinkParam(tensors[prefix + "w"], tensors[prefix + "b"])
-
-
-def _assemble(meta, tensors) -> DmffWeights:
+def _config_from_meta(meta):
     try:
         cfg = DmffConfig(
             shrink_variant=meta["shrink_variant"],
@@ -180,34 +102,57 @@ def _assemble(meta, tensors) -> DmffWeights:
             input_duplication=meta.get("input_duplication", "none"),
             sequential_update=bool(meta.get("sequential_update", False)),
         )
-        height = int(meta["height"])
-        width = int(meta["width"])
-        channels = int(meta["channels"])
-    except (KeyError, TypeError, ValueError, tc.ConfigurationError) as exc:
+        return cfg, int(meta["height"]), int(meta["width"]), int(meta["channels"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"bad meta section: {exc}") from exc
 
-    wts = DmffWeights(cfg=cfg, height=height, width=width, channels=channels)
-    mode = cfg.mode
-    if mode in ("a", "b", "c", "d"):
-        if mode in ("a", "b", "c"):
-            shared = _build_cfe(tensors, "cfe.", cfg.heads)
-            wts.icfe = IcfeParams(shared, shared, shared=True, iterations=cfg.iterations)
-        else:
-            wts.icfe = IcfeParams(
-                _build_cfe(tensors, "cfe_r.", cfg.heads),
-                _build_cfe(tensors, "cfe_t.", cfg.heads),
-                shared=False, iterations=cfg.iterations,
+
+def load_weights(path) -> DmffWeights:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    magic = _take(blob, 0, 4, "magic")
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    (version,) = struct.unpack("<I", _take(blob, 4, 4, "version"))
+    if version != VERSION:
+        raise VersionMismatchError(f"unsupported format version {version}")
+    (manifest_len,) = struct.unpack("<I", _take(blob, 8, 4, "manifest length"))
+    manifest_blob = _take(blob, 12, manifest_len, "manifest")
+    try:
+        manifest = json.loads(manifest_blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    payload = blob[12 + manifest_len:]  # a fresh bytes object, so tensor data stays aligned
+    try:
+        meta, entries = manifest["meta"], manifest["tensors"]
+    except (KeyError, TypeError) as exc:
+        raise ManifestError(f"manifest missing section: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ManifestError("manifest tensors section is not a list")
+
+    tensors = {}
+    offset = 0
+    for entry in entries:
+        name, shape, dtype = _parse_entry(entry)
+        if name in tensors:
+            raise ManifestError(f"duplicate tensor name {name!r}")
+        count = math.prod(shape)
+        dt = np.dtype(dtype).newbyteorder("<")
+        nbytes = count * dt.itemsize
+        if offset + nbytes > len(payload):
+            raise TruncatedPayloadError(
+                f"payload ends inside tensor {name!r}: need {offset + nbytes} bytes, "
+                f"have {len(payload)}"
             )
-        for leaf in ("pe_r", "pe_t"):
-            if f"{leaf}.table" not in tensors:
-                raise ManifestError(f"missing tensor {leaf}.table")
-        wts.pe_r = PositionalEmbedding(tensors["pe_r.table"])
-        wts.pe_t = PositionalEmbedding(tensors["pe_t.table"])
-        wts.sfs_r = _build_sfs(tensors, "sfs_r.", cfg.shrink_variant)
-        wts.sfs_t = _build_sfs(tensors, "sfs_t.", cfg.shrink_variant)
-    if _mode_uses_nin(mode):
-        if "nin.w" not in tensors or "nin.b" not in tensors:
-            raise ManifestError("missing fusion tensors nin.w / nin.b")
-        wts.nin_w = tensors["nin.w"]
-        wts.nin_b = tensors["nin.b"]
-    return wts
+        arr = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape)
+        tensors[name] = Tensor._wrap(np.ascontiguousarray(arr, dtype=dtype))
+        offset += nbytes
+    if offset != len(payload):
+        raise ManifestError(
+            f"manifest accounts for {offset} payload bytes but file has {len(payload)}"
+        )
+    cfg, height, width, channels = _config_from_meta(meta)
+    try:
+        return assemble(cfg, height, width, channels, tensors)
+    except (tc.ConfigurationError, tc.DimensionError) as exc:
+        raise ManifestError(str(exc)) from exc

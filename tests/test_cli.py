@@ -11,6 +11,7 @@ import pytest
 import crossfuse
 from crossfuse import tensor_core as tc
 from crossfuse.cli import main
+from conftest import ICAF_PROBES, RAWTENSOR_PROBES, write_icaf_probe, write_rawtensor_probe
 
 
 def write_json(path, payload):
@@ -159,3 +160,62 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "QK^T" in proc.stdout
+
+
+def _fuse(tmp_path, synth_spec, rgb=None, thermal=None, weights=None):
+    prefix = tmp_path / "scene"
+    main(["gen", "--spec", synth_spec, "--out-prefix", str(prefix)])
+    if weights is None:
+        weights = write_icaf_probe(tmp_path / "w.icaf", None)
+    out = tmp_path / "fused.rawtensor"
+    rc = main(["fuse", "--rgb", str(rgb or f"{prefix}_rgb.rawtensor"),
+               "--thermal", str(thermal or f"{prefix}_thermal.rawtensor"),
+               "--weights", str(weights), "--mode", "d", "--out", str(out)])
+    return rc, out
+
+
+@pytest.mark.parametrize("branch", ["rgb", "thermal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fuse_refuses_non_finite_input(tmp_path, synth_spec, capsys, branch, value):
+    data = np.zeros((4, 4, 8), dtype=np.float32)
+    data[1, 2, 3] = value
+    bad = tmp_path / "bad.rawtensor"
+    tc.write_rawtensor(bad, tc.Tensor(data, dtype=np.float32))
+    rc, out = _fuse(tmp_path, synth_spec, **{branch: bad})
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "NaN or infinite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fuse_refuses_to_write_a_non_finite_map(tmp_path, synth_spec, capsys):
+    # finite inputs, but a weight file whose fusion bias is infinite
+    from crossfuse import dmff, weights_io
+
+    wts = weights_io.load_weights(write_icaf_probe(tmp_path / "w.icaf", None))
+    wts = dmff.replace_parameters(wts, {"nin.b": tc.full((8,), np.inf)})
+    weights_io.save_weights(wts, tmp_path / "inf.icaf")
+    rc, out = _fuse(tmp_path, synth_spec, weights=tmp_path / "inf.icaf")
+    assert rc == 2
+    assert "fused map" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(RAWTENSOR_PROBES))
+def test_malformed_rawtensor_is_clean_error(tmp_path, synth_spec, capsys, kind):
+    bad = write_rawtensor_probe(tmp_path / "bad.rawtensor", kind)
+    rc, _ = _fuse(tmp_path, synth_spec, thermal=bad)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ICAF_PROBES)
+def test_malformed_weights_table_is_clean_error(tmp_path, synth_spec, capsys, kind):
+    bad = write_icaf_probe(tmp_path / "bad.icaf", kind)
+    rc, out = _fuse(tmp_path, synth_spec, weights=bad)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()

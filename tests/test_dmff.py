@@ -263,3 +263,105 @@ def test_replace_parameters_preserves_sharing(rng):
     )
     assert new.icfe.cfe_r is new.icfe.cfe_t
     npt.assert_array_equal(new.icfe.cfe_t.w_q.data, 0.0)
+
+
+@pytest.mark.parametrize("bad", ["unknown", "shape", "dtype"])
+def test_replace_parameters_rejects_bad_entries(rng, bad):
+    wts = build(make_cfg(mode="d"), rng)
+    name, tensor = "cfe_r.w_q", tc.Tensor(np.zeros((8, 8)), dtype=np.float64)
+    if bad == "unknown":
+        name, error = "cfe.w_q", tc.ConfigurationError
+    elif bad == "shape":
+        tensor, error = tc.Tensor(np.zeros((8, 4)), dtype=np.float64), tc.DimensionError
+    else:
+        tensor, error = tensor.to_dtype(np.float32), tc.ConfigurationError
+    with pytest.raises(error, match=name):
+        dmff.replace_parameters(wts, {name: tensor})
+
+
+def test_replace_parameters_rejects_weights_that_do_not_match_their_config(rng):
+    wts = dataclasses.replace(build(make_cfg(mode="c"), rng), cfg=make_cfg(mode="d"))
+    with pytest.raises(tc.ConfigurationError, match="cfe_r"):
+        dmff.replace_parameters(wts, {})
+
+
+# --- parameter schema -----------------------------------------------------------
+
+
+def reference_init(cfg, height, width, channels, rng, dtype):
+    """The stage-by-stage composition of the init_* helpers that
+    init_dmff_weights must reproduce draw for draw."""
+    from crossfuse.icfe import init_icfe_params
+    from crossfuse.sfs import init_conv_shrink_param, init_mixed_pool_param
+    from crossfuse.token_codec import init_positional_embedding
+
+    s = cfg.shrink_window
+    wts = dmff.DmffWeights(cfg=cfg, height=height, width=width, channels=channels)
+    if cfg.mode in ("a", "b", "c", "d"):
+        wts.icfe = init_icfe_params(channels, cfg.ffn_hidden, cfg.heads, rng,
+                                    iterations=cfg.iterations, shared=cfg.mode != "d",
+                                    dtype=dtype)
+        tokens = (height // s) * (width // s)
+        wts.pe_r = init_positional_embedding(tokens, channels, rng, dtype=dtype)
+        wts.pe_t = init_positional_embedding(tokens, channels, rng, dtype=dtype)
+        if cfg.shrink_variant == "pool":
+            wts.sfs_r = init_mixed_pool_param(dtype=dtype)
+            wts.sfs_t = init_mixed_pool_param(dtype=dtype)
+        else:
+            wts.sfs_r = init_conv_shrink_param(s, channels, rng, dtype=dtype)
+            wts.sfs_t = init_conv_shrink_param(s, channels, rng, dtype=dtype)
+    if cfg.mode in ("c", "d", "e"):
+        bound = 1.0 / np.sqrt(2 * channels)
+        wts.nin_w = tc.Tensor(rng.uniform(-bound, bound, size=(2 * channels, channels)),
+                              dtype=dtype)
+        wts.nin_b = tc.zeros((channels,), dtype=dtype)
+    return wts
+
+
+@pytest.mark.parametrize("mode", dmff.MODES)
+def test_init_is_byte_identical_to_the_helper_composition(mode):
+    for variant in ("pool", "conv"):
+        for dtype in (np.float32, np.float64):
+            for iterations in (0, 1, 3):
+                cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations)
+                rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+                new = dmff.init_dmff_weights(cfg, 4, 8, 8, rng_new, dtype=dtype)
+                ref = reference_init(cfg, 4, 8, 8, rng_ref, dtype)
+                got, want = list(new.named_tensors()), list(ref.named_tensors())
+                assert [n for n, _ in got] == [n for n, _ in want]
+                for (name, a), (_, b) in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.data.tobytes() == b.data.tobytes(), name
+                assert rng_new.bytes(16) == rng_ref.bytes(16)
+                if ref.icfe is not None:
+                    assert new.icfe.shared == ref.icfe.shared
+                    assert (new.icfe.cfe_r is new.icfe.cfe_t) == ref.icfe.shared
+                    assert new.icfe.iterations == iterations
+                    assert new.icfe.cfe_r.heads == cfg.heads
+
+
+def test_param_spec_matches_init_names_order_and_shapes(rng):
+    for mode in dmff.MODES:
+        for variant in ("pool", "conv"):
+            cfg = make_cfg(mode=mode, shrink_variant=variant)
+            spec = dmff.param_spec(cfg, 4, 8, 8)
+            wts = dmff.init_dmff_weights(cfg, 4, 8, 8, rng, dtype=np.float64)
+            assert [(n, t.shape) for n, t in wts.named_tensors()] == \
+                [(n, p.shape) for n, p in spec.items()]
+
+
+def test_param_spec_rejects_bad_extents():
+    with pytest.raises(tc.ConfigurationError, match="shrink window"):
+        dmff.param_spec(make_cfg(shrink_window=3), 4, 8, 8)
+    with pytest.raises(tc.ConfigurationError):
+        dmff.param_spec(make_cfg(mode="e"), 4, 8, 0)
+
+
+def test_assemble_round_trips_and_shares_by_mode(rng):
+    for mode in ("a", "c", "d"):
+        cfg = make_cfg(mode=mode)
+        wts = build(cfg, rng)
+        back = dmff.assemble(cfg, 4, 4, 8, dict(wts.named_tensors()))
+        assert list(back.named_tensors()) == list(wts.named_tensors())
+        assert back.icfe.shared == (mode != "d")
+        assert (back.icfe.cfe_r is back.icfe.cfe_t) == (mode != "d")

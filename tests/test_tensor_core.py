@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfuse import tensor_core as tc
-from conftest import fd_gradient, rel_err
+from conftest import RAWTENSOR_PROBES, fd_gradient, rel_err, write_rawtensor_probe
 
 
 # --- independent oracles ----------------------------------------------------
@@ -740,3 +740,9 @@ def test_rawtensor_truncated_payload_rejected(tmp_path):
     path.write_bytes(blob[:-3])
     with pytest.raises(tc.ConfigurationError):
         tc.read_rawtensor(path)
+
+
+@pytest.mark.parametrize("kind", sorted(RAWTENSOR_PROBES))
+def test_rawtensor_malformed_header_rejected(tmp_path, kind):
+    with pytest.raises(tc.ConfigurationError):
+        tc.read_rawtensor(write_rawtensor_probe(tmp_path / "map.rawtensor", kind))

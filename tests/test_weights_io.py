@@ -6,6 +6,7 @@ import pytest
 
 from crossfuse import dmff, weights_io
 from crossfuse.dmff import DmffConfig
+from conftest import ICAF_PROBES, write_icaf_probe
 
 
 def build_weights(rng, mode="d"):
@@ -151,3 +152,24 @@ def test_loaded_weights_run_the_pipeline(tmp_path, rng):
     out1 = dmff.dmff_fuse(f_r, f_t, wts.cfg, wts)
     out2 = dmff.dmff_fuse(f_r, f_t, back.cfg, back)
     npt.assert_array_equal(out1.primary.data, out2.primary.data)
+
+
+def test_hand_written_file_without_defect_loads(tmp_path):
+    back = weights_io.load_weights(write_icaf_probe(tmp_path / "w.icaf", None))
+    assert back.icfe.cfe_r.w_q.shape == (8, 8)
+
+
+@pytest.mark.parametrize("kind", ICAF_PROBES)
+def test_malformed_tensor_table_is_manifest_error(tmp_path, kind):
+    with pytest.raises(weights_io.ManifestError):
+        weights_io.load_weights(write_icaf_probe(tmp_path / "w.icaf", kind))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loaded_tensors_are_aligned(tmp_path, rng, dtype):
+    # unaligned weight buffers take numpy's slow paths in every matmul
+    cfg = DmffConfig(mode="d", heads=2, ffn_hidden=16)
+    path = tmp_path / "w.icaf"
+    weights_io.save_weights(dmff.init_dmff_weights(cfg, 4, 4, 8, rng, dtype=dtype), path)
+    for name, t in weights_io.load_weights(path).named_tensors():
+        assert t.data.flags.aligned, name
