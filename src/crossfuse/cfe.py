@@ -18,7 +18,9 @@ adjoint.  It exponentiates the scores without the row-max shift whenever
 the Cauchy-Schwarz bound max|q|*max|k|/sqrt(C / heads) proves that exp
 cannot overflow, and takes the softmax row sums from a ones column
 appended to V, so the only pass over the T_q x T_k scores besides the two
-products is the exp.
+products is one base-2 exponential (log2(e) is folded into the queries).
+The scores are computed in cache-sized blocks of whole heads or query-row
+tiles, the same blocks whether or not a tape records.
 """
 
 from __future__ import annotations

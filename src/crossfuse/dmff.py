@@ -38,6 +38,9 @@ MODES = ("a", "b", "c", "d", "e", "f_rgb", "f_thermal")
 DUPLICATIONS = ("none", "rgb_both", "thermal_both")
 ATTENTION_MODES = ("a", "b", "c", "d")
 NIN_MODES = ("c", "d", "e")
+# The paper refines with a few weight-shared iterations; a count far past
+# this is a corrupt config, not a deeper model.
+MAX_ITERATIONS = 64
 
 
 @dataclass
@@ -66,8 +69,10 @@ class DmffConfig:
             raise ConfigurationError(f"heads must be >= 1, got {self.heads}")
         if self.ffn_hidden < 1:
             raise ConfigurationError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
-        if self.iterations < 0:
-            raise ConfigurationError(f"iterations must be >= 0, got {self.iterations}")
+        if not 0 <= self.iterations <= MAX_ITERATIONS:
+            raise ConfigurationError(
+                f"iterations must be in [0, {MAX_ITERATIONS}], got {self.iterations}"
+            )
 
 
 @dataclass
@@ -256,11 +261,21 @@ def _enhance_single(t_main, t_other, params: CfeParams, iterations: int):
 
 
 def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> FusionOutput:
-    """Run the configured pipeline on an rgb/thermal feature-map pair."""
+    """Run the configured pipeline on an rgb/thermal feature-map pair.
+
+    Both maps must be H x W x C as the weights were sized, in the weights'
+    dtype (DimensionError, ConfigurationError).
+    """
     if f_r.shape != f_t.shape:
         raise DimensionError(f"input maps differ: {f_r.shape} vs {f_t.shape}")
-    if f_r.data.ndim != 3:
-        raise DimensionError(f"input maps must be rank 3, got {f_r.shape}")
+    sized = (wts.height, wts.width, wts.channels)
+    if f_r.shape != sized:
+        raise DimensionError(f"input maps are {f_r.shape}, weights are sized for {sized}")
+    _, param = next(wts.named_tensors(), (None, None))  # weights share one dtype
+    if param is not None and {f_r.dtype, f_t.dtype} != {param.dtype}:
+        raise ConfigurationError(
+            f"input maps are {f_r.dtype}/{f_t.dtype}, weights are {param.dtype}"
+        )
     if cfg.input_duplication == "rgb_both":
         f_t = f_r
     elif cfg.input_duplication == "thermal_both":

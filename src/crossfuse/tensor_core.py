@@ -1,9 +1,10 @@
 """Dense tensor substrate with exact reverse-mode adjoints.
 
 Every operation the fusion stack needs lives here: matrix products,
-row-wise softmax, fused multi-head attention (shift-free when the scores
-provably cannot overflow ``exp``, with softmax row sums from a ones column
-appended to V), 2-d pooling, bilinear resizing, and the supporting
+row-wise softmax, fused multi-head attention (a base-2 exponential over
+cache-sized score blocks, shift-free when the scores provably cannot
+overflow, with softmax row sums from a ones column appended to V), 2-d
+pooling, bilinear resizing, and the supporting
 elementwise/reshape plumbing.  Forward calls optionally record onto a
 :class:`Tape`; :func:`backward` replays the tape in reverse to produce a
 :class:`GradRecord` for all watched (named) tensors.
@@ -58,6 +59,8 @@ class Tensor:
             arr = arr.astype(STANDARD)
         if arr.ndim == 0:
             arr = arr.reshape(1)
+        if arr.ndim > 3:
+            raise DimensionError(f"tensors have rank 1-3, got shape {arr.shape}")
         if any(n < 1 for n in arr.shape):
             raise DimensionError(f"all extents must be >= 1, got shape {arr.shape}")
         arr.setflags(write=False)
@@ -537,9 +540,17 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, heads * d)
 
 
-# Untaped calls batch as many heads per score block as fit this many elements
-# (always at least one head): at T = 1024 that is one 4 MiB f32 block.
-_ATTENTION_BLOCK_ELEMENTS = 1 << 20
+# Score blocks hold at most this many elements (1 MiB in f32), so that a
+# block stays in cache between the products and the exp: whole heads when one
+# head fits, else query-row tiles of one head.
+_ATTENTION_BLOCK_ELEMENTS = 1 << 18
+
+
+def _attention_blocks(heads: int, tq: int, tk: int):
+    """(heads per block, query rows per block) under the element budget."""
+    if tq * tk <= _ATTENTION_BLOCK_ELEMENTS:
+        return min(heads, _ATTENTION_BLOCK_ELEMENTS // (tq * tk)), tq
+    return 1, max(1, _ATTENTION_BLOCK_ELEMENTS // tk)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -547,16 +558,17 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """Concatenated head outputs softmax(Q_j K_j^T / sqrt(d)) V_j, T_q x C.
 
     Head j owns channels [j*d, (j+1)*d), d = C / heads.  The scale is folded
-    into Q (T_q x d) instead of the T_q x T_k scores.  Per score block the
-    op makes one product Q K^T, one in-place ``exp`` and one product with
-    [V | 1], a T_k x (d + 1) operand whose ones column yields each row's
-    sum s, so the normaliser needs no pass of its own; rows are divided by
-    s after the product.
+    into Q (T_q x d) instead of the T_q x T_k scores, and so is log2(e):
+    exp(s) = 2^(s log2(e)), and ``exp2`` is the cheaper pass.  Per score
+    block the op makes one product Q K^T, one in-place ``exp2`` and one
+    product with [V | 1], a T_k x (d + 1) operand whose ones column yields
+    each row's sum s, so the normaliser needs no pass of its own; rows are
+    divided by s after the product.
 
-    Softmax is shift-invariant, so the usual row-max shift only guards
-    ``exp`` against overflow, and it is skipped per head when overflow is
-    impossible.  With M the dtype's largest finite value and L = ln(M) / 4,
-    Cauchy-Schwarz bounds every scaled score by
+    Softmax is shift-invariant, so the usual row-max shift only guards the
+    exponential against overflow, and it is skipped per head when overflow
+    is impossible.  With M the dtype's largest finite value and
+    L = ln(M) / 4, Cauchy-Schwarz bounds every scaled score by
 
         |q_i . k_j / sqrt(d)| <= b = max_i |q_i / sqrt(d)| * max_j |k_j|.
 
@@ -567,17 +579,26 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     hold the head is exponentiated unshifted: E, s and g / s then differ
     from their shifted values by a factor of at most e^b <= M^(1/4), so the
     adjoint stays finite as well, and the factor 4 in L leaves room for
-    rounding in b and the scores.  Otherwise (or for non-finite input) that
-    head takes the exact row-max shift.  b costs O(T d) per head.
+    rounding in b and the scores.  The test is the same in base 2 (a
+    base-2 exponent of at most log2(M) / 4), so it stays in natural units.
+    Otherwise (or for non-finite input) that head takes the exact row-max
+    shift: its queries carry only the natural scale, the row max is
+    subtracted from its natural scores, and only the O(1) differences are
+    scaled by log2(e), since folding before the shift would round large
+    exponents at their own ulp.  b costs O(T d) per head.
 
-    Taped calls compute all heads in one heads x T_q x T_k block and keep
-    it for the adjoint; untaped calls reuse one block of as many heads as
-    fit ``_ATTENTION_BLOCK_ELEMENTS``.  Either way each head does the same
-    arithmetic.  The adjoint is written out directly and runs per head
-    with one reused T_q x T_k buffer:
+    Score blocks hold at most ``_ATTENTION_BLOCK_ELEMENTS`` elements: as
+    many whole heads as fit, or else query-row tiles of one head.  Taped
+    calls write each block into the heads x T_q x T_k store they keep for
+    the adjoint; untaped calls reuse one block buffer.  Either way each
+    block does the same arithmetic.  The adjoint is written out directly
+    and runs per head with one reused T_q x T_k buffer:
 
         dV = P^T g,  dS = P * (g V^T - rowsum(g * O)),
         dQ = scale * dS K,  dK = dS^T (scale * Q).
+
+    With P = E / s and gs = g / s, dS is one product
+    [gs | -rowsum(gs * O)] [V | 1]^T, times E.
 
     With ``return_weights`` also returns the per-head probability matrices
     (not recorded on the tape).
@@ -597,57 +618,68 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     _note_matmul(heads * tq, d, tk, stage="attention_qk")
     _note_matmul(heads * tq, tk, d, stage="attention_av")
     scale = dt.type(1.0 / np.sqrt(d))
-    qh = _split_heads(q.data, heads) * scale
+    log2e = dt.type(math.log2(math.e))
+    qh = _split_heads(q.data, heads)
     kh = _split_heads(k.data, heads)
     v1 = np.ones((heads, tk, d + 1), dtype=dt)  # [V | 1] per head
     v1[..., :d] = v.data.reshape(tk, heads, d).transpose(1, 0, 2)
-    vh = v1[..., :d]
 
     big = np.finfo(dt).max
-    bound = (np.sqrt((qh * qh).sum(axis=2).max(axis=1))
-             * np.sqrt((kh * kh).sum(axis=2).max(axis=1)))
-    vmax = np.maximum(np.abs(vh).max(axis=(1, 2)), 1.0)
+    bound = scale * np.sqrt((qh * qh).sum(axis=2).max(axis=1)
+                            * (kh * kh).sum(axis=2).max(axis=1))
+    vmax = np.maximum(np.abs(v1[..., :d]).max(axis=(1, 2)), 1.0)
     # NaN compares False, so non-finite input takes the shifted path
     shift_free = (bound <= np.log(big) / 4) & (tk * vmax <= big ** 0.75)
+    shifted = np.flatnonzero(~shift_free).tolist()
+    # the exponent operand: a shifted head keeps natural units until its shift
+    qe = qh * (scale * log2e)
+    for j in shifted:
+        qe[j] = qh[j] * scale
 
     taped = _recording()
-    block = heads if taped else max(1, min(heads, _ATTENTION_BLOCK_ELEMENTS // (tq * tk)))
-    e = np.empty((block, tq, tk), dtype=dt)
+    hb, rows = _attention_blocks(heads, tq, tk)
+    e = np.empty((heads, tq, tk) if taped else (hb, rows, tk), dtype=dt)
     av = np.empty((heads, tq, d + 1), dtype=dt)
-    weights = []
-    for j0 in range(0, heads, block):
-        j1 = min(j0 + block, heads)
-        eb = e[: j1 - j0]
-        np.matmul(qh[j0:j1], kh[j0:j1].transpose(0, 2, 1), out=eb)
-        for j in np.flatnonzero(~shift_free[j0:j1]):
-            eb[j] -= eb[j].max(axis=1, keepdims=True)
-        np.exp(eb, out=eb)
-        np.matmul(eb, v1[j0:j1], out=av[j0:j1])
-        if return_weights:
-            weights.extend(Tensor._wrap(ej / sj) for ej, sj in zip(eb, av[j0:j1, :, d:]))
+    probs = np.empty((heads, tq, tk), dtype=dt) if return_weights else None
+    for j0 in range(0, heads, hb):
+        j1 = min(j0 + hb, heads)
+        for r0 in range(0, tq, rows):
+            r1 = min(r0 + rows, tq)
+            eb = e[j0:j1, r0:r1] if taped else e[: j1 - j0, : r1 - r0]
+            np.matmul(qe[j0:j1, r0:r1], kh[j0:j1].transpose(0, 2, 1), out=eb)
+            for j in shifted:
+                if j0 <= j < j1:
+                    eb[j - j0] -= eb[j - j0].max(axis=1, keepdims=True)
+                    eb[j - j0] *= log2e
+            np.exp2(eb, out=eb)
+            np.matmul(eb, v1[j0:j1], out=av[j0:j1, r0:r1])
+            if return_weights:
+                np.divide(eb, av[j0:j1, r0:r1, d:], out=probs[j0:j1, r0:r1])
     sums = av[..., d:]
     oh = av[..., :d] / sums
     out = Tensor._wrap(_merge_heads(oh))
 
     def bwd(g):
-        # with P = E / s, the adjoint only needs E and g / s (T_q x d)
-        gs = _split_heads(g, heads) / sums
-        rowdot = (gs * oh).sum(axis=2, keepdims=True)
-        dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(kh)
+        # with P = E / s, the adjoint only needs E and gs = g / s (T_q x d)
+        gs1 = np.empty((heads, tq, d + 1), dtype=dt)  # [gs | -rowsum(gs * O)]
+        gs = gs1[..., :d]
+        np.divide(_split_heads(g, heads), sums, out=gs)
+        gs1[..., d] = -(gs * oh).sum(axis=2)
+        qs = qh * scale  # dK takes the natural-scale queries
+        dq, dk, dv = np.empty_like(qs), np.empty_like(kh), np.empty_like(kh)
         ds = np.empty((tq, tk), dtype=dt)
         for j in range(heads):
             np.matmul(e[j].T, gs[j], out=dv[j])
-            np.matmul(gs[j], vh[j].T, out=ds)
-            ds -= rowdot[j]
+            np.matmul(gs1[j], v1[j].T, out=ds)
             ds *= e[j]
             np.matmul(ds, kh[j], out=dq[j])
-            np.matmul(ds.T, qh[j], out=dk[j])
+            np.matmul(ds.T, qs[j], out=dk[j])
         dq *= scale
         return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
     out = _emit(out, (q, k, v), bwd)
     if return_weights:
-        return out, weights
+        return out, [Tensor._wrap(p) for p in probs]
     return out
 
 
@@ -655,7 +687,9 @@ def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
     """Window pooling of an HxWxC map by non-overlapping s x s windows.
 
     Average pooling spreads its adjoint uniformly; max pooling routes the
-    adjoint to the first (row-major) maximal element of each window.
+    adjoint to the first (row-major) maximal element of each window.  Both
+    adjoints are strided assignments into the (h/s, s, w/s, s, c) view of
+    the input gradient.
     """
     _require_rank(fmap, 3, "pool2d input")
     if s < 1:
@@ -669,12 +703,6 @@ def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
         raise ConfigurationError(f"unknown pooling kind {kind!r}")
     ho, wo = h // s, w // s
     blocks = fmap.data.reshape(ho, s, wo, s, c)
-
-    def scatter(gwin):
-        # (ho, wo, c, s*s) window-flattened gradients back to h x w x c
-        return np.ascontiguousarray(
-            gwin.reshape(ho, wo, c, s, s).transpose(0, 3, 1, 4, 2)
-        ).reshape(h, w, c)
 
     # Fold the s*s window offsets in elementwise, in row-major order; a
     # reduction over a trailing axis of s*s is far slower.  A maximum is
@@ -691,23 +719,29 @@ def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
         out_arr /= s * s
 
         def bwd_avg(g):
-            gwin = np.broadcast_to(g[..., None] / (s * s), (ho, wo, c, s * s))
-            return (scatter(np.ascontiguousarray(gwin)),)
+            gx = np.empty((ho, s, wo, s, c), dtype=g.dtype)
+            gx[...] = (g / (s * s))[:, None, :, None]
+            return (gx.reshape(h, w, c),)
 
         return _emit(Tensor._wrap(out_arr), (fmap,), bwd_avg)
 
     out = Tensor._wrap(out_arr)
     if not _recording():
         return out
-    # first maximal element of each window, flattened row-major
-    argmax = np.ascontiguousarray(
-        blocks.transpose(0, 2, 4, 1, 3)
-    ).reshape(ho, wo, c, s * s).argmax(axis=-1)
+    # the first maximal element of each window, in the fold's order
+    first = np.empty((ho, s, wo, s, c), dtype=bool)
+    unclaimed = np.ones((ho, wo, c), dtype=bool)
+    for i in range(s):
+        for j in range(s):
+            hit = np.equal(blocks[:, i, :, j], out_arr)
+            hit &= unclaimed
+            unclaimed ^= hit
+            first[:, i, :, j] = hit
 
     def bwd_max(g):
-        gwin = np.zeros((ho, wo, c, s * s), dtype=g.dtype)
-        np.put_along_axis(gwin, argmax[..., None], g[..., None], axis=-1)
-        return (scatter(gwin),)
+        gx = np.multiply(g[:, None, :, None], first)
+        gx += 0  # a negative g times False gives -0.0; make it +0.0
+        return (gx.reshape(h, w, c),)
 
     return _emit(out, (fmap,), bwd_max)
 

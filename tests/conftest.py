@@ -72,7 +72,7 @@ def write_icaf(path, meta, entries):
 
 
 ICAF_PROBES = ("wrong_shape", "duplicate_name", "unknown_name", "missing_name",
-               "mixed_dtype", "heads_not_dividing_channels")
+               "mixed_dtype", "heads_not_dividing_channels", "iterations_past_bound")
 
 
 def write_icaf_probe(path, kind):
@@ -96,4 +96,6 @@ def write_icaf_probe(path, kind):
         entries[0] = (entries[0][0], entries[0][1].astype(np.float64))
     elif kind == "heads_not_dividing_channels":
         meta["heads"] = 3
+    elif kind == "iterations_past_bound":
+        meta["iterations"] = 10 ** 9
     return write_icaf(path, meta, entries)

@@ -222,6 +222,32 @@ def test_mode_config_weight_consistency_enforced(rng):
         dmff.dmff_fuse(f_r, f_t, cfg_d, wts_c)
 
 
+def test_iterations_are_bounded():
+    assert make_cfg(iterations=dmff.MAX_ITERATIONS).iterations == dmff.MAX_ITERATIONS
+    for bad in (-1, dmff.MAX_ITERATIONS + 1, 10 ** 9):
+        with pytest.raises(tc.ConfigurationError, match="iterations"):
+            make_cfg(iterations=bad)
+
+
+@pytest.mark.parametrize("mode", ["d", "e"])
+def test_fuse_rejects_maps_in_another_dtype_than_the_weights(mode, rng):
+    cfg = make_cfg(mode=mode)
+    wts = dmff.init_dmff_weights(cfg, 4, 4, 8, rng, dtype=np.float32)
+    f_r, f_t = make_inputs(rng)  # float64
+    with pytest.raises(tc.ConfigurationError,
+                       match="maps are float64/float64, weights are float32"):
+        dmff.dmff_fuse(f_r, f_t, cfg, wts)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 16), (8, 4, 8), (2, 2, 8)])
+def test_fuse_rejects_maps_of_another_size_than_the_weights(shape, rng):
+    cfg = make_cfg(mode="d")
+    wts = build(cfg, rng)  # sized for 4 x 4 x 8
+    f_r, f_t = make_inputs(rng, *shape)
+    with pytest.raises(tc.DimensionError, match=r"weights are sized for \(4, 4, 8\)"):
+        dmff.dmff_fuse(f_r, f_t, cfg, wts)
+
+
 def test_mode_e_weights_carry_only_fusion_tensors(rng):
     wts = build(make_cfg(mode="e"), rng)
     names = [n for n, _ in wts.named_tensors()]

@@ -89,6 +89,24 @@ def pool_avg_gather_mean(x: np.ndarray, s: int) -> np.ndarray:
     return np.ascontiguousarray(windows).reshape(h // s, w // s, c, s * s).mean(axis=-1)
 
 
+def pool_adjoint_argmax_reference(x: np.ndarray, g: np.ndarray, s: int, kind: str):
+    """The former pooling adjoints: window-flattened gradients, `argmax` and
+    `put_along_axis` for max, scattered back through 5-d transposes."""
+    h, w, c = x.shape
+    ho, wo = h // s, w // s
+    if kind == "avg":
+        gwin = np.ascontiguousarray(np.broadcast_to(g[..., None] / (s * s),
+                                                    (ho, wo, c, s * s)))
+    else:
+        argmax = np.ascontiguousarray(
+            x.reshape(ho, s, wo, s, c).transpose(0, 2, 4, 1, 3)
+        ).reshape(ho, wo, c, s * s).argmax(axis=-1)
+        gwin = np.zeros((ho, wo, c, s * s), dtype=g.dtype)
+        np.put_along_axis(gwin, argmax[..., None], g[..., None], axis=-1)
+    return np.ascontiguousarray(
+        gwin.reshape(ho, wo, c, s, s).transpose(0, 3, 1, 4, 2)).reshape(h, w, c)
+
+
 def per_head_attention(q: tc.Tensor, k: tc.Tensor, v: tc.Tensor, heads: int) -> tc.Tensor:
     """The former per-head composition of tape ops."""
     d = q.shape[1] // heads
@@ -256,6 +274,26 @@ def test_pool_max_taped_matches_untaped_and_routes_to_first_max(s, rng):
                 i, j = divmod(int(np.argmax(win)), s)  # first maximum, row-major
                 expected[a * s + i, b * s + j, ch] = 1.0
     npt.assert_array_equal(grad, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["avg", "max"])
+@pytest.mark.parametrize("s", [2, 3])
+def test_pool_adjoint_matches_argmax_reference_bytes(dtype, kind, s, rng):
+    # few distinct values give ties in most windows; signed gradients
+    # check that untouched entries stay +0.0
+    x = rng.integers(-2, 2, size=(3 * s, 4 * s, 5)).astype(dtype)
+    g = rng.standard_normal((3, 4, 5)).astype(dtype)
+    xt = tc.Tensor(x, dtype=dtype)
+    tape = tc.Tape()
+    tape.watch(xt, "x")
+    with tc.record_on(tape):
+        out = tc.pool2d(xt, s, kind)
+    assert out.data.tobytes() == tc.pool2d(xt, s, kind).data.tobytes()
+    grad = tc.backward(tc.Tensor(g, dtype=dtype), tape, out)["x"].data
+    ref = pool_adjoint_argmax_reference(x, g, s, kind)
+    assert grad.dtype == ref.dtype == np.dtype(dtype)
+    assert grad.tobytes() == ref.tobytes()
 
 
 def test_pool_gradients_match_finite_differences(rng):
@@ -564,24 +602,94 @@ def test_attention_taped_and_untaped_forward_are_bit_identical(dtype, rng):
 @pytest.mark.parametrize("block_heads", [0, 1, 3])
 def test_attention_untaped_head_blocks_match_taped_all_heads(dtype, block_heads, rng,
                                                              monkeypatch):
-    # a budget below one head's scores still gives blocks of one head; with
-    # 3 the last block is partial.  Head 0's scores are large enough to take
-    # the shifted path, so both paths share a block.
+    # Taped and untaped calls share one block policy.  A budget below one
+    # head's scores gives query-row tiles of one row; with 3 the last block
+    # is partial.  Head 0's scores are large enough to take the shifted
+    # path, so both paths share a block.
     tq, tk, heads = 12, 10, 4
     grow = np.ones(16)
     grow[:4] = 30.0
     q = tc.Tensor(rng.standard_normal((tq, 16)) * grow, dtype=dtype)
     k = tc.Tensor(rng.standard_normal((tk, 16)) * grow, dtype=dtype)
     v = tc.Tensor(rng.standard_normal((tk, 16)), dtype=dtype)
+    monkeypatch.setattr(tc, "_ATTENTION_BLOCK_ELEMENTS", block_heads * tq * tk)
     tape = tc.Tape()
     with tc.record_on(tape):
         taped, taped_w = tc.multi_head_attention(q, k, v, heads, return_weights=True)
-    monkeypatch.setattr(tc, "_ATTENTION_BLOCK_ELEMENTS", block_heads * tq * tk)
     untaped, untaped_w = tc.multi_head_attention(q, k, v, heads, return_weights=True)
     assert len(untaped_w) == heads
     npt.assert_array_equal(untaped.data, taped.data)
     for a, b in zip(untaped_w, taped_w):
         npt.assert_array_equal(a.data, b.data)
+
+
+def test_attention_block_policy():
+    budget = tc._ATTENTION_BLOCK_ELEMENTS
+    # whole heads while one head's scores fit, else query-row tiles of one head
+    assert tc._attention_blocks(8, 16, 16) == (8, 16)
+    assert tc._attention_blocks(8, 256, 256) == (budget // 256 ** 2, 256)
+    assert tc._attention_blocks(8, 1024, 1024) == (1, budget // 1024)
+    assert tc._attention_blocks(2, 3, budget + 1) == (1, 1)
+
+
+def mixed_shift_operands(rng, dtype, tq=12, tk=10, heads=4, d=4):
+    """q, k, v whose even heads have scores far past the dtype's shift-free
+    bound and whose odd heads stay small."""
+    grow = np.tile(np.repeat([30.0, 1.0], d), heads // 2)
+    if dtype == np.float64:
+        grow[grow > 1] = 300.0  # the f64 bound is 177
+    return [rng.standard_normal((tq, heads * d)) * grow,
+            rng.standard_normal((tk, heads * d)) * grow,
+            rng.standard_normal((tk, heads * d))]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_attention_row_tiles_match_whole_heads(dtype, rows, rng, monkeypatch):
+    # tiles of 5 query rows leave a partial last tile of 2 rows
+    tq, tk, heads = 12, 10, 4
+    arrays = mixed_shift_operands(rng, dtype, tq, tk, heads)
+    probe = tc.Tensor(rng.standard_normal((tq, 16)), dtype=dtype)
+
+    def attend(q, k, v):
+        out, weights = tc.multi_head_attention(q, k, v, heads, return_weights=True)
+        attend.weights = [w.data for w in weights]
+        return out
+
+    whole, whole_grads = attend_with_grads(attend, arrays, probe)
+    whole_w = attend.weights
+    monkeypatch.setattr(tc, "_ATTENTION_BLOCK_ELEMENTS", rows * tk)
+    assert tc._attention_blocks(heads, tq, tk) == (1, rows)
+    tiled, tiled_grads = attend_with_grads(attend, arrays, probe)
+    untaped = tc.multi_head_attention(*(tc.Tensor(a, dtype=dtype) for a in arrays), heads)
+    npt.assert_array_equal(untaped.data, tiled)
+    tol = DTYPE_TOL[dtype]
+    for name, a, b in zip(("out", "q", "k", "v"), [tiled, *tiled_grads],
+                          [whole, *whole_grads]):
+        assert np.max(np.abs(a - b)) < tol, name
+    for a, b in zip(attend.weights, whole_w):
+        assert np.max(np.abs(a - b)) < tol
+
+
+@pytest.mark.parametrize("budget_heads", [2, 4])
+def test_attention_block_mixing_shifted_and_shift_free_heads(budget_heads, rng,
+                                                             monkeypatch):
+    # every block holds a shifted head beside a shift-free one
+    dtype, tq, tk, heads = np.float64, 12, 10, 4
+    arrays = mixed_shift_operands(rng, dtype, tq, tk, heads)
+    scores = [arrays[0][:, cols] @ arrays[1][:, cols].T / 2
+              for cols in (slice(0, 4), slice(4, 8))]
+    assert np.abs(scores[0]).max() > np.log(np.finfo(dtype).max) / 4
+    assert np.abs(scores[1]).max() < 10
+    monkeypatch.setattr(tc, "_ATTENTION_BLOCK_ELEMENTS", budget_heads * tq * tk)
+    probe = tc.Tensor(rng.standard_normal((tq, 16)), dtype=dtype)
+    out, grads = attend_with_grads(
+        lambda q, k, v: tc.multi_head_attention(q, k, v, heads), arrays, probe)
+    ref_out, ref_grads = attend_with_grads(
+        lambda q, k, v: per_head_attention(q, k, v, heads), arrays, probe)
+    for name, a, b in zip(("out", "q", "k", "v"), [out, *grads], [ref_out, *ref_grads]):
+        assert np.all(np.isfinite(a)), name
+        assert np.max(np.abs(a - b)) < DTYPE_TOL[dtype], name
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -702,6 +810,12 @@ def test_tensor_is_immutable():
     t = tc.Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
         t.data[0] = 5.0
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (1, 1, 1, 1, 1)])
+def test_tensor_rejects_rank_above_three(shape):
+    with pytest.raises(tc.DimensionError, match="rank 1-3"):
+        tc.Tensor(np.zeros(shape))
 
 
 def test_mixed_precision_rejected():
