@@ -10,7 +10,9 @@ two-layer feed-forward network:
     t' = alpha * (z @ w_o) + beta * target
     out = gamma * t' + delta * ffn(t')
 
-All four coefficients start at 1.  Heads slice the channel axis into
+All four coefficients start at 1.  ``cfe_spec`` declares the twelve
+learnables and their init rules once, for every prefix they are laid out
+under.  Heads slice the channel axis into
 contiguous blocks; scores are scaled by 1/sqrt(C / heads), folded into the
 queries.  After the three projections the whole multi-head attention is
 one tape op, ``tensor_core.multi_head_attention``, with a hand-written
@@ -31,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .tensor_core import ConfigurationError, DimensionError, Tensor
+from .tensor_core import ConfigurationError, DimensionError, ParamSpec, Tensor
 from .token_codec import TokenSeq
 
 PARAM_NAMES = ("w_q", "w_k", "w_v", "w_o", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
                "alpha", "beta", "gamma", "delta")
+COEFFICIENTS = (1.0, 1.0, 1.0, 1.0)  # initial alpha, beta, gamma, delta
 
 
 @dataclass
@@ -74,32 +77,25 @@ class CfeParams:
             yield prefix + name, getattr(self, name)
 
 
+def cfe_spec(channels: int, ffn_hidden: int, coefficients=COEFFICIENTS) -> dict:
+    """The learnables of one enhancement set, name -> ParamSpec in
+    ``PARAM_NAMES`` order: projection and FFN weights uniform in
+    +-1/sqrt(C), biases zero, residual coefficients filled."""
+    bound = 1.0 / math.sqrt(channels)
+    proj = ParamSpec((channels, channels), bound)
+    alpha, beta, gamma, delta = (ParamSpec((1,), fill=x) for x in coefficients)
+    return dict(w_q=proj, w_k=proj, w_v=proj, w_o=proj,
+                ffn_w1=ParamSpec((channels, ffn_hidden), bound), ffn_b1=ParamSpec((ffn_hidden,)),
+                ffn_w2=ParamSpec((ffn_hidden, channels), bound), ffn_b2=ParamSpec((channels,)),
+                alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+
+
 def init_cfe_params(channels: int, ffn_hidden: int, heads: int,
                     rng: np.random.Generator, dtype=tc.STANDARD,
-                    coefficients=(1.0, 1.0, 1.0, 1.0)) -> CfeParams:
-    """Projection and FFN weights uniform in +-1/sqrt(C), biases zero,
-    residual coefficients at 1 unless overridden."""
-    bound = 1.0 / math.sqrt(channels)
-
-    def uniform(shape):
-        return Tensor(rng.uniform(-bound, bound, size=shape), dtype=dtype)
-
-    a, b, g, d = coefficients
-    return CfeParams(
-        w_q=uniform((channels, channels)),
-        w_k=uniform((channels, channels)),
-        w_v=uniform((channels, channels)),
-        w_o=uniform((channels, channels)),
-        ffn_w1=uniform((channels, ffn_hidden)),
-        ffn_b1=tc.zeros((ffn_hidden,), dtype=dtype),
-        ffn_w2=uniform((ffn_hidden, channels)),
-        ffn_b2=tc.zeros((channels,), dtype=dtype),
-        alpha=tc.scalar(a, dtype=dtype),
-        beta=tc.scalar(b, dtype=dtype),
-        gamma=tc.scalar(g, dtype=dtype),
-        delta=tc.scalar(d, dtype=dtype),
-        heads=heads,
-    )
+                    coefficients=COEFFICIENTS) -> CfeParams:
+    """One enhancement set drawn from ``cfe_spec``."""
+    spec = cfe_spec(channels, ffn_hidden, coefficients)
+    return CfeParams(**tc.init_tensors(spec, rng, dtype), heads=heads)
 
 
 def cross_attention(q_tokens: TokenSeq, kv_tokens: TokenSeq, p: CfeParams,

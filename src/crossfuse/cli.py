@@ -4,7 +4,11 @@ Subcommands: ``gen`` (synthetic scene pairs), ``train-toy`` (the toy
 reconstruction task), ``gradcheck`` (finite-difference validation),
 ``fuse`` (run the pipeline on tensor files), ``audit`` (multiply and
 parameter accounting).  Exit status is 0 on success and nonzero on any
-error or failed check.
+error or failed check; 2, with a one-line ``error:`` message, on bad input.
+
+Config files are read by ``dmff.config_from_json``: a JSON object of known
+keys, each value of its field's JSON type.  The scene seed defaults to the
+run seed.
 """
 
 from __future__ import annotations
@@ -18,58 +22,56 @@ import numpy as np
 
 from . import tensor_core as tc
 from .complexity_audit import audit_csv, audit_report
-from .dmff import DmffConfig, dmff_fuse
+from .dmff import MODES, DmffConfig, config_from_json, dmff_fuse
 from .gradcheck import grad_check
 from .synth import SyntheticPairSpec, gen_synthetic_pair
 from .train import TrainConfig, TrainingDivergedError, train_toy, write_trace
 from .weights_io import WeightsFormatError, load_weights, save_weights
 
-_MODE_FLAGS = {
-    "a": "a", "b": "b", "c": "c", "d": "d", "e": "e",
-    "f-rgb": "f_rgb", "f-thermal": "f_thermal",
-}
+_MODE_FLAGS = {m.replace("_", "-"): m for m in MODES}
 
 
-def _dataclass_from_json(cls, data: dict, what: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
-    if unknown:
-        raise tc.ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
-    return cls(**data)
+@dataclasses.dataclass
+class _CheckConfig:
+    """A ``gradcheck --config`` file: the run seed and the two configs."""
+
+    seed: int = 0
+    dmff: DmffConfig = dataclasses.field(default_factory=DmffConfig)
+    synth: SyntheticPairSpec = dataclasses.field(default_factory=SyntheticPairSpec)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise tc.ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return json.loads(blob)
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
+        raise tc.ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_train_config(path) -> TrainConfig:
+def _load_run_config(cls, path, what: str):
     raw = _load_json(path)
-    dmff_raw = raw.pop("dmff", {})
-    synth_raw = raw.pop("synth", {})
-    cfg = _dataclass_from_json(
-        TrainConfig, dict(raw, dmff=DmffConfig(), synth=SyntheticPairSpec()), "train config"
-    )
-    cfg.dmff = _dataclass_from_json(DmffConfig, dmff_raw, "dmff config")
-    synth_raw.setdefault("seed", cfg.seed)
-    cfg.synth = _dataclass_from_json(SyntheticPairSpec, synth_raw, "synth spec")
+    cfg = config_from_json(cls, raw, what)
+    if "seed" not in raw.get("synth", {}):  # the scene seed defaults to the run's
+        cfg.synth = dataclasses.replace(cfg.synth, seed=cfg.seed)
     return cfg
 
 
+def load_train_config(path) -> TrainConfig:
+    return _load_run_config(TrainConfig, path, "train config")
+
+
 def load_check_config(path) -> tuple:
-    raw = _load_json(path)
-    seed = int(raw.pop("seed", 0))
-    dmff_cfg = _dataclass_from_json(DmffConfig, raw.pop("dmff", {}), "dmff config")
-    synth_raw = raw.pop("synth", {})
-    synth_raw.setdefault("seed", seed)
-    spec = _dataclass_from_json(SyntheticPairSpec, synth_raw, "synth spec")
-    if raw:
-        raise tc.ConfigurationError(f"unknown gradcheck config keys: {sorted(raw)}")
-    return dmff_cfg, spec, seed
+    cfg = _load_run_config(_CheckConfig, path, "gradcheck config")
+    return cfg.dmff, cfg.synth, cfg.seed
 
 
 def _cmd_gen(args) -> int:
-    spec = _dataclass_from_json(SyntheticPairSpec, _load_json(args.spec), "synth spec")
+    spec = config_from_json(SyntheticPairSpec, _load_json(args.spec), "synth spec")
     f_r, f_t, target = gen_synthetic_pair(spec)
     for suffix, tensor in (("rgb", f_r), ("thermal", f_t), ("target", target)):
         path = f"{args.out_prefix}_{suffix}.rawtensor"
@@ -180,7 +182,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (tc.ConfigurationError, tc.DimensionError, tc.TapeStateError,
-            WeightsFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+            WeightsFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

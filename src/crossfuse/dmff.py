@@ -16,23 +16,29 @@ Fusion modes select which stages run and what is emitted:
     f_thermal  raw thermal pass-through
 
 Modes a/b/f carry no fusion weights; mode e carries only fusion weights.
-``param_spec`` is the one list of what each mode carries.
+``param_spec`` is the one list of what each mode carries.  It prefixes the
+leaf specs that each stage declares once in its own module
+(``cfe.cfe_spec``, ``sfs.shrink_spec``, ``token_codec.pe_spec``) and adds
+the fusion projection, which only this module uses.
+
+``config_from_json`` is the one strict reader of JSON configs, for the CLI
+config files and the ICAF meta alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor_core as tc
-from .cfe import PARAM_NAMES as CFE_PARAM_NAMES, CfeParams, cfe_forward
+from .cfe import PARAM_NAMES as CFE_PARAM_NAMES, CfeParams, cfe_forward, cfe_spec
 from .icfe import IcfeParams, icfe_forward
-from .sfs import ConvShrinkParam, MixedPoolParam, shrink
-from .tensor_core import ConfigurationError, DimensionError, Tensor
-from .token_codec import PositionalEmbedding, tokenize, detokenize
+from .sfs import ConvShrinkParam, MixedPoolParam, shrink, shrink_spec
+from .tensor_core import ConfigurationError, DimensionError, ParamSpec, Tensor
+from .token_codec import PositionalEmbedding, pe_spec, tokenize, detokenize
 
 MODES = ("a", "b", "c", "d", "e", "f_rgb", "f_thermal")
 DUPLICATIONS = ("none", "rgb_both", "thermal_both")
@@ -73,6 +79,44 @@ class DmffConfig:
             raise ConfigurationError(
                 f"iterations must be in [0, {MAX_ITERATIONS}], got {self.iterations}"
             )
+
+
+def config_from_json(cls, data, what: str):
+    """A `cls` dataclass read strictly from a parsed JSON value.
+
+    `data` must be an object whose keys are `cls` field names.  Each value
+    must have the JSON type of the field's default: an int field takes
+    only an integer (not true, 2.0 or "8"), a float field a finite integer
+    or real, a bool field only true/false, a str field a string; a field
+    whose default is a dataclass is read recursively.  Absent fields keep
+    their defaults.  Raises ConfigurationError.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {data!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {unknown}")
+    values = {}
+    for name, value in data.items():
+        f = fields[name]
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        kind = type(default)
+        if dataclasses.is_dataclass(default):
+            value = config_from_json(kind, value, f"{name} config")
+        elif kind is float and type(value) in (int, float):
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{what} {name} must be finite, got {value!r}")
+        elif type(value) is not kind:
+            raise ConfigurationError(
+                f"{what} {name} must be a JSON {kind.__name__}, got {value!r}"
+            )
+        values[name] = value
+    return cls(**values)
 
 
 @dataclass
@@ -119,54 +163,31 @@ class FusionOutput:
     enhanced_thermal: Tensor | None = None
 
 
-class ParamSpec(NamedTuple):
-    """Shape and init rule of one learnable: uniform in +-bound, else fill."""
-
-    shape: tuple
-    bound: float | None = None
-    fill: float = 0.0
-
-
-def _cfe_spec(prefix: str, c: int, hidden: int) -> dict:
-    bound = 1.0 / math.sqrt(c)
-    proj = ParamSpec((c, c), bound)
-    coefficient = ParamSpec((1,), fill=1.0)
-    leaves = dict(w_q=proj, w_k=proj, w_v=proj, w_o=proj,
-                  ffn_w1=ParamSpec((c, hidden), bound), ffn_b1=ParamSpec((hidden,)),
-                  ffn_w2=ParamSpec((hidden, c), bound), ffn_b2=ParamSpec((c,)),
-                  alpha=coefficient, beta=coefficient, gamma=coefficient,
-                  delta=coefficient)
-    return {prefix + leaf: leaves[leaf] for leaf in CFE_PARAM_NAMES}
-
-
 def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
     """Every learnable of the configured pipeline: name -> ParamSpec, in
     ``DmffWeights.named_tensors`` order, which is also the init draw order.
 
-    One enhancement set serves every iteration; modes a, b and c also share
-    it between the two directions (prefix ``cfe.``), mode d keeps one per
+    The stage modules declare their own leaves; this prefixes them.  One
+    enhancement set serves every iteration; modes a, b and c also share it
+    between the two directions (prefix ``cfe.``), mode d keeps one per
     branch (``cfe_r.``, ``cfe_t.``).
     """
     s, c = cfg.shrink_window, channels
     if min(height, width, channels) < 1 or height % s or width % s:
         raise ConfigurationError(f"input extents {height}x{width}x{channels} must be "
                                  f">= 1 and divisible by the shrink window {s}")
-    spec = {}
+    parts = []
     if cfg.mode in ATTENTION_MODES:
-        for prefix in (("cfe_r.", "cfe_t.") if cfg.mode == "d" else ("cfe.",)):
-            spec.update(_cfe_spec(prefix, c, cfg.ffn_hidden))
-        tokens = (height // s) * (width // s)
-        spec["pe_r.table"] = spec["pe_t.table"] = ParamSpec((tokens, c), 0.02)
-        for branch in ("sfs_r.", "sfs_t."):
-            if cfg.shrink_variant == "pool":
-                spec[branch + "lambda_raw"] = ParamSpec((1,))
-            else:
-                spec[branch + "w"] = ParamSpec((s * s * c, c), 1.0 / math.sqrt(s * s * c))
-                spec[branch + "b"] = ParamSpec((c,))
+        cfe = cfe_spec(c, cfg.ffn_hidden)
+        parts += [(prefix, cfe) for prefix in
+                  (("cfe_r.", "cfe_t.") if cfg.mode == "d" else ("cfe.",))]
+        pe = pe_spec((height // s) * (width // s), c)
+        shrunk = shrink_spec(cfg.shrink_variant, s, c)
+        parts += [("pe_r.", pe), ("pe_t.", pe), ("sfs_r.", shrunk), ("sfs_t.", shrunk)]
     if cfg.mode in NIN_MODES:
-        spec["nin.w"] = ParamSpec((2 * c, c), 1.0 / math.sqrt(2 * c))
-        spec["nin.b"] = ParamSpec((c,))
-    return spec
+        parts.append(("nin.", {"w": ParamSpec((2 * c, c), 1.0 / math.sqrt(2 * c)),
+                               "b": ParamSpec((c,))}))
+    return {prefix + leaf: p for prefix, leaves in parts for leaf, p in leaves.items()}
 
 
 def _build(cfg: DmffConfig, height: int, width: int, channels: int, t) -> DmffWeights:
@@ -225,12 +246,7 @@ def assemble(cfg: DmffConfig, height: int, width: int, channels: int,
 def init_dmff_weights(cfg: DmffConfig, height: int, width: int, channels: int,
                       rng: np.random.Generator, dtype=tc.STANDARD) -> DmffWeights:
     """Construct weights for one pipeline instance at the given input size."""
-    tensors = {}
-    for name, p in param_spec(cfg, height, width, channels).items():
-        if p.bound is None:
-            tensors[name] = tc.full(p.shape, p.fill, dtype=dtype)
-        else:
-            tensors[name] = Tensor(rng.uniform(-p.bound, p.bound, size=p.shape), dtype=dtype)
+    tensors = tc.init_tensors(param_spec(cfg, height, width, channels), rng, dtype)
     return _build(cfg, height, width, channels, tensors)
 
 

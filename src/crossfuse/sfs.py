@@ -4,7 +4,8 @@ Two variants.  The mixed-pooling variant blends average and max pooling
 with a learnable weight ``lambda = sigmoid(lambda_raw)`` so the blend
 stays in (0, 1) for any raw value.  The convolution variant folds each
 s x s x C block into channels and compresses back to C with a 1x1
-projection.  Both divide the token count by s**2.
+projection.  Both divide the token count by s**2.  ``shrink_spec``
+declares either variant's learnables and their init rules.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .tensor_core import ConfigurationError, DimensionError, Tensor
+from .tensor_core import ConfigurationError, DimensionError, ParamSpec, Tensor
 
 
 @dataclass
@@ -43,17 +44,25 @@ class ConvShrinkParam:
         yield prefix + "b", self.b
 
 
+def shrink_spec(variant: str, s: int, channels: int) -> dict:
+    """One branch's shrink learnables, name -> ParamSpec: for pool the raw
+    blend at 0 (lambda halfway between average and max), for conv the
+    projection uniform in +-1/sqrt(s*s*C) and a zero bias."""
+    if variant == "pool":
+        return {"lambda_raw": ParamSpec((1,))}
+    fan_in = s * s * channels
+    return {"w": ParamSpec((fan_in, channels), 1.0 / np.sqrt(fan_in)),
+            "b": ParamSpec((channels,))}
+
+
 def init_mixed_pool_param(dtype=tc.STANDARD) -> MixedPoolParam:
-    # raw 0 puts the blend exactly halfway between average and max
-    return MixedPoolParam(tc.scalar(0.0, dtype=dtype))
+    # the pool leaf does not depend on the window or the width
+    return MixedPoolParam(**tc.init_tensors(shrink_spec("pool", 1, 1), None, dtype))
 
 
 def init_conv_shrink_param(s: int, channels: int, rng: np.random.Generator,
                            dtype=tc.STANDARD) -> ConvShrinkParam:
-    fan_in = s * s * channels
-    bound = 1.0 / np.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, channels)), dtype=dtype)
-    return ConvShrinkParam(w, tc.zeros((channels,), dtype=dtype))
+    return ConvShrinkParam(**tc.init_tensors(shrink_spec("conv", s, channels), rng, dtype))
 
 
 def shrink_pool(fmap: Tensor, s: int, p: MixedPoolParam) -> Tensor:

@@ -37,6 +37,8 @@ class SyntheticPairSpec:
             )
         if self.blob_count < 0:
             raise ConfigurationError(f"blob_count must be >= 0, got {self.blob_count}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 def gen_synthetic_pair(spec: SyntheticPairSpec, dtype=tc.STANDARD):

@@ -5,9 +5,15 @@ row-wise softmax, fused multi-head attention (a base-2 exponential over
 cache-sized score blocks, shift-free when the scores provably cannot
 overflow, with softmax row sums from a ones column appended to V), 2-d
 pooling, bilinear resizing, and the supporting
-elementwise/reshape plumbing.  Forward calls optionally record onto a
+elementwise/reshape plumbing.  It also holds the parameter init rule type,
+``ParamSpec``, and the one function that draws tensors from a spec,
+``init_tensors``; every stage declares its learnables as specs and every
+init path draws through it.  Forward calls optionally record onto a
 :class:`Tape`; :func:`backward` replays the tape in reverse to produce a
 :class:`GradRecord` for all watched (named) tensors.
+
+The rawtensor reader and the ICAF tensor table share one rule for shapes
+read from JSON, ``json_shape``.
 
 Tensors are immutable after construction (the underlying numpy buffer is
 write-protected) and carry either standard (float32) or wide (float64)
@@ -22,6 +28,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +117,22 @@ def full(shape, value, dtype=STANDARD) -> Tensor:
 
 def scalar(value, dtype=STANDARD) -> Tensor:
     return Tensor._wrap(np.array([value], dtype=dtype))
+
+
+class ParamSpec(NamedTuple):
+    """Shape and init rule of one learnable: uniform in +-bound, else fill."""
+
+    shape: tuple
+    bound: float | None = None
+    fill: float = 0.0
+
+
+def init_tensors(spec: dict, rng: np.random.Generator, dtype=STANDARD) -> dict:
+    """One tensor per ``spec`` entry (name -> ParamSpec), drawn from `rng`
+    in spec order; filled entries draw nothing."""
+    return {name: full(p.shape, p.fill, dtype=dtype) if p.bound is None
+            else Tensor(rng.uniform(-p.bound, p.bound, size=p.shape), dtype=dtype)
+            for name, p in spec.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +871,15 @@ def write_rawtensor(path, tensor: Tensor):
         fh.write(payload.tobytes())
 
 
+def json_shape(value, what: str) -> tuple:
+    """A shape read from JSON: a list of 1-3 integer extents >= 1.  JSON
+    reals, booleans and strings are not extents (ConfigurationError)."""
+    if (not isinstance(value, list) or not 1 <= len(value) <= 3
+            or not all(type(n) is int and n >= 1 for n in value)):
+        raise ConfigurationError(f"{what} must be 1-3 integer extents >= 1, got {value!r}")
+    return tuple(value)
+
+
 def read_rawtensor(path) -> Tensor:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -863,12 +895,7 @@ def read_rawtensor(path) -> Tensor:
     dt_name = header.get("dtype")
     if not isinstance(dt_name, str) or dt_name not in _NAME_TO_DTYPE:
         raise ConfigurationError(f"unknown rawtensor dtype {dt_name!r}")
-    shape = header.get("shape")
-    if (not isinstance(shape, list) or not 1 <= len(shape) <= 3
-            or not all(type(n) is int and n >= 1 for n in shape)):
-        raise ConfigurationError(
-            f"rawtensor shape must be 1-3 integer extents >= 1, got {shape!r}"
-        )
+    shape = json_shape(header.get("shape"), "rawtensor shape")
     dt = np.dtype(_NAME_TO_DTYPE[dt_name]).newbyteorder("<")
     expected = math.prod(shape) * dt.itemsize
     if len(blob) != expected:

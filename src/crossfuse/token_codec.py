@@ -3,7 +3,8 @@
 A token is the channel vector of one spatial position; flattening is
 row-major, so token ``i`` of an HxWxC map is pixel ``(i // W, i % W)``.
 An optional learnable per-token embedding is added at tokenize time to
-inject spatial position into the otherwise order-free attention stage.
+inject spatial position into the otherwise order-free attention stage;
+``pe_spec`` declares its table and init rule.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .tensor_core import DimensionError, Tensor
+from .tensor_core import DimensionError, ParamSpec, Tensor
 
 
 @dataclass
@@ -52,10 +53,14 @@ class TokenSeq:
         return self.tokens.shape[1]
 
 
+def pe_spec(tokens: int, channels: int) -> dict:
+    """The positional table, name -> ParamSpec: uniform in +-0.02."""
+    return {"table": ParamSpec((tokens, channels), 0.02)}
+
+
 def init_positional_embedding(tokens: int, channels: int, rng: np.random.Generator,
-                              dtype=tc.STANDARD, init_range: float = 0.02) -> PositionalEmbedding:
-    table = Tensor(rng.uniform(-init_range, init_range, size=(tokens, channels)), dtype=dtype)
-    return PositionalEmbedding(table)
+                              dtype=tc.STANDARD) -> PositionalEmbedding:
+    return PositionalEmbedding(**tc.init_tensors(pe_spec(tokens, channels), rng, dtype))
 
 
 def tokenize(fmap: Tensor, pe: PositionalEmbedding | None = None) -> TokenSeq:

@@ -42,6 +42,12 @@ class TrainConfig:
     dmff: DmffConfig = field(default_factory=DmffConfig)
     synth: SyntheticPairSpec = field(default_factory=SyntheticPairSpec)
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise tc.ConfigurationError(f"steps must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            raise tc.ConfigurationError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class TrainResult:

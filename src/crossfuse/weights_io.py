@@ -11,7 +11,11 @@ Layout:
 The manifest meta carries the pipeline configuration and input extents,
 so a load reconstructs the full weight structure, sharing included, through
 ``dmff.assemble``, which checks the tensor names, shapes and dtype against
-the configuration.  Round trips are byte-exact.
+the configuration.  The meta is read by ``dmff.config_from_json``: every
+``DmffConfig`` field is required except ``input_duplication`` and
+``sequential_update``, unknown keys are rejected, and each value must have
+its field's JSON type; the extents, like every table shape, must be JSON
+integers >= 1.  Round trips are byte-exact.
 """
 
 from __future__ import annotations
@@ -24,11 +28,15 @@ import struct
 import numpy as np
 
 from . import tensor_core as tc
-from .dmff import DmffConfig, DmffWeights, assemble
+from .dmff import DmffConfig, DmffWeights, assemble, config_from_json
 from .tensor_core import Tensor
 
 MAGIC = b"ICAF"
 VERSION = 1
+_EXTENTS = ("height", "width", "channels")
+# files written before these two config fields existed lack them
+_META_KEYS = [f.name for f in dataclasses.fields(DmffConfig)
+              if f.name not in ("input_duplication", "sequential_update")]
 
 
 class WeightsFormatError(Exception):
@@ -81,29 +89,26 @@ def _take(blob: bytes, start: int, n: int, what: str) -> bytes:
 
 def _parse_entry(entry):
     try:
-        name, shape = entry["name"], tuple(int(n) for n in entry["shape"])
+        name, shape = entry["name"], tc.json_shape(entry["shape"], "tensor shape")
         dtype = tc.dtype_from_name(entry["dtype"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, tc.ConfigurationError) as exc:
         raise ManifestError(f"bad tensor entry {entry!r}: {exc}") from exc
-    if not isinstance(name, str) or not shape or any(n < 1 for n in shape):
-        raise ManifestError(f"tensor entry {entry!r} needs a string name and extents >= 1")
+    if not isinstance(name, str):
+        raise ManifestError(f"tensor entry {entry!r} needs a string name")
     return name, shape, dtype
 
 
 def _config_from_meta(meta):
+    if not isinstance(meta, dict):
+        raise ManifestError(f"meta section is not a JSON object: {meta!r}")
+    missing = [k for k in (*_META_KEYS, *_EXTENTS) if k not in meta]
+    if missing:
+        raise ManifestError(f"meta section lacks {missing}")
     try:
-        cfg = DmffConfig(
-            shrink_variant=meta["shrink_variant"],
-            shrink_window=int(meta["shrink_window"]),
-            heads=int(meta["heads"]),
-            ffn_hidden=int(meta["ffn_hidden"]),
-            iterations=int(meta["iterations"]),
-            mode=meta["mode"],
-            input_duplication=meta.get("input_duplication", "none"),
-            sequential_update=bool(meta.get("sequential_update", False)),
-        )
-        return cfg, int(meta["height"]), int(meta["width"]), int(meta["channels"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        cfg = config_from_json(DmffConfig, {k: v for k, v in meta.items() if k not in _EXTENTS},
+                               "meta")
+        return (cfg, *tc.json_shape([meta[k] for k in _EXTENTS], "meta input extents"))
+    except tc.ConfigurationError as exc:
         raise ManifestError(f"bad meta section: {exc}") from exc
 
 

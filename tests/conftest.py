@@ -49,6 +49,8 @@ RAWTENSOR_PROBES = {
     "shape_is_a_string": (b'{"v": 1, "dtype": "f32", "shape": "ab"}', 8),
     "fractional_extent": (b'{"v": 1, "dtype": "f32", "shape": [2.5, 2]}', 20),
     "dtype_is_a_list": (b'{"v": 1, "dtype": ["f32"], "shape": [2]}', 8),
+    "string_extents": (b'{"v": 1, "dtype": "f32", "shape": ["8", "8"]}', 256),
+    "boolean_extent": (b'{"v": 1, "dtype": "f32", "shape": [true, 2]}', 8),
 }
 
 
@@ -58,12 +60,16 @@ def write_rawtensor_probe(path, kind):
     return path
 
 
-def write_icaf(path, meta, entries):
+def write_icaf(path, meta, entries, shapes=None):
     """An ICAF file from a meta section and (name, array) pairs, written
-    without save_weights so that malformed tensor tables can be built."""
+    without save_weights so that malformed tensor tables can be built.
+    `shapes` maps a name to the shape its table entry states instead of
+    its array's."""
     names = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+    shapes = shapes or {}
     manifest = {"meta": meta, "tensors": [
-        {"name": n, "shape": list(a.shape), "dtype": names[a.dtype]} for n, a in entries]}
+        {"name": n, "shape": shapes.get(n, list(a.shape)), "dtype": names[a.dtype]}
+        for n, a in entries]}
     blob = json.dumps(manifest, sort_keys=True).encode()
     payload = b"".join(np.ascontiguousarray(a, a.dtype.newbyteorder("<")).tobytes()
                        for _, a in entries)
@@ -72,7 +78,9 @@ def write_icaf(path, meta, entries):
 
 
 ICAF_PROBES = ("wrong_shape", "duplicate_name", "unknown_name", "missing_name",
-               "mixed_dtype", "heads_not_dividing_channels", "iterations_past_bound")
+               "mixed_dtype", "heads_not_dividing_channels", "iterations_past_bound",
+               "fractional_iterations", "string_flag", "boolean_heads", "real_extent",
+               "unknown_meta_key", "missing_meta_key", "fractional_shape", "string_shape")
 
 
 def write_icaf_probe(path, kind):
@@ -98,4 +106,18 @@ def write_icaf_probe(path, kind):
         meta["heads"] = 3
     elif kind == "iterations_past_bound":
         meta["iterations"] = 10 ** 9
-    return write_icaf(path, meta, entries)
+    elif kind == "fractional_iterations":
+        meta["iterations"] = 2.9
+    elif kind == "string_flag":
+        meta["sequential_update"] = "false"
+    elif kind == "boolean_heads":
+        meta["heads"] = True
+    elif kind == "real_extent":
+        meta["height"] = 4.0
+    elif kind == "unknown_meta_key":
+        meta["dropout"] = 0.1
+    elif kind == "missing_meta_key":
+        del meta["mode"]
+    shapes = {"fractional_shape": [8.5, 8], "string_shape": ["8", "8"]}
+    return write_icaf(path, meta, entries,
+                      {entries[0][0]: shapes[kind]} if kind in shapes else None)

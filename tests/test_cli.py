@@ -119,6 +119,9 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
     rc = main(["gen", "--spec", str(tmp_path / "nope.json"), "--out-prefix", "x"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    rc = main(["gen", "--spec", str(tmp_path), "--out-prefix", "x"])  # a directory
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bad_config_key_is_clean_error(tmp_path, capsys):
@@ -136,6 +139,59 @@ def test_nonpositive_width_is_clean_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert rc == 2
     assert key in err and "Traceback" not in err
+
+
+# (command, config file contents): each must exit 2 with a one-line error
+CONFIG_PROBES = {
+    "string_heads": ("train-toy", {"dmff": {"heads": "8"}}),
+    "fractional_iterations": ("train-toy", {"dmff": {"iterations": 1.5}}),
+    "string_train_seed": ("train-toy", {"seed": "x"}),
+    "string_check_seed": ("gradcheck", {"seed": "x"}),
+    "boolean_steps": ("train-toy", {"steps": True}),
+    "zero_steps": ("train-toy", {"steps": 0}),
+    "negative_seed": ("gradcheck", {"seed": -1, "synth": {"seed": 1}}),
+    "string_flag": ("gradcheck", {"dmff": {"sequential_update": "false"}}),
+    "infinite_rate": ("train-toy", {"lr0": 1e999}),
+    "list_config": ("train-toy", [1, 2]),
+    "list_section": ("gradcheck", {"dmff": [1, 2]}),
+    "string_extent": ("gen", {"h": "4"}),
+    "not_utf8": ("gen", b"\xff\xfe{"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_PROBES))
+def test_bad_config_is_clean_error(tmp_path, capsys, kind):
+    command, payload = CONFIG_PROBES[kind]
+    path = tmp_path / "bad.json"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        write_json(path, payload)
+    flag = "--spec" if command == "gen" else "--config"
+    extra = ["--out-prefix", str(tmp_path / "x")] if command == "gen" else []
+    rc = main([command, flag, str(path), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_scene_seed_defaults_to_the_run_seed(tmp_path):
+    from crossfuse.cli import load_check_config, load_train_config
+
+    path = write_json(tmp_path / "c.json", {"seed": 13, "synth": {"h": 4}})
+    assert load_train_config(path).synth.seed == 13
+    assert load_check_config(path)[1].seed == 13
+    path = write_json(tmp_path / "c.json", {"seed": 13, "synth": {"seed": 2}})
+    assert load_train_config(path).synth.seed == 2
+    assert load_check_config(path)[1].seed == 2
+
+
+def test_fuse_modes_are_the_pipeline_modes():
+    from crossfuse.cli import _MODE_FLAGS
+    from crossfuse.dmff import MODES
+
+    assert sorted(_MODE_FLAGS.values()) == sorted(MODES)
+    assert _MODE_FLAGS["f-rgb"] == "f_rgb"
 
 
 def test_corrupt_weights_is_clean_error(tmp_path, synth_spec, capsys):

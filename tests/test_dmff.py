@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from crossfuse import dmff, tensor_core as tc
+from crossfuse import cfe, dmff, icfe, sfs, tensor_core as tc, token_codec
 from crossfuse.icfe import IcfeParams
 from conftest import fd_gradient, rel_err
 
@@ -314,34 +314,72 @@ def test_replace_parameters_rejects_weights_that_do_not_match_their_config(rng):
 # --- parameter schema -----------------------------------------------------------
 
 
-def reference_init(cfg, height, width, channels, rng, dtype):
-    """The stage-by-stage composition of the init_* helpers that
-    init_dmff_weights must reproduce draw for draw."""
-    from crossfuse.icfe import init_icfe_params
-    from crossfuse.sfs import init_conv_shrink_param, init_mixed_pool_param
-    from crossfuse.token_codec import init_positional_embedding
+# Plain-numpy copies of the init draws the weights have always had, kept
+# apart from the specs in the library so that the byte checks compare two
+# independent statements of every init rule.  Each returns leaf -> array.
 
-    s = cfg.shrink_window
-    wts = dmff.DmffWeights(cfg=cfg, height=height, width=width, channels=channels)
+
+def reference_cfe(c, hidden, rng, dtype, coefficients=(1.0, 1.0, 1.0, 1.0)):
+    bound = 1.0 / np.sqrt(c)
+
+    def uniform(shape):
+        return np.asarray(rng.uniform(-bound, bound, size=shape), dtype=dtype)
+
+    a, b, g, d = coefficients
+    return dict(w_q=uniform((c, c)), w_k=uniform((c, c)), w_v=uniform((c, c)),
+                w_o=uniform((c, c)), ffn_w1=uniform((c, hidden)),
+                ffn_b1=np.zeros(hidden, dtype), ffn_w2=uniform((hidden, c)),
+                ffn_b2=np.zeros(c, dtype), alpha=np.array([a], dtype),
+                beta=np.array([b], dtype), gamma=np.array([g], dtype),
+                delta=np.array([d], dtype))
+
+
+def reference_pe(tokens, c, rng, dtype):
+    return {"table": np.asarray(rng.uniform(-0.02, 0.02, size=(tokens, c)), dtype=dtype)}
+
+
+def reference_pool(dtype):
+    return {"lambda_raw": np.array([0.0], dtype)}
+
+
+def reference_conv(s, c, rng, dtype):
+    bound = 1.0 / np.sqrt(s * s * c)
+    return {"w": np.asarray(rng.uniform(-bound, bound, size=(s * s * c, c)), dtype=dtype),
+            "b": np.zeros(c, dtype)}
+
+
+def reference_init(cfg, height, width, channels, rng, dtype):
+    """(name, array) pairs of a pipeline init, drawn stage by stage."""
+    named = []
+
+    def add(prefix, leaves):
+        named.extend((prefix + leaf, a) for leaf, a in leaves.items())
+
+    s, c = cfg.shrink_window, channels
     if cfg.mode in ("a", "b", "c", "d"):
-        wts.icfe = init_icfe_params(channels, cfg.ffn_hidden, cfg.heads, rng,
-                                    iterations=cfg.iterations, shared=cfg.mode != "d",
-                                    dtype=dtype)
+        for prefix in (("cfe_r.", "cfe_t.") if cfg.mode == "d" else ("cfe.",)):
+            add(prefix, reference_cfe(c, cfg.ffn_hidden, rng, dtype))
         tokens = (height // s) * (width // s)
-        wts.pe_r = init_positional_embedding(tokens, channels, rng, dtype=dtype)
-        wts.pe_t = init_positional_embedding(tokens, channels, rng, dtype=dtype)
-        if cfg.shrink_variant == "pool":
-            wts.sfs_r = init_mixed_pool_param(dtype=dtype)
-            wts.sfs_t = init_mixed_pool_param(dtype=dtype)
-        else:
-            wts.sfs_r = init_conv_shrink_param(s, channels, rng, dtype=dtype)
-            wts.sfs_t = init_conv_shrink_param(s, channels, rng, dtype=dtype)
+        add("pe_r.", reference_pe(tokens, c, rng, dtype))
+        add("pe_t.", reference_pe(tokens, c, rng, dtype))
+        for branch in ("sfs_r.", "sfs_t."):
+            add(branch, reference_pool(dtype) if cfg.shrink_variant == "pool"
+                else reference_conv(s, c, rng, dtype))
     if cfg.mode in ("c", "d", "e"):
-        bound = 1.0 / np.sqrt(2 * channels)
-        wts.nin_w = tc.Tensor(rng.uniform(-bound, bound, size=(2 * channels, channels)),
-                              dtype=dtype)
-        wts.nin_b = tc.zeros((channels,), dtype=dtype)
-    return wts
+        bound = 1.0 / np.sqrt(2 * c)
+        add("nin.", {"w": np.asarray(rng.uniform(-bound, bound, size=(2 * c, c)), dtype=dtype),
+                     "b": np.zeros(c, dtype)})
+    return named
+
+
+def assert_same_draws(got, want, rng_got, rng_want):
+    """Same names in the same order, byte-identical arrays, same rng state."""
+    got = [(n, t.data) for n, t in got]
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (name, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert rng_got.bytes(16) == rng_want.bytes(16)
 
 
 @pytest.mark.parametrize("mode", dmff.MODES)
@@ -352,18 +390,51 @@ def test_init_is_byte_identical_to_the_helper_composition(mode):
                 cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations)
                 rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
                 new = dmff.init_dmff_weights(cfg, 4, 8, 8, rng_new, dtype=dtype)
-                ref = reference_init(cfg, 4, 8, 8, rng_ref, dtype)
-                got, want = list(new.named_tensors()), list(ref.named_tensors())
-                assert [n for n, _ in got] == [n for n, _ in want]
-                for (name, a), (_, b) in zip(got, want):
-                    assert a.dtype == b.dtype and a.shape == b.shape, name
-                    assert a.data.tobytes() == b.data.tobytes(), name
-                assert rng_new.bytes(16) == rng_ref.bytes(16)
-                if ref.icfe is not None:
-                    assert new.icfe.shared == ref.icfe.shared
-                    assert (new.icfe.cfe_r is new.icfe.cfe_t) == ref.icfe.shared
+                assert_same_draws(new.named_tensors(),
+                                  reference_init(cfg, 4, 8, 8, rng_ref, dtype),
+                                  rng_new, rng_ref)
+                if new.icfe is not None:
+                    assert new.icfe.shared == (mode != "d")
+                    assert (new.icfe.cfe_r is new.icfe.cfe_t) == (mode != "d")
                     assert new.icfe.iterations == iterations
                     assert new.icfe.cfe_r.heads == cfg.heads
+
+
+def _prefixed(*parts):
+    return [(prefix + leaf, a) for prefix, leaves in parts for leaf, a in leaves.items()]
+
+
+COEFFS = (0.0, 1.0, 0.5, -2.0)
+STAGE_HELPERS = {
+    "cfe": (lambda rng, dt: cfe.init_cfe_params(6, 10, 2, rng, dtype=dt),
+            lambda rng, dt: _prefixed(("", reference_cfe(6, 10, rng, dt)))),
+    "cfe_coefficients": (
+        lambda rng, dt: cfe.init_cfe_params(6, 10, 2, rng, dtype=dt, coefficients=COEFFS),
+        lambda rng, dt: _prefixed(("", reference_cfe(6, 10, rng, dt, COEFFS)))),
+    "pool": (lambda rng, dt: sfs.init_mixed_pool_param(dtype=dt),
+             lambda rng, dt: _prefixed(("", reference_pool(dt)))),
+    "conv": (lambda rng, dt: sfs.init_conv_shrink_param(3, 5, rng, dtype=dt),
+             lambda rng, dt: _prefixed(("", reference_conv(3, 5, rng, dt)))),
+    "pe": (lambda rng, dt: token_codec.init_positional_embedding(7, 5, rng, dtype=dt),
+           lambda rng, dt: _prefixed(("", reference_pe(7, 5, rng, dt)))),
+    "icfe": (lambda rng, dt: icfe.init_icfe_params(6, 10, 2, rng, dtype=dt),
+             lambda rng, dt: _prefixed(("cfe_r.", reference_cfe(6, 10, rng, dt)),
+                                       ("cfe_t.", reference_cfe(6, 10, rng, dt)))),
+    "icfe_shared": (lambda rng, dt: icfe.init_icfe_params(6, 10, 2, rng, shared=True, dtype=dt),
+                    lambda rng, dt: _prefixed(("cfe.", reference_cfe(6, 10, rng, dt)))),
+    "stacked": (lambda rng, dt: icfe.init_stacked_params(6, 10, 2, 2, rng, dtype=dt),
+                lambda rng, dt: _prefixed(*[(f"block{i}.cfe_{b}.", reference_cfe(6, 10, rng, dt))
+                                            for i in range(2) for b in "rt"])),
+}
+
+
+@pytest.mark.parametrize("helper", sorted(STAGE_HELPERS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stage_helper_init_is_byte_identical_to_the_reference(helper, dtype):
+    new, ref = STAGE_HELPERS[helper]
+    rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    assert_same_draws(new(rng_new, dtype).named_tensors(), ref(rng_ref, dtype),
+                      rng_new, rng_ref)
 
 
 def test_param_spec_matches_init_names_order_and_shapes(rng):

@@ -1,7 +1,9 @@
-"""Fuzz both file readers: every input either loads into valid objects or
-raises the reader's own error kind (WeightsFormatError subclasses for ICAF,
-ConfigurationError for rawtensor), never anything else."""
+"""Fuzz the file and config readers: every input either loads into valid
+objects or raises the reader's own error kind (WeightsFormatError
+subclasses for ICAF, ConfigurationError for rawtensor and JSON configs),
+never anything else."""
 
+import dataclasses
 import json
 import struct
 
@@ -11,6 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crossfuse import dmff, tensor_core as tc, weights_io
+from crossfuse.cli import _CheckConfig
+from crossfuse.synth import SyntheticPairSpec
+from crossfuse.train import TrainConfig
 
 # derandomized, so the suite runs the same examples every time; the same
 # file path is rewritten for every example, hence the fixture health check
@@ -129,6 +134,54 @@ def test_rawtensor_header_mutations(tmp_path, header, drop, nbytes):
         del header[key]
     blob = json.dumps(header).encode() + b"\n" + b"\x01" * nbytes
     _rawtensor_outcome(tmp_path / "m.rawtensor", blob)
+
+
+def _default(f):
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+
+
+# values of the right JSON type, so that many drawn configs are valid
+TYPED = {int: st.integers(0, 64), float: st.floats(0, 1), bool: st.booleans(),
+         str: st.sampled_from(["pool", "conv", "d", "c", "f_rgb", "none", "rgb_both"])}
+
+
+def _typed_objects(cls):
+    fields = {}
+    for f in dataclasses.fields(cls):
+        default = _default(f)
+        fields[f.name] = (_typed_objects(type(default)) if dataclasses.is_dataclass(default)
+                          else TYPED[type(default)])
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def _assert_typed_like_defaults(cfg):
+    for f in dataclasses.fields(cfg):
+        value, default = getattr(cfg, f.name), _default(f)
+        assert type(value) is type(default), f.name
+        if dataclasses.is_dataclass(default):
+            _assert_typed_like_defaults(value)
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, _CheckConfig, dmff.DmffConfig, SyntheticPairSpec],
+                         ids=lambda cls: cls.__name__)
+@FUZZ
+@given(data=st.data())
+def test_config_reader(cls, data):
+    raw = data.draw(_typed_objects(cls))
+    section = data.draw(st.sampled_from([None, None, "top"] + [f.name for f in
+                                                               dataclasses.fields(cls)]))
+    if section == "top":
+        raw = data.draw(JSON)
+    elif section is not None:  # one key, or an unknown one, takes any JSON value
+        raw[data.draw(st.sampled_from([section, "extra"]))] = data.draw(FIELD)
+    try:
+        cfg = dmff.config_from_json(cls, raw, "config")
+    except tc.ConfigurationError:
+        return
+    _assert_typed_like_defaults(cfg)
+    for key, value in raw.items():
+        if not isinstance(value, dict):  # int values of float fields become floats
+            assert getattr(cfg, key) == type(getattr(cfg, key))(value), key
 
 
 def test_valid_files_load(tmp_path, icaf_blob):

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from crossfuse import dmff, weights_io
 from crossfuse.dmff import DmffConfig
-from conftest import ICAF_PROBES, write_icaf_probe
+from conftest import ICAF_PROBES, write_icaf, write_icaf_probe
 
 
 def build_weights(rng, mode="d"):
@@ -157,6 +158,17 @@ def test_loaded_weights_run_the_pipeline(tmp_path, rng):
 def test_hand_written_file_without_defect_loads(tmp_path):
     back = weights_io.load_weights(write_icaf_probe(tmp_path / "w.icaf", None))
     assert back.icfe.cfe_r.w_q.shape == (8, 8)
+
+
+def test_meta_without_the_later_config_fields_loads(tmp_path):
+    # files written before input_duplication and sequential_update existed
+    wts = weights_io.load_weights(write_icaf_probe(tmp_path / "w.icaf", None))
+    meta = {k: v for k, v in dataclasses.asdict(wts.cfg).items()
+            if k not in ("input_duplication", "sequential_update")}
+    entries = [(n, t.data) for n, t in wts.named_tensors()]
+    back = weights_io.load_weights(
+        write_icaf(tmp_path / "old.icaf", dict(meta, height=4, width=4, channels=8), entries))
+    assert back.cfg == wts.cfg
 
 
 @pytest.mark.parametrize("kind", ICAF_PROBES)
