@@ -22,7 +22,10 @@ cannot overflow, and takes the softmax row sums from a ones column
 appended to V, so the only pass over the T_q x T_k scores besides the two
 products is one base-2 exponential (log2(e) is folded into the queries).
 The scores are computed in cache-sized blocks of whole heads or query-row
-tiles, the same blocks whether or not a tape records.
+tiles, the same blocks whether or not a tape records.  A taped call keeps
+only its one block buffer of scores: its adjoint recomputes the other
+blocks, so training holds one score block per attention call however many
+iterations share the weights.
 """
 
 from __future__ import annotations

@@ -3,14 +3,16 @@
 Every operation the fusion stack needs lives here: matrix products,
 row-wise softmax, fused multi-head attention (a base-2 exponential over
 cache-sized score blocks, shift-free when the scores provably cannot
-overflow, with softmax row sums from a ones column appended to V), 2-d
+overflow, with softmax row sums from a ones column appended to V; the
+adjoint recomputes the blocks instead of keeping them all), 2-d
 pooling, bilinear resizing, and the supporting
 elementwise/reshape plumbing.  It also holds the parameter init rule type,
 ``ParamSpec``, and the one function that draws tensors from a spec,
 ``init_tensors``; every stage declares its learnables as specs and every
 init path draws through it.  Forward calls optionally record onto a
 :class:`Tape`; :func:`backward` replays the tape in reverse to produce a
-:class:`GradRecord` for all watched (named) tensors.
+:class:`GradRecord` for all watched (named) tensors, dropping each other
+gradient once it is consumed.
 
 The rawtensor reader and the ICAF tensor table share one rule for shapes
 read from JSON, ``json_shape``.
@@ -228,9 +230,12 @@ def _emit(out: Tensor, parents, backward_fn):
 def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> GradRecord:
     """Reverse sweep over `tape`, seeding `output` with `output_grad`.
 
-    `output` defaults to the tape's final recorded result.  Returns the
-    gradient of every watched tensor that is reachable from the output;
-    unreachable parameters are simply absent from the record.
+    `output` defaults to the tape's final recorded result, and
+    `output_grad` must match its shape and dtype.  Returns the gradient of
+    every watched tensor that is reachable from the output; unreachable
+    parameters are simply absent from the record.  A gradient that is not
+    watched is dropped as soon as the step that produced the tensor has
+    run, so the sweep holds only the gradients still to be consumed.
     """
     if not tape._steps:
         raise TapeStateError("backward before forward: tape has no recorded operations")
@@ -240,9 +245,15 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
         raise DimensionError(
             f"output_grad shape {output_grad.shape} != output shape {output.shape}"
         )
+    if output_grad.dtype != output.dtype:
+        raise ConfigurationError(
+            f"output_grad dtype {output_grad.dtype} != output dtype {output.dtype}"
+        )
     grads = {id(output): np.array(output_grad.data, copy=True)}
     for out, parents, backward_fn in reversed(tape._steps):
-        g = grads.get(id(out))
+        # every consumer of `out` was recorded after it, so its gradient is
+        # complete here and, unless watched, needed by nothing later
+        g = grads.get(id(out)) if id(out) in tape._watched else grads.pop(id(out), None)
         if g is None:
             continue
         parent_grads = backward_fn(g)
@@ -440,6 +451,8 @@ def const_scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.maximum(x.data, 0))
+    if not _recording():
+        return out
     mask = x.data > 0
 
     def bwd(g):
@@ -611,17 +624,23 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     exponents at their own ulp.  b costs O(T d) per head.
 
     Score blocks hold at most ``_ATTENTION_BLOCK_ELEMENTS`` elements: as
-    many whole heads as fit, or else query-row tiles of one head.  Taped
-    calls write each block into the heads x T_q x T_k store they keep for
-    the adjoint; untaped calls reuse one block buffer.  Either way each
-    block does the same arithmetic.  The adjoint is written out directly
-    and runs per head with one reused T_q x T_k buffer:
+    many whole heads as fit, or else query-row tiles of one head, all
+    computed in one reused block buffer, taped or not.  A taped call keeps
+    no scores: only Q, K, [V | 1], the row sums, the output and that block
+    buffer, which still holds the last block's E; besides the block that
+    is O(T C) bytes.  Its adjoint is written out directly:
 
         dV = P^T g,  dS = P * (g V^T - rowsum(g * O)),
         dQ = scale * dS K,  dK = dS^T (scale * Q).
 
     With P = E / s and gs = g / s, dS is one product
-    [gs | -rowsum(gs * O)] [V | 1]^T, times E.
+    [gs | -rowsum(gs * O)] [V | 1]^T, times E.  The adjoint walks the
+    forward's blocks again, in head groups under a quarter of the budget,
+    and makes each group's products for all its heads at once; dV and dK
+    sum over a head's query-row tiles.  It reads the last block's E from
+    the kept buffer and recomputes every other group's E by the forward's
+    own code, so E is the same to the bit (recompute as in memory-efficient
+    attention, arXiv 2112.05682).
 
     With ``return_weights`` also returns the per-head probability matrices
     (not recorded on the tape).
@@ -659,25 +678,31 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     for j in shifted:
         qe[j] = qh[j] * scale
 
-    taped = _recording()
     hb, rows = _attention_blocks(heads, tq, tk)
-    e = np.empty((heads, tq, tk) if taped else (hb, rows, tk), dtype=dt)
+    e = np.empty((hb, rows, tk), dtype=dt)
+    blocks = [(j0, min(j0 + hb, heads), r0, min(r0 + rows, tq))
+              for j0 in range(0, heads, hb) for r0 in range(0, tq, rows)]
+
+    def exp_block(j0, j1, r0, r1, buf):
+        """E for heads [j0, j1) and query rows [r0, r1) of one block, into
+        `buf`.  The forward and the adjoint's recompute both run it on the
+        same row tiles, and each head's product is its own GEMM, so both see
+        the same E to the bit even when the adjoint takes fewer heads."""
+        eb = buf[: j1 - j0, : r1 - r0]
+        np.matmul(qe[j0:j1, r0:r1], kh[j0:j1].transpose(0, 2, 1), out=eb)
+        for j in shifted:
+            if j0 <= j < j1:
+                eb[j - j0] -= eb[j - j0].max(axis=1, keepdims=True)
+                eb[j - j0] *= log2e
+        return np.exp2(eb, out=eb)
+
     av = np.empty((heads, tq, d + 1), dtype=dt)
     probs = np.empty((heads, tq, tk), dtype=dt) if return_weights else None
-    for j0 in range(0, heads, hb):
-        j1 = min(j0 + hb, heads)
-        for r0 in range(0, tq, rows):
-            r1 = min(r0 + rows, tq)
-            eb = e[j0:j1, r0:r1] if taped else e[: j1 - j0, : r1 - r0]
-            np.matmul(qe[j0:j1, r0:r1], kh[j0:j1].transpose(0, 2, 1), out=eb)
-            for j in shifted:
-                if j0 <= j < j1:
-                    eb[j - j0] -= eb[j - j0].max(axis=1, keepdims=True)
-                    eb[j - j0] *= log2e
-            np.exp2(eb, out=eb)
-            np.matmul(eb, v1[j0:j1], out=av[j0:j1, r0:r1])
-            if return_weights:
-                np.divide(eb, av[j0:j1, r0:r1, d:], out=probs[j0:j1, r0:r1])
+    for j0, j1, r0, r1 in blocks:
+        eb = exp_block(j0, j1, r0, r1, e)
+        np.matmul(eb, v1[j0:j1], out=av[j0:j1, r0:r1])
+        if return_weights:
+            np.divide(eb, av[j0:j1, r0:r1, d:], out=probs[j0:j1, r0:r1])
     sums = av[..., d:]
     oh = av[..., :d] / sums
     out = Tensor._wrap(_merge_heads(oh))
@@ -690,13 +715,33 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         gs1[..., d] = -(gs * oh).sum(axis=2)
         qs = qh * scale  # dK takes the natural-scale queries
         dq, dk, dv = np.empty_like(qs), np.empty_like(kh), np.empty_like(kh)
-        ds = np.empty((tq, tk), dtype=dt)
-        for j in range(heads):
-            np.matmul(e[j].T, gs[j], out=dv[j])
-            np.matmul(gs1[j], v1[j].T, out=ds)
-            ds *= e[j]
-            np.matmul(ds, kh[j], out=dq[j])
-            np.matmul(ds.T, qs[j], out=dk[j])
+        # The adjoint holds E and dS where the forward holds E alone, and
+        # makes five passes over them, so it takes each block's heads in
+        # groups under a quarter of the budget, which stay in cache.  The
+        # forward left its last block's E in `e`.  Every other group's E is
+        # recomputed into `eg`, so `e` keeps that block for a later sweep.
+        hg = max(1, min(hb, _ATTENTION_BLOCK_ELEMENTS // 4 // (rows * tk)))
+        eg, ds = np.empty((hg, rows, tk), dtype=dt), np.empty((hg, rows, tk), dtype=dt)
+        for block in blocks:
+            b0, b1, r0, r1 = block
+            for j0 in range(b0, b1, hg):
+                j1 = min(j0 + hg, b1)
+                if block == blocks[-1]:
+                    eb = e[j0 - b0 : j1 - b0, : r1 - r0]
+                else:
+                    eb = exp_block(j0, j1, r0, r1, eg)
+                dsb = ds[: j1 - j0, : r1 - r0]
+                np.matmul(gs1[j0:j1, r0:r1], v1[j0:j1].transpose(0, 2, 1), out=dsb)
+                dsb *= eb
+                np.matmul(dsb, kh[j0:j1], out=dq[j0:j1, r0:r1])
+                # dV and dK sum over query-row tiles: the first writes, the rest add
+                pv = np.matmul(eb.transpose(0, 2, 1), gs[j0:j1, r0:r1],
+                               out=dv[j0:j1] if r0 == 0 else None)
+                pk = np.matmul(dsb.transpose(0, 2, 1), qs[j0:j1, r0:r1],
+                               out=dk[j0:j1] if r0 == 0 else None)
+                if r0:
+                    dv[j0:j1] += pv
+                    dk[j0:j1] += pk
         dq *= scale
         return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 

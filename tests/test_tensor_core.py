@@ -1,4 +1,7 @@
 import json
+import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -117,6 +120,59 @@ def per_head_attention(q: tc.Tensor, k: tc.Tensor, v: tc.Tensor, heads: int) -> 
         probs = tc.softmax_rows(tc.const_scale(scores, 1.0 / np.sqrt(d)))
         outputs.append(tc.matmul(probs, tc.col_slice(v, lo, hi)))
     return outputs[0] if heads == 1 else tc.concat_cols(outputs)
+
+
+def stored_e_attention(q, k, v, heads: int, g):
+    """Output and q, k, v gradients (adjoint seed `g`) of multi_head_attention
+    in its former taped form: the whole (heads, T_q, T_k) exponential store
+    kept from the forward, and an adjoint that loops over heads."""
+    dt = q.dtype
+    tq, c = q.shape
+    tk, d = k.shape[0], c // heads
+
+    def split(x):
+        return np.ascontiguousarray(x.reshape(len(x), heads, d).transpose(1, 0, 2))
+
+    def merge(x):
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], c)
+
+    scale = dt.type(1.0 / np.sqrt(d))
+    log2e = dt.type(math.log2(math.e))
+    qh, kh = split(q), split(k)
+    v1 = np.ones((heads, tk, d + 1), dtype=dt)
+    v1[..., :d] = split(v)
+    big = np.finfo(dt).max
+    bound = scale * np.sqrt((qh * qh).sum(axis=2).max(axis=1)
+                            * (kh * kh).sum(axis=2).max(axis=1))
+    vmax = np.maximum(np.abs(v1[..., :d]).max(axis=(1, 2)), 1.0)
+    shift_free = (bound <= np.log(big) / 4) & (tk * vmax <= big ** 0.75)
+    e = np.empty((heads, tq, tk), dtype=dt)
+    for j in range(heads):
+        if shift_free[j]:
+            np.matmul(qh[j] * (scale * log2e), kh[j].T, out=e[j])
+        else:
+            np.matmul(qh[j] * scale, kh[j].T, out=e[j])
+            e[j] -= e[j].max(axis=1, keepdims=True)
+            e[j] *= log2e
+    np.exp2(e, out=e)
+    av = np.matmul(e, v1)
+    sums = av[..., d:]
+    oh = av[..., :d] / sums
+    gs1 = np.empty((heads, tq, d + 1), dtype=dt)
+    gs = gs1[..., :d]
+    np.divide(split(g), sums, out=gs)
+    gs1[..., d] = -(gs * oh).sum(axis=2)
+    qs = qh * scale
+    dq, dk, dv = np.empty_like(qs), np.empty_like(kh), np.empty_like(kh)
+    ds = np.empty((tq, tk), dtype=dt)
+    for j in range(heads):
+        np.matmul(e[j].T, gs[j], out=dv[j])
+        np.matmul(gs1[j], v1[j].T, out=ds)
+        ds *= e[j]
+        np.matmul(ds, kh[j], out=dq[j])
+        np.matmul(ds.T, qs[j], out=dk[j])
+    dq *= scale
+    return merge(oh), merge(dq), merge(dk), merge(dv)
 
 
 def attend_with_grads(attend, arrays, probe: tc.Tensor):
@@ -469,6 +525,60 @@ def test_backward_accumulates_across_reuse(rng):
     npt.assert_allclose(rec["x"].data, 2 * x.data, atol=1e-12)
 
 
+def test_backward_drops_consumed_gradients(rng):
+    # Chain x -> h1 -> ... -> h6 -> loss, with h3 watched.  By the time a
+    # step's adjoint runs, every gradient handed to an earlier adjoint of the
+    # sweep is gone, except the watched h3's.
+    x = tc.Tensor(rng.standard_normal((8, 8)), dtype=np.float64)
+    tape = tc.Tape()
+    tape.watch(x, "x")
+    with tc.record_on(tape):
+        h = x
+        for i in range(1, 7):
+            h = tc.const_scale(h, 0.5)
+            if i == 3:
+                tape.watch(h, "h3")
+        loss = tc.sum_all(h)
+    seen, alive = [], []
+
+    def spy(fn):
+        def wrapped(g):
+            alive.append(sum(r() is not None for r in seen))
+            seen.append(weakref.ref(g))
+            return fn(g)
+        return wrapped
+
+    tape._steps = [(out, parents, spy(fn)) for out, parents, fn in tape._steps]
+    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    # adjoints run for loss, h6, h5, h4, then h3 (watched), h2, h1
+    assert alive == [0, 0, 0, 0, 0, 1, 1]
+    npt.assert_array_equal(rec["h3"].data, np.full((8, 8), 0.125))
+    npt.assert_array_equal(rec["x"].data, np.full((8, 8), 0.5 ** 6))
+
+
+def test_backward_rejects_seed_of_other_dtype():
+    x = tc.Tensor(np.ones((2, 2)), dtype=np.float64)
+    tape = tc.Tape()
+    tape.watch(x, "x")
+    with tc.record_on(tape):
+        loss = tc.sum_all(x)
+    with pytest.raises(tc.ConfigurationError):
+        tc.backward(tc.scalar(1.0, dtype=np.float32), tape, loss)
+
+
+def test_untaped_relu_builds_no_mask(rng):
+    x = tc.Tensor(rng.standard_normal((256, 64)), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        out = tc.relu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.tobytes() == np.maximum(x.data, 0).tobytes()
+    # the output alone; a boolean mask would add x.size bytes
+    assert peak < out.data.nbytes + x.size // 2
+
+
 def test_composed_graph_matches_finite_differences(rng):
     # exercise matmul + softmax + pooling + resize + elementwise in one graph
     w = tc.Tensor(rng.standard_normal((4, 4)) * 0.4, dtype=np.float64)
@@ -744,6 +854,68 @@ def test_attention_weights_match_softmax_of_scaled_scores(rng):
         scores = q[:, cols] @ k[:, cols].T / np.sqrt(2)
         for row, got in zip(scores, probs.data):
             assert np.max(np.abs(got - softmax_oracle(row))) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("budget_heads,budget_rows", [
+    (1, None), (3, None), (4, None), (12, None), (16, None), (None, 1), (None, 5)])
+def test_attention_adjoint_matches_stored_e_reference(dtype, budget_heads, budget_rows,
+                                                      rng, monkeypatch):
+    # The adjoint recomputes E, in head groups under a quarter of the
+    # budget, for every block but the last, whose E the forward left in its
+    # buffer.  Blocks of whole heads must give the stored-E adjoint's bytes:
+    # one head per block; three with a partial last block; all four, with
+    # groups of one, three (and a partial last group) or four heads.
+    # Query-row tiles (one row, or five with a partial last tile) sum dV and
+    # dK over tiles, so they, like the tiled forward, are only within
+    # tolerance.  A second sweep over the tape gives the same gradients.
+    # Even heads take the shifted path, odd heads do not.
+    tq, tk, heads = 12, 10, 4
+    arrays = [a.astype(dtype) for a in mixed_shift_operands(rng, dtype, tq, tk, heads)]
+    g = rng.standard_normal((tq, 16)).astype(dtype)
+    budget = budget_heads * tq * tk if budget_heads else budget_rows * tk
+    monkeypatch.setattr(tc, "_ATTENTION_BLOCK_ELEMENTS", budget)
+    leaves = [tc.Tensor(a, dtype=dtype) for a in arrays]
+    tape = tc.Tape()
+    tape.watch_all(zip("qkv", leaves))
+    with tc.record_on(tape):
+        out, _ = tc.multi_head_attention(*leaves, heads, return_weights=True)
+    rec = tc.backward(tc.Tensor(g, dtype=dtype), tape, out)
+    again = tc.backward(tc.Tensor(g, dtype=dtype), tape, out)
+    for name in "qkv":
+        assert again[name].data.tobytes() == rec[name].data.tobytes(), name
+    refs = stored_e_attention(*arrays, heads, g)
+    for name, got, ref in zip(("out", "q", "k", "v"),
+                              [out.data, *(rec[n].data for n in "qkv")], refs):
+        assert got.dtype == ref.dtype == np.dtype(dtype)
+        if budget_heads:
+            assert got.tobytes() == ref.tobytes(), name
+        else:
+            assert np.max(np.abs(got - ref)) < DTYPE_TOL[dtype], name
+
+
+def test_taped_attention_retains_one_score_block(rng):
+    # The former taped call kept all heads' scores: 8 x 1024^2 f32, 32 MiB.
+    t, c, heads = 1024, 64, 8
+    itemsize = np.dtype(np.float32).itemsize
+    q, k, v = (tc.Tensor(rng.standard_normal((t, c)), dtype=np.float32) for _ in range(3))
+    tape = tc.Tape()
+    tracemalloc.start()
+    try:
+        with tc.record_on(tape):
+            out = tc.multi_head_attention(q, k, v, heads)
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tc.backward(tc.full(out.shape, 1.0), tape, out)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = tc._ATTENTION_BLOCK_ELEMENTS * itemsize
+    tokens = 12 * t * c * itemsize  # O(T C): operands, row sums, outputs, gradients
+    assert retained <= block + tokens
+    # the adjoint adds a recomputed E and a dS, each at most a block, and
+    # its O(T C) gradients
+    assert backward_peak <= retained + 2 * block + tokens
 
 
 def test_attention_rejects_nonconforming_operands():
