@@ -2,8 +2,13 @@
 
 Order of stages: optional input duplication, spatial shrinking per
 branch, tokenization with per-branch positional embeddings, iterative
-dual enhancement, detokenization, bilinear re-calibration back to the
-input resolution, and a 1x1 fusion over the channel concatenation.
+dual enhancement, then a 1x1 fusion over the channel concatenation and
+bilinear re-calibration back to the input resolution.  The fusion runs on
+the tokens, before the resize: resizing acts per channel, so it commutes
+with the 1x1 projection, and each interpolation row sums to one, so the
+fusion bias is added after the resize unchanged.  That resizes one
+C-channel map instead of two and projects s^2 times fewer pixels.  Modes
+a and b detokenize their one enhanced branch and resize it.
 
 Fusion modes select which stages run and what is emitted:
 
@@ -156,11 +161,9 @@ class DmffWeights:
 
 @dataclass
 class FusionOutput:
-    """Primary map per mode; enhanced per-branch maps when they exist."""
+    """The map the configured mode emits."""
 
     primary: Tensor
-    enhanced_rgb: Tensor | None = None
-    enhanced_thermal: Tensor | None = None
 
 
 def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
@@ -269,6 +272,16 @@ def nin_fuse(f_r: Tensor, f_t: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return tc.reshape(tc.add(mixed, b), (h, width, c))
 
 
+def _fuse_tokens(t_r, t_t, h: int, w: int, nin_w: Tensor, nin_b: Tensor) -> Tensor:
+    """``nin_fuse`` of the two token maps resized to h x w, computed as the
+    projection at token resolution, one resize, then the bias."""
+    c = t_r.channels
+    with tc.op_stage("nin"):
+        mixed = tc.matmul(tc.concat_cols([t_r.tokens, t_t.tokens]), nin_w)
+    fused = tc.bilinear_resize(tc.reshape(mixed, (t_r.origin_h, t_r.origin_w, c)), h, w)
+    return tc.reshape(tc.add(tc.reshape(fused, (h * w, c)), nin_b), (h, w, c))
+
+
 def _enhance_single(t_main, t_other, params: CfeParams, iterations: int):
     # one-branch refinement: the other branch only ever supplies queries
     for _ in range(iterations):
@@ -322,19 +335,13 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
 
     if mode == "a":
         t_r = _enhance_single(t_r, t_t, wts.icfe.cfe_r, wts.icfe.iterations)
-        enhanced = tc.bilinear_resize(detokenize(t_r), h, w)
-        return FusionOutput(primary=enhanced, enhanced_rgb=enhanced)
+        return FusionOutput(primary=tc.bilinear_resize(detokenize(t_r), h, w))
     if mode == "b":
         t_t = _enhance_single(t_t, t_r, wts.icfe.cfe_t, wts.icfe.iterations)
-        enhanced = tc.bilinear_resize(detokenize(t_t), h, w)
-        return FusionOutput(primary=enhanced, enhanced_thermal=enhanced)
+        return FusionOutput(primary=tc.bilinear_resize(detokenize(t_t), h, w))
 
     t_r, t_t = icfe_forward(t_r, t_t, wts.icfe, sequential=cfg.sequential_update)
-    enhanced_r = tc.bilinear_resize(detokenize(t_r), h, w)
-    enhanced_t = tc.bilinear_resize(detokenize(t_t), h, w)
-    fused = nin_fuse(enhanced_r, enhanced_t, wts.nin_w, wts.nin_b)
-    return FusionOutput(primary=fused, enhanced_rgb=enhanced_r,
-                        enhanced_thermal=enhanced_t)
+    return FusionOutput(primary=_fuse_tokens(t_r, t_t, h, w, wts.nin_w, wts.nin_b))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,16 @@ elementwise/reshape plumbing.  It also holds the parameter init rule type,
 ``init_tensors``; every stage declares its learnables as specs and every
 init path draws through it.  Forward calls optionally record onto a
 :class:`Tape`; :func:`backward` replays the tape in reverse to produce a
-:class:`GradRecord` for all watched (named) tensors, dropping each other
-gradient once it is consumed.
+:class:`GradRecord` for all watched (named) tensors, running only the steps
+that lead back to a watched tensor and dropping each other gradient once it
+is consumed.
+
+Most calls are on small tensors, where an op's fixed cost is comparable to
+its numpy work, so entry is kept cheap: the active tapes, multiply counters
+and ``op_stage`` labels are plain attributes of one per-thread state object,
+``op_stage`` is a slotted context manager, and ops check their operands'
+numpy arrays directly, calling the helpers that raise the named errors only
+on a mismatch.
 
 The rawtensor reader and the ICAF tensor table share one rule for shapes
 read from JSON, ``json_shape``.
@@ -193,21 +201,24 @@ class Tape:
         return self._steps[-1][0]
 
 
-_tls = threading.local()
+class _ThreadState(threading.local):
+    """Per-thread op state: the active tapes, the active multiply counters
+    and the ``op_stage`` labels.  A thread sees fresh empty lists on first
+    use, so ops read plain attributes with no lazy-init branch."""
+
+    def __init__(self):
+        self.tapes = []
+        self.counters = []
+        self.stages = ["other"]
 
 
-def _tape_stack():
-    stack = getattr(_tls, "tapes", None)
-    if stack is None:
-        stack = []
-        _tls.tapes = stack
-    return stack
+_state = _ThreadState()
 
 
 @contextmanager
 def record_on(tape: Tape):
     """Activate `tape` so that ops executed in the block are recorded."""
-    stack = _tape_stack()
+    stack = _state.tapes
     stack.append(tape)
     try:
         yield tape
@@ -217,13 +228,13 @@ def record_on(tape: Tape):
 
 def _recording() -> bool:
     """Whether a tape is active, i.e. whether the next `_emit` records."""
-    return bool(_tape_stack())
+    return bool(_state.tapes)
 
 
 def _emit(out: Tensor, parents, backward_fn):
-    stack = _tape_stack()
+    stack = _state.tapes
     if stack:
-        stack[-1]._steps.append((out, tuple(parents), backward_fn))
+        stack[-1]._steps.append((out, parents, backward_fn))
     return out
 
 
@@ -233,9 +244,13 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
     `output` defaults to the tape's final recorded result, and
     `output_grad` must match its shape and dtype.  Returns the gradient of
     every watched tensor that is reachable from the output; unreachable
-    parameters are simply absent from the record.  A gradient that is not
-    watched is dropped as soon as the step that produced the tensor has
-    run, so the sweep holds only the gradients still to be consumed.
+    parameters are simply absent from the record.  Only tensors that are
+    watched or computed from a watched tensor get a gradient: one pass
+    over the tape marks them, and the sweep skips every step whose output
+    is unmarked and drops the parent gradients of unmarked parents (such
+    as the input maps).  A gradient that is not watched is dropped as soon
+    as the step that produced the tensor has run, so the sweep holds only
+    the gradients still to be consumed.
     """
     if not tape._steps:
         raise TapeStateError("backward before forward: tape has no recorded operations")
@@ -249,21 +264,29 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
         raise ConfigurationError(
             f"output_grad dtype {output_grad.dtype} != output dtype {output.dtype}"
         )
+    watched = tape._watched
+    # every consumer of a marked tensor is marked, so a marked tensor's
+    # gradient still sums every contribution, in the same order
+    marked = set(watched)
+    for out, parents, _ in tape._steps:
+        if any(id(p) in marked for p in parents):
+            marked.add(id(out))
     grads = {id(output): np.array(output_grad.data, copy=True)}
     for out, parents, backward_fn in reversed(tape._steps):
+        if id(out) not in marked:
+            continue
         # every consumer of `out` was recorded after it, so its gradient is
         # complete here and, unless watched, needed by nothing later
-        g = grads.get(id(out)) if id(out) in tape._watched else grads.pop(id(out), None)
+        g = grads.get(id(out)) if id(out) in watched else grads.pop(id(out), None)
         if g is None:
             continue
-        parent_grads = backward_fn(g)
-        for parent, pg in zip(parents, parent_grads):
-            if pg is None:
+        for parent, pg in zip(parents, backward_fn(g)):
+            if pg is None or id(parent) not in marked:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
     entries = {}
-    for tid, (name, tensor) in tape._watched.items():
+    for tid, (name, tensor) in watched.items():
         g = grads.get(tid)
         if g is not None:
             entries[name] = Tensor._wrap(np.ascontiguousarray(g))
@@ -291,44 +314,44 @@ class MultiplyCounter:
         return sum(self.counts.get(s, 0) for s in stages)
 
 
-def _counter_state():
-    state = getattr(_tls, "counters", None)
-    if state is None:
-        state = {"active": [], "stage": ["other"]}
-        _tls.counters = state
-    return state
-
-
 @contextmanager
 def count_multiplies(counter: MultiplyCounter | None = None):
     """Collect matmul multiply counts into `counter` for the duration."""
     counter = counter if counter is not None else MultiplyCounter()
-    state = _counter_state()
-    state["active"].append(counter)
+    active = _state.counters
+    active.append(counter)
     try:
         yield counter
     finally:
-        state["active"].pop()
+        active.pop()
 
 
-@contextmanager
-def op_stage(name: str):
-    """Label matmuls executed in this block for the multiply counter."""
-    state = _counter_state()
-    state["stage"].append(name)
-    try:
-        yield
-    finally:
-        state["stage"].pop()
+class op_stage:
+    """Label matmuls executed in this block for the multiply counter:
+    ``with op_stage("proj"): ...``.  Stages nest, the innermost wins, and
+    the label is popped however the block exits.  A plain class rather
+    than a generator context manager, since every stage entry pays its
+    cost."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        _state.stages.append(self.name)
+
+    def __exit__(self, *exc_info):
+        _state.stages.pop()
 
 
 def _note_matmul(m: int, k: int, n: int, stage: str | None = None):
     """Count an m x k by k x n product under `stage` (default: the active one)."""
-    state = _counter_state()
-    if state["active"]:
-        stage = stage or state["stage"][-1]
+    active = _state.counters
+    if active:
+        stage = stage or _state.stages[-1]
         mults = m * k * n
-        for counter in state["active"]:
+        for counter in active:
             counter.add(stage, mults)
 
 
@@ -354,16 +377,19 @@ def _common_dtype(*tensors):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a 2-d pair; adjoints dA = g.Bt, dB = At.g."""
-    _require_rank(a, 2, "matmul lhs")
-    _require_rank(b, 2, "matmul rhs")
-    _common_dtype(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    _note_matmul(a.shape[0], a.shape[1], b.shape[1])
-    out = Tensor._wrap(a.data @ b.data)
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.dtype != bd.dtype:
+        _require_rank(a, 2, "matmul lhs")
+        _require_rank(b, 2, "matmul rhs")
+        _common_dtype(a, b)
+    m, k = ad.shape
+    if bd.shape[0] != k:
+        raise DimensionError(f"matmul inner extents differ: {ad.shape} x {bd.shape}")
+    _note_matmul(m, k, bd.shape[1])
+    out = Tensor._wrap(ad @ bd)
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ bd.T, ad.T @ g
 
     return _emit(out, (a, b), bwd)
 
@@ -380,16 +406,18 @@ def transpose(a: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a rank-1 bias broadcast over rows."""
-    _common_dtype(a, b)
-    if a.shape == b.shape:
-        out = Tensor._wrap(a.data + b.data)
+    ad, bd = a.data, b.data
+    if ad.dtype != bd.dtype:
+        _common_dtype(a, b)
+    if ad.shape == bd.shape:
+        out = Tensor._wrap(ad + bd)
 
         def bwd(g):
             return g, g
 
         return _emit(out, (a, b), bwd)
-    if b.data.ndim == 1 and a.data.ndim == 2 and b.shape[0] == a.shape[1]:
-        out = Tensor._wrap(a.data + b.data)
+    if bd.ndim == 1 and ad.ndim == 2 and bd.shape[0] == ad.shape[1]:
+        out = Tensor._wrap(ad + bd)
 
         def bwd_bias(g):
             return g, g.sum(axis=0)
@@ -399,10 +427,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _common_dtype(a, b)
-    if a.shape != b.shape:
-        raise DimensionError(f"sub shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor._wrap(a.data - b.data)
+    ad, bd = a.data, b.data
+    if ad.dtype != bd.dtype:
+        _common_dtype(a, b)
+    if ad.shape != bd.shape:
+        raise DimensionError(f"sub shapes differ: {ad.shape} vs {bd.shape}")
+    out = Tensor._wrap(ad - bd)
 
     def bwd(g):
         return g, -g
@@ -412,27 +442,31 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of same-shape tensors."""
-    _common_dtype(a, b)
-    if a.shape != b.shape:
-        raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor._wrap(a.data * b.data)
+    ad, bd = a.data, b.data
+    if ad.dtype != bd.dtype:
+        _common_dtype(a, b)
+    if ad.shape != bd.shape:
+        raise DimensionError(f"mul shapes differ: {ad.shape} vs {bd.shape}")
+    out = Tensor._wrap(ad * bd)
 
     def bwd(g):
-        return g * b.data, g * a.data
+        return g * bd, g * ad
 
     return _emit(out, (a, b), bwd)
 
 
 def scalar_mul(s: Tensor, x: Tensor) -> Tensor:
     """Scale `x` by the single-element learnable `s`."""
-    if s.size != 1:
-        raise DimensionError(f"scalar_mul coefficient must be one element, got {s.shape}")
-    _common_dtype(s, x)
-    sval = s.data.reshape(-1)[0]
-    out = Tensor._wrap(sval * x.data)
+    sd, xd = s.data, x.data
+    if sd.size != 1:
+        raise DimensionError(f"scalar_mul coefficient must be one element, got {sd.shape}")
+    if sd.dtype != xd.dtype:
+        _common_dtype(s, x)
+    sval = sd.reshape(-1)[0]
+    out = Tensor._wrap(sval * xd)
 
     def bwd(g):
-        ds = np.array([np.sum(g * x.data)], dtype=g.dtype)
+        ds = np.array([np.sum(g * xd)], dtype=g.dtype)
         return ds, sval * g
 
     return _emit(out, (s, x), bwd)
@@ -462,12 +496,11 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function without overflow: with e = exp(-|x|), which never
+    exceeds 1, it is 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
     d = x.data
-    out_arr = np.empty_like(d)
-    pos = d >= 0
-    out_arr[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out_arr[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(d))
+    out_arr = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor._wrap(out_arr)
 
     def bwd(g):
@@ -496,11 +529,12 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(n) for n in shape)
-    if int(np.prod(shape)) != x.size:
-        raise DimensionError(f"cannot reshape {x.shape} to {shape}: element counts differ")
-    out = Tensor._wrap(np.ascontiguousarray(x.data.reshape(shape)))
-    in_shape = x.shape
+    shape = tuple(map(int, shape))
+    xd = x.data
+    if math.prod(shape) != xd.size:
+        raise DimensionError(f"cannot reshape {xd.shape} to {shape}: element counts differ")
+    out = Tensor._wrap(np.ascontiguousarray(xd.reshape(shape)))
+    in_shape = xd.shape
 
     def bwd(g):
         return (np.ascontiguousarray(g.reshape(in_shape)),)
@@ -589,6 +623,20 @@ def _attention_blocks(heads: int, tq: int, tk: int):
     return 1, max(1, _ATTENTION_BLOCK_ELEMENTS // tk)
 
 
+@functools.lru_cache(maxsize=None)
+def _overflow_limits(dt: np.dtype):
+    """(ln(M) / 4, M^(3/4)) for the dtype's largest finite value M: the
+    attention guard's bounds on the scaled scores and on T_k max(1, |v|)."""
+    big = np.finfo(dt).max
+    return np.log(big) / 4, big ** 0.75
+
+
+def _head_max_sq_norm(x: np.ndarray, heads: int) -> np.ndarray:
+    """Per head, the largest squared row norm of its channel block of `x`."""
+    t, c = x.shape
+    return np.square(x).reshape(t, heads, c // heads).sum(axis=2).max(axis=0)
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          return_weights: bool = False):
     """Concatenated head outputs softmax(Q_j K_j^T / sqrt(d)) V_j, T_q x C.
@@ -659,20 +707,19 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     d = c // heads
     _note_matmul(heads * tq, d, tk, stage="attention_qk")
     _note_matmul(heads * tq, tk, d, stage="attention_av")
-    scale = dt.type(1.0 / np.sqrt(d))
+    scale = dt.type(1.0 / math.sqrt(d))
     log2e = dt.type(math.log2(math.e))
     qh = _split_heads(q.data, heads)
     kh = _split_heads(k.data, heads)
     v1 = np.ones((heads, tk, d + 1), dtype=dt)  # [V | 1] per head
     v1[..., :d] = v.data.reshape(tk, heads, d).transpose(1, 0, 2)
 
-    big = np.finfo(dt).max
-    bound = scale * np.sqrt((qh * qh).sum(axis=2).max(axis=1)
-                            * (kh * kh).sum(axis=2).max(axis=1))
+    max_exponent, max_v_sum = _overflow_limits(dt)
+    bound = scale * np.sqrt(_head_max_sq_norm(q.data, heads) * _head_max_sq_norm(k.data, heads))
     vmax = np.maximum(np.abs(v1[..., :d]).max(axis=(1, 2)), 1.0)
     # NaN compares False, so non-finite input takes the shifted path
-    shift_free = (bound <= np.log(big) / 4) & (tk * vmax <= big ** 0.75)
-    shifted = np.flatnonzero(~shift_free).tolist()
+    shift_free = (bound <= max_exponent) & (tk * vmax <= max_v_sum)
+    shifted = [j for j, ok in enumerate(shift_free.tolist()) if not ok]
     # the exponent operand: a shifted head keeps natural units until its shift
     qe = qh * (scale * log2e)
     for j in shifted:

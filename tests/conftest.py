@@ -8,6 +8,10 @@ import pytest
 from crossfuse import tensor_core as tc
 
 
+# Fixed before comparing: a reassociated kernel against its former form.
+DTYPE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -6,7 +6,7 @@ import pytest
 
 from crossfuse import cfe, dmff, icfe, sfs, tensor_core as tc, token_codec
 from crossfuse.icfe import IcfeParams
-from conftest import fd_gradient, rel_err
+from conftest import DTYPE_TOL, fd_gradient, rel_err
 
 
 def make_inputs(rng, h=4, w=4, c=8):
@@ -280,6 +280,84 @@ def test_end_to_end_gradients_match_finite_differences(rng):
             tensor,
         )
         assert rel_err(rec[name].data, fd) < 1e-4, name
+
+
+def _resize_then_fuse(f_r, f_t, cfg, wts):
+    # the fusion's definition: resize both enhanced maps, then fuse them
+    h, w, _ = f_r.shape
+    s = cfg.shrink_window
+    t_r = token_codec.tokenize(sfs.shrink(f_r, s, wts.sfs_r), wts.pe_r)
+    t_t = token_codec.tokenize(sfs.shrink(f_t, s, wts.sfs_t), wts.pe_t)
+    t_r, t_t = icfe.icfe_forward(t_r, t_t, wts.icfe, sequential=cfg.sequential_update)
+    return dmff.nin_fuse(tc.bilinear_resize(token_codec.detokenize(t_r), h, w),
+                         tc.bilinear_resize(token_codec.detokenize(t_t), h, w),
+                         wts.nin_w, wts.nin_b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode, window, sequential", [
+    ("c", 2, False), ("d", 2, False), ("d", 4, True), ("d", 1, False)])
+def test_fusion_at_token_resolution_matches_resize_then_fuse(mode, window, sequential,
+                                                             dtype, rng):
+    cfg = make_cfg(mode=mode, shrink_window=window, sequential_update=sequential,
+                   iterations=2)
+    wts = dmff.init_dmff_weights(cfg, 8, 8, 8, rng, dtype=dtype)
+    f_r, f_t = (tc.Tensor(rng.standard_normal((8, 8, 8)), dtype=dtype) for _ in range(2))
+    got = dmff.dmff_fuse(f_r, f_t, cfg, wts).primary.data
+    ref = _resize_then_fuse(f_r, f_t, cfg, wts).data
+    assert got.shape == ref.shape == (8, 8, 8)
+    assert np.max(np.abs(got - ref)) < DTYPE_TOL[dtype] * max(1.0, np.abs(ref).max())
+
+
+def _unpruned_sweep(tape, output):
+    # the reverse sweep without marking: every step with a gradient runs
+    grads = {id(output): np.ones(1)}
+    for out, parents, backward_fn in reversed(tape._steps):
+        g = grads.get(id(out))
+        if g is None:
+            continue
+        for parent, pg in zip(parents, backward_fn(g)):
+            if pg is not None:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+    return {name: grads[tid] for tid, (name, _) in tape._watched.items() if tid in grads}
+
+
+@pytest.mark.parametrize("mode", ["a", "d"])
+def test_backward_runs_no_pool_adjoint_into_the_input_maps(mode, rng, monkeypatch):
+    cfg = make_cfg(mode=mode, iterations=2)
+    wts = build(cfg, rng)
+    f_r, f_t = make_inputs(rng)
+    pool2d, pooled = tc.pool2d, set()
+
+    def spy_pool2d(*args, **kwargs):
+        out = pool2d(*args, **kwargs)
+        pooled.add(id(out))
+        return out
+
+    monkeypatch.setattr(tc, "pool2d", spy_pool2d)
+    tape = tc.Tape()
+    tape.watch_all(wts.named_tensors())
+    with tc.record_on(tape):
+        out = dmff.dmff_fuse(f_r, f_t, cfg, wts)
+        loss = tc.sum_all(out.primary)
+    assert len(pooled) == 4
+    adjoint_runs = []
+
+    def counted(backward_fn):
+        def run(g):
+            adjoint_runs.append(1)
+            return backward_fn(g)
+        return run
+
+    tape._steps = [(o, p, counted(fn) if id(o) in pooled else fn) for o, p, fn in tape._steps]
+    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    assert adjoint_runs == []
+    ref = _unpruned_sweep(tape, loss)
+    assert len(adjoint_runs) == 4  # the reference does run them
+    assert rec.names() == sorted(ref)
+    for name in rec.names():
+        assert rec[name].data.tobytes() == np.ascontiguousarray(ref[name]).tobytes(), name
 
 
 def test_replace_parameters_preserves_sharing(rng):

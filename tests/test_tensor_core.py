@@ -1,7 +1,9 @@
 import json
 import math
+import threading
 import tracemalloc
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfuse import tensor_core as tc
-from conftest import RAWTENSOR_PROBES, fd_gradient, rel_err, write_rawtensor_probe
+from conftest import DTYPE_TOL, RAWTENSOR_PROBES, fd_gradient, rel_err, write_rawtensor_probe
 
 
 # --- independent oracles ----------------------------------------------------
@@ -187,10 +189,6 @@ def attend_with_grads(attend, arrays, probe: tc.Tensor):
         loss = tc.sum_all(tc.mul(out, probe))
     rec = tc.backward(tc.scalar(1.0, dtype=dtype), tape, loss)
     return out.data, [rec[n].data for n in "qkv"]
-
-
-# Fixed before comparing: a reassociated kernel against its former form.
-DTYPE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
 
 # --- matmul ------------------------------------------------------------------
@@ -978,6 +976,29 @@ def test_sigmoid_stable_at_extremes():
     npt.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-12)
 
 
+def _masked_sigmoid(d):
+    # the former kernel: scatter the two stable forms through a sign mask
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_byte_equal_to_the_masked_form(dtype, rng):
+    tiny = np.finfo(dtype).smallest_subnormal
+    edges = [800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny,
+             -np.finfo(dtype).smallest_normal / 2, 1e-3, -1e-3]
+    x = np.concatenate([np.array(edges, dtype=dtype),
+                        np.linspace(-120, 120, 4001, dtype=dtype),
+                        rng.standard_normal(1000).astype(dtype) * 30])
+    got = tc.sigmoid(tc.Tensor(x, dtype=dtype)).data
+    assert got.dtype == np.dtype(dtype)
+    assert got.tobytes() == _masked_sigmoid(x).tobytes()
+
+
 def test_tensor_is_immutable():
     t = tc.Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
@@ -1032,3 +1053,124 @@ def test_rawtensor_truncated_payload_rejected(tmp_path):
 def test_rawtensor_malformed_header_rejected(tmp_path, kind):
     with pytest.raises(tc.ConfigurationError):
         tc.read_rawtensor(write_rawtensor_probe(tmp_path / "map.rawtensor", kind))
+
+
+# --- per-thread op state -------------------------------------------------------
+
+
+def _join(thread):
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+def test_a_tape_pushed_in_a_fresh_thread_records_there():
+    x = tc.Tensor(np.ones((2, 2)), dtype=np.float64)
+    seen = {}
+
+    def worker():
+        seen["recording"] = tc._recording()
+        tape, counter = tc.Tape(), tc.MultiplyCounter()
+        with tc.record_on(tape), tc.count_multiplies(counter):
+            tc.matmul(x, x)
+        seen["steps"], seen["counts"] = tape.num_steps, dict(counter.counts)
+
+    main_tape, main_counter = tc.Tape(), tc.MultiplyCounter()
+    with tc.record_on(main_tape), tc.count_multiplies(main_counter), tc.op_stage("proj"):
+        thread = threading.Thread(target=worker)
+        thread.start()
+        _join(thread)
+    # the worker saw none of the main thread's tape, counter or stage
+    assert seen == {"recording": False, "steps": 1, "counts": {"other": 8}}
+    assert main_tape.num_steps == 0 and main_counter.counts == {}
+
+
+def test_a_stage_open_in_another_thread_does_not_label_this_one():
+    x = tc.Tensor(np.ones((2, 2)), dtype=np.float64)
+    entered, release = threading.Event(), threading.Event()
+
+    def worker():
+        with tc.op_stage("ffn"):
+            entered.set()
+            release.wait(timeout=30)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    try:
+        assert entered.wait(timeout=30)
+        counter = tc.MultiplyCounter()
+        with tc.count_multiplies(counter):
+            tc.matmul(x, x)
+    finally:
+        release.set()
+        _join(thread)
+    assert counter.counts == {"other": 8}
+
+
+# --- op_stage --------------------------------------------------------------------
+
+
+def _stage_counts(run):
+    counter = tc.MultiplyCounter()
+    with tc.count_multiplies(counter):
+        run()
+    return counter.counts
+
+
+def test_op_stage_nests_and_the_innermost_label_wins():
+    x = tc.Tensor(np.ones((2, 2)), dtype=np.float64)
+
+    def run():
+        with tc.op_stage("proj"):
+            tc.matmul(x, x)
+            with tc.op_stage("ffn"):
+                tc.matmul(x, x)
+            tc.matmul(x, x)
+        tc.matmul(x, x)
+
+    assert _stage_counts(run) == {"proj": 16, "ffn": 8, "other": 8}
+
+
+def test_op_stage_unwinds_on_an_exception():
+    x = tc.Tensor(np.ones((2, 2)), dtype=np.float64)
+
+    def run():
+        with pytest.raises(tc.DimensionError):
+            with tc.op_stage("proj"), tc.op_stage("ffn"):
+                tc.matmul(x, tc.Tensor(np.ones((3, 2)), dtype=np.float64))
+        tc.matmul(x, x)
+
+    assert _stage_counts(run) == {"other": 8}
+
+
+def test_op_stage_works_wrapped_in_a_generator_context_manager():
+    # the form a tracer uses to follow the active stage from outside
+    x = tc.Tensor(np.ones((2, 2)), dtype=np.float64)
+    labels = []
+
+    def staged(fn):
+        @contextmanager
+        def op_stage(name):
+            labels.append(name)
+            try:
+                with fn(name):
+                    yield
+            finally:
+                labels.pop()
+
+        return op_stage
+
+    wrapped = staged(tc.op_stage)
+
+    def run():
+        with wrapped("proj"):
+            with wrapped("ffn"):
+                assert labels == ["proj", "ffn"]
+                tc.matmul(x, x)
+            tc.matmul(x, x)
+        with pytest.raises(KeyError):
+            with wrapped("nin"):
+                raise KeyError
+        tc.matmul(x, x)
+
+    assert _stage_counts(run) == {"ffn": 8, "proj": 8, "other": 8}
+    assert labels == []
