@@ -14,17 +14,10 @@ from .tensor_core import (
     record_on,
     write_rawtensor,
 )
-from .token_codec import PositionalEmbedding, TokenSeq, detokenize, tokenize
-from .sfs import ConvShrinkParam, MixedPoolParam, shrink_conv, shrink_pool
-from .cfe import CfeParams, cfe_forward, cross_attention, init_cfe_params
-from .icfe import (
-    IcfeParams,
-    StackedParams,
-    icfe_forward,
-    init_icfe_params,
-    init_stacked_params,
-    stacked_forward,
-)
+from .token_codec import TokenSeq, detokenize, tokenize
+from .sfs import shrink_conv, shrink_pool
+from .cfe import cfe_forward, cross_attention
+from .icfe import icfe_forward, stacked_forward
 from .dmff import (
     DmffConfig,
     DmffWeights,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_core as tc
-from .cfe import cfe_forward, cross_attention, init_cfe_params
+from .cfe import cfe_forward, cfe_spec, cross_attention
 from .tensor_core import ConfigurationError
 from .token_codec import TokenSeq
 
@@ -137,21 +137,15 @@ def shrink_reduction(w: int, h: int, c: int, s: int):
     return before, after
 
 
-def param_breakdown(weights) -> dict:
-    """Learnable scalar count per distinct tensor, keyed by name."""
-    seen = {}
-    out = {}
-    for name, tensor in weights.named_tensors():
-        if id(tensor) in seen:
-            continue
-        seen[id(tensor)] = name
-        out[name] = tensor.size
-    return out
+def param_breakdown(tensors) -> dict:
+    """Learnable scalar count per tensor of a name -> Tensor mapping."""
+    return {name: t.size for name, t in tensors.items()}
 
 
-def param_count(weights) -> int:
-    """Exact total of learnable scalars, shared tensors counted once."""
-    return sum(param_breakdown(weights).values())
+def param_count(tensors) -> int:
+    """Exact total of learnable scalars in a name -> Tensor mapping.  A
+    shared set is stored under one name per tensor, so it counts once."""
+    return sum(param_breakdown(tensors).values())
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +175,16 @@ def measured_attention_multiplies(variant: str, t: int, c: int,
     _check_variant(variant)
     heads = _pick_heads(c, heads)
     rng = np.random.default_rng(seed)
-    p = init_cfe_params(c, 2 * c, heads, rng, dtype=np.float64)
+    p = tc.init_tensors(cfe_spec(c, 2 * c), rng, np.float64)
     counter = tc.MultiplyCounter()
     with tc.count_multiplies(counter):
         if variant == "ours":
             a, b = _random_seq(t, c, rng), _random_seq(t, c, rng)
-            cross_attention(a, b, p)
-            cross_attention(b, a, p)
+            cross_attention(a, b, p, heads)
+            cross_attention(b, a, p, heads)
         else:
             cat = _random_seq(2 * t, c, rng)
-            cross_attention(cat, cat, p)
+            cross_attention(cat, cat, p, heads)
     return {"qk": counter.total("attention_qk"), "av": counter.total("attention_av")}
 
 
@@ -204,15 +198,15 @@ def measured_ffn_multiplies(variant: str, t: int, c: int, hidden: int,
     counter = tc.MultiplyCounter()
     with tc.count_multiplies(counter):
         if variant == "ours":
-            p_r = init_cfe_params(c, hidden, heads, rng, dtype=np.float64)
-            p_t = init_cfe_params(c, hidden, heads, rng, dtype=np.float64)
+            p_r = tc.init_tensors(cfe_spec(c, hidden), rng, np.float64)
+            p_t = tc.init_tensors(cfe_spec(c, hidden), rng, np.float64)
             a, b = _random_seq(t, c, rng), _random_seq(t, c, rng)
-            cfe_forward(a, b, p_r)
-            cfe_forward(b, a, p_t)
+            cfe_forward(a, b, p_r, heads)
+            cfe_forward(b, a, p_t, heads)
         else:
-            p = init_cfe_params(c, hidden, heads, rng, dtype=np.float64)
+            p = tc.init_tensors(cfe_spec(c, hidden), rng, np.float64)
             cat = _random_seq(2 * t, c, rng)
-            cfe_forward(cat, cat, p)
+            cfe_forward(cat, cat, p, heads)
     return counter.total("ffn")
 
 

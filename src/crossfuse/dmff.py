@@ -24,7 +24,9 @@ Modes a/b/f carry no fusion weights; mode e carries only fusion weights.
 ``param_spec`` is the one list of what each mode carries.  It prefixes the
 leaf specs that each stage declares once in its own module
 (``cfe.cfe_spec``, ``sfs.shrink_spec``, ``token_codec.pe_spec``) and adds
-the fusion projection, which only this module uses.
+the fusion projection, which only this module uses.  ``DmffWeights`` holds
+one tensor per ``param_spec`` name, in its order, and ``dmff_fuse`` hands
+each stage the entries under its prefix as a leaf -> Tensor mapping.
 
 ``config_from_json`` is the one strict reader of JSON configs, for the CLI
 config files and the ICAF meta alike.
@@ -39,11 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .cfe import PARAM_NAMES as CFE_PARAM_NAMES, CfeParams, cfe_forward, cfe_spec
-from .icfe import IcfeParams, icfe_forward
-from .sfs import ConvShrinkParam, MixedPoolParam, shrink, shrink_spec
+from .cfe import PARAM_NAMES as CFE_LEAVES, cfe_forward, cfe_spec
+from .icfe import icfe_forward
+from .sfs import shrink, shrink_spec
 from .tensor_core import ConfigurationError, DimensionError, ParamSpec, Tensor
-from .token_codec import PositionalEmbedding, pe_spec, tokenize, detokenize
+from .token_codec import pe_spec, tokenize, detokenize
 
 MODES = ("a", "b", "c", "d", "e", "f_rgb", "f_thermal")
 DUPLICATIONS = ("none", "rgb_both", "thermal_both")
@@ -52,6 +54,9 @@ NIN_MODES = ("c", "d", "e")
 # The paper refines with a few weight-shared iterations; a count far past
 # this is a corrupt config, not a deeper model.
 MAX_ITERATIONS = 64
+# The config fields a run may set apart from the weights' own config; the
+# others are fixed when the weights are built.
+RUN_FIELDS = ("mode", "input_duplication", "sequential_update")
 
 
 @dataclass
@@ -84,6 +89,9 @@ class DmffConfig:
             raise ConfigurationError(
                 f"iterations must be in [0, {MAX_ITERATIONS}], got {self.iterations}"
             )
+
+
+BUILT_FIELDS = tuple(f.name for f in dataclasses.fields(DmffConfig) if f.name not in RUN_FIELDS)
 
 
 def config_from_json(cls, data, what: str):
@@ -128,35 +136,20 @@ def config_from_json(cls, data, what: str):
 class DmffWeights:
     """Every learnable of one pipeline instance, sized for HxWxC inputs.
 
-    Fields are None when the configured mode does not use the stage.
+    ``tensors`` maps the names of ``param_spec(cfg, height, width,
+    channels)`` to their tensors, in that order; ``assemble`` and
+    ``init_dmff_weights`` build it, ``replace_parameters`` swaps entries.
     """
 
     cfg: DmffConfig
     height: int
     width: int
     channels: int
-    icfe: IcfeParams | None = None
-    pe_r: PositionalEmbedding | None = None
-    pe_t: PositionalEmbedding | None = None
-    sfs_r: MixedPoolParam | ConvShrinkParam | None = None
-    sfs_t: MixedPoolParam | ConvShrinkParam | None = None
-    nin_w: Tensor | None = None
-    nin_b: Tensor | None = None
+    tensors: dict
 
-    def named_tensors(self, prefix: str = ""):
-        if self.icfe is not None:
-            yield from self.icfe.named_tensors(prefix)
-        if self.pe_r is not None:
-            yield from self.pe_r.named_tensors(prefix + "pe_r.")
-        if self.pe_t is not None:
-            yield from self.pe_t.named_tensors(prefix + "pe_t.")
-        if self.sfs_r is not None:
-            yield from self.sfs_r.named_tensors(prefix + "sfs_r.")
-        if self.sfs_t is not None:
-            yield from self.sfs_t.named_tensors(prefix + "sfs_t.")
-        if self.nin_w is not None:
-            yield prefix + "nin.w", self.nin_w
-            yield prefix + "nin.b", self.nin_b
+    def named_tensors(self):
+        """(name, Tensor) pairs in ``param_spec`` order."""
+        return iter(self.tensors.items())
 
 
 @dataclass
@@ -166,14 +159,26 @@ class FusionOutput:
     primary: Tensor
 
 
+def _nin_spec(channels: int) -> dict:
+    return {"w": ParamSpec((2 * channels, channels), 1.0 / math.sqrt(2 * channels)),
+            "b": ParamSpec((channels,))}
+
+
+# each stage's leaf names, in spec order; the extents do not change them
+_LEAVES = {"cfe": CFE_LEAVES, "pe": tuple(pe_spec(1, 1)), "nin": tuple(_nin_spec(1)),
+           **{v: tuple(shrink_spec(v, 1, 1)) for v in ("pool", "conv")}}
+
+
 def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
     """Every learnable of the configured pipeline: name -> ParamSpec, in
-    ``DmffWeights.named_tensors`` order, which is also the init draw order.
+    ``DmffWeights.tensors`` order, which is also the init draw order.
 
     The stage modules declare their own leaves; this prefixes them.  One
     enhancement set serves every iteration; modes a, b and c also share it
     between the two directions (prefix ``cfe.``), mode d keeps one per
-    branch (``cfe_r.``, ``cfe_t.``).
+    branch (``cfe_r.``, ``cfe_t.``).  Raises ConfigurationError for extents
+    the shrink window does not divide and for heads that do not divide
+    the channels of an attention mode.
     """
     s, c = cfg.shrink_window, channels
     if min(height, width, channels) < 1 or height % s or width % s:
@@ -181,6 +186,8 @@ def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
                                  f">= 1 and divisible by the shrink window {s}")
     parts = []
     if cfg.mode in ATTENTION_MODES:
+        if c % cfg.heads:
+            raise ConfigurationError(f"channel width {c} not divisible by {cfg.heads} heads")
         cfe = cfe_spec(c, cfg.ffn_hidden)
         parts += [(prefix, cfe) for prefix in
                   (("cfe_r.", "cfe_t.") if cfg.mode == "d" else ("cfe.",))]
@@ -188,36 +195,8 @@ def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
         shrunk = shrink_spec(cfg.shrink_variant, s, c)
         parts += [("pe_r.", pe), ("pe_t.", pe), ("sfs_r.", shrunk), ("sfs_t.", shrunk)]
     if cfg.mode in NIN_MODES:
-        parts.append(("nin.", {"w": ParamSpec((2 * c, c), 1.0 / math.sqrt(2 * c)),
-                               "b": ParamSpec((c,))}))
+        parts.append(("nin.", _nin_spec(c)))
     return {prefix + leaf: p for prefix, leaves in parts for leaf, p in leaves.items()}
-
-
-def _build(cfg: DmffConfig, height: int, width: int, channels: int, t) -> DmffWeights:
-    # trusts `t` to hold exactly the param_spec names, shapes and one dtype
-    wts = DmffWeights(cfg=cfg, height=height, width=width, channels=channels)
-    if cfg.mode in ATTENTION_MODES:
-        def cfe(prefix):
-            return CfeParams(**{leaf: t[prefix + leaf] for leaf in CFE_PARAM_NAMES},
-                             heads=cfg.heads)
-
-        if cfg.mode == "d":
-            wts.icfe = IcfeParams(cfe("cfe_r."), cfe("cfe_t."), shared=False,
-                                  iterations=cfg.iterations)
-        else:
-            shared = cfe("cfe.")
-            wts.icfe = IcfeParams(shared, shared, shared=True, iterations=cfg.iterations)
-        wts.pe_r = PositionalEmbedding(t["pe_r.table"])
-        wts.pe_t = PositionalEmbedding(t["pe_t.table"])
-        if cfg.shrink_variant == "pool":
-            wts.sfs_r = MixedPoolParam(t["sfs_r.lambda_raw"])
-            wts.sfs_t = MixedPoolParam(t["sfs_t.lambda_raw"])
-        else:
-            wts.sfs_r = ConvShrinkParam(t["sfs_r.w"], t["sfs_r.b"])
-            wts.sfs_t = ConvShrinkParam(t["sfs_t.w"], t["sfs_t.b"])
-    if cfg.mode in NIN_MODES:
-        wts.nin_w, wts.nin_b = t["nin.w"], t["nin.b"]
-    return wts
 
 
 def assemble(cfg: DmffConfig, height: int, width: int, channels: int,
@@ -243,14 +222,14 @@ def assemble(cfg: DmffConfig, height: int, width: int, channels: int,
             raise DimensionError(
                 f"tensor {name!r} has shape {tensors[name].shape}, expected {p.shape}"
             )
-    return _build(cfg, height, width, channels, tensors)
+    return DmffWeights(cfg, height, width, channels, {name: tensors[name] for name in spec})
 
 
 def init_dmff_weights(cfg: DmffConfig, height: int, width: int, channels: int,
                       rng: np.random.Generator, dtype=tc.STANDARD) -> DmffWeights:
     """Construct weights for one pipeline instance at the given input size."""
     tensors = tc.init_tensors(param_spec(cfg, height, width, channels), rng, dtype)
-    return _build(cfg, height, width, channels, tensors)
+    return DmffWeights(cfg, height, width, channels, tensors)
 
 
 def nin_fuse(f_r: Tensor, f_t: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -282,25 +261,36 @@ def _fuse_tokens(t_r, t_t, h: int, w: int, nin_w: Tensor, nin_b: Tensor) -> Tens
     return tc.reshape(tc.add(tc.reshape(fused, (h * w, c)), nin_b), (h, w, c))
 
 
-def _enhance_single(t_main, t_other, params: CfeParams, iterations: int):
-    # one-branch refinement: the other branch only ever supplies queries
-    for _ in range(iterations):
-        t_main = cfe_forward(t_main, t_other, params)
-    return t_main
+def _stage(wts: DmffWeights, mode: str, prefix: str, leaves) -> dict:
+    """The tensors under `prefix`, keyed by leaf: one stage's learnables."""
+    try:
+        return {leaf: wts.tensors[prefix + leaf] for leaf in leaves}
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"mode {mode!r} needs tensor {exc.args[0]!r}, which weights built for "
+            f"mode {wts.cfg.mode!r} lack"
+        ) from None
 
 
 def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> FusionOutput:
     """Run the configured pipeline on an rgb/thermal feature-map pair.
 
-    Both maps must be H x W x C as the weights were sized, in the weights'
-    dtype (DimensionError, ConfigurationError).
+    Every setting comes from `cfg`.  It may differ from the weights' own
+    config only in ``RUN_FIELDS``, and the weights must hold every tensor
+    its mode needs (ConfigurationError).  Both maps must be H x W x C as
+    the weights were sized, in the weights' dtype (DimensionError,
+    ConfigurationError).
     """
+    for name in BUILT_FIELDS:
+        if getattr(cfg, name) != getattr(wts.cfg, name):
+            raise ConfigurationError(f"config {name} is {getattr(cfg, name)!r}, but the "
+                                     f"weights were built with {getattr(wts.cfg, name)!r}")
     if f_r.shape != f_t.shape:
         raise DimensionError(f"input maps differ: {f_r.shape} vs {f_t.shape}")
     sized = (wts.height, wts.width, wts.channels)
     if f_r.shape != sized:
         raise DimensionError(f"input maps are {f_r.shape}, weights are sized for {sized}")
-    _, param = next(wts.named_tensors(), (None, None))  # weights share one dtype
+    param = next(iter(wts.tensors.values()), None)  # weights share one dtype
     if param is not None and {f_r.dtype, f_t.dtype} != {param.dtype}:
         raise ConfigurationError(
             f"input maps are {f_r.dtype}/{f_t.dtype}, weights are {param.dtype}"
@@ -314,34 +304,36 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
         return FusionOutput(primary=f_r)
     if mode == "f_thermal":
         return FusionOutput(primary=f_t)
+    nin = _stage(wts, mode, "nin.", _LEAVES["nin"]) if mode in NIN_MODES else None
     if mode == "e":
-        if wts.nin_w is None:
-            raise ConfigurationError("mode e needs fusion weights")
-        return FusionOutput(primary=nin_fuse(f_r, f_t, wts.nin_w, wts.nin_b))
+        return FusionOutput(primary=nin_fuse(f_r, f_t, nin["w"], nin["b"]))
 
-    if wts.icfe is None or wts.pe_r is None or wts.sfs_r is None:
-        raise ConfigurationError(f"mode {mode!r} needs attention-stage weights")
-    if mode in ("c", "d") and wts.icfe.shared != (mode == "c"):
-        raise ConfigurationError(
-            f"mode {mode!r} requires {'shared' if mode == 'c' else 'unshared'} "
-            "enhancement parameters"
-        )
+    # modes a and b run whichever enhancement layout the weights carry;
+    # mode c needs the one shared set, mode d one set per branch
+    layout = wts.cfg.mode if mode in ("a", "b") else mode
+    cfe_r, cfe_t = (_stage(wts, mode, prefix, CFE_LEAVES)
+                    for prefix in (("cfe_r.", "cfe_t.") if layout == "d" else ("cfe.", "cfe.")))
+    sfs_r, sfs_t = (_stage(wts, mode, prefix, _LEAVES[cfg.shrink_variant])
+                    for prefix in ("sfs_r.", "sfs_t."))
+    pe_r, pe_t = (_stage(wts, mode, prefix, _LEAVES["pe"])["table"]
+                  for prefix in ("pe_r.", "pe_t."))
     h, w, _ = f_r.shape
     s = cfg.shrink_window
-    shrunk_r = shrink(f_r, s, wts.sfs_r)
-    shrunk_t = shrink(f_t, s, wts.sfs_t)
-    t_r = tokenize(shrunk_r, wts.pe_r)
-    t_t = tokenize(shrunk_t, wts.pe_t)
+    shrunk_r = shrink(f_r, s, sfs_r)
+    shrunk_t = shrink(f_t, s, sfs_t)
+    t_r = tokenize(shrunk_r, pe_r)
+    t_t = tokenize(shrunk_t, pe_t)
 
-    if mode == "a":
-        t_r = _enhance_single(t_r, t_t, wts.icfe.cfe_r, wts.icfe.iterations)
-        return FusionOutput(primary=tc.bilinear_resize(detokenize(t_r), h, w))
-    if mode == "b":
-        t_t = _enhance_single(t_t, t_r, wts.icfe.cfe_t, wts.icfe.iterations)
-        return FusionOutput(primary=tc.bilinear_resize(detokenize(t_t), h, w))
+    if mode in ("a", "b"):
+        # one-branch refinement: the other branch only ever supplies queries
+        main, other, p = (t_r, t_t, cfe_r) if mode == "a" else (t_t, t_r, cfe_t)
+        for _ in range(cfg.iterations):
+            main = cfe_forward(main, other, p, cfg.heads)
+        return FusionOutput(primary=tc.bilinear_resize(detokenize(main), h, w))
 
-    t_r, t_t = icfe_forward(t_r, t_t, wts.icfe, sequential=cfg.sequential_update)
-    return FusionOutput(primary=_fuse_tokens(t_r, t_t, h, w, wts.nin_w, wts.nin_b))
+    t_r, t_t = icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
+                            sequential=cfg.sequential_update)
+    return FusionOutput(primary=_fuse_tokens(t_r, t_t, h, w, nin["w"], nin["b"]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +342,13 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
 
 
 def replace_parameters(wts: DmffWeights, mapping) -> DmffWeights:
-    """Structurally identical weights with tensors swapped in by name.
+    """Weights with the same names and order, tensors swapped in by name.
 
-    Sharing is preserved: a shared enhancement pair stays one object.  Only
-    the swapped-in tensors are checked (known name, the shape and dtype of
-    the tensor they replace); the rest were checked when `wts` was built.
+    Only the swapped-in tensors are checked (known name, the shape and
+    dtype of the tensor they replace); the rest were checked when `wts`
+    was built.
     """
-    current = dict(wts.named_tensors())
+    current = wts.tensors
     for name, t in mapping.items():
         old = current.get(name)
         if old is None:
@@ -369,8 +361,4 @@ def replace_parameters(wts: DmffWeights, mapping) -> DmffWeights:
             raise ConfigurationError(
                 f"parameter {name!r} has dtype {old.dtype}, got {t.dtype}"
             )
-    current.update(mapping)
-    try:
-        return _build(wts.cfg, wts.height, wts.width, wts.channels, current)
-    except KeyError as exc:  # hand-built weights that do not match their cfg
-        raise ConfigurationError(f"weights lack {exc} for mode {wts.cfg.mode!r}") from None
+    return DmffWeights(wts.cfg, wts.height, wts.width, wts.channels, {**current, **mapping})

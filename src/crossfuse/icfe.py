@@ -1,10 +1,12 @@
 """Iterative refinement of the dual enhancement pair.
 
 One block is two enhancement modules, one per branch, each querying the
-opposite branch.  Iterating reuses the same block parameters every pass
-(so the parameter count is independent of the iteration count), while the
-stacked baseline chains independently parameterized blocks (parameters
-grow linearly with depth).
+opposite branch.  Iterating passes the same block parameters to every
+pass, so the parameter count is independent of the iteration count;
+passing one leaf -> Tensor mapping for both directions shares it between
+them too, and the tape then sums every use into that one set.  The
+stacked baseline chains independently parameterized blocks, laid out by
+``stacked_spec`` (parameters grow linearly with depth).
 
 Updates are synchronous by default: both branches of iteration k read the
 pair produced by iteration k-1.  The sequential alternative (thermal sees
@@ -13,105 +15,52 @@ the already-updated rgb stream) is available behind a flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from . import tensor_core as tc
-from .cfe import CfeParams, cfe_forward, init_cfe_params
+from .cfe import PARAM_NAMES, cfe_forward, cfe_spec
 from .tensor_core import ConfigurationError
 from .token_codec import TokenSeq
 
 
-@dataclass
-class IcfeParams:
-    """Dual enhancement pair applied `iterations` times with shared weights.
-
-    `cfe_r` enhances the rgb branch (queries from thermal); `cfe_t`
-    enhances the thermal branch (queries from rgb).  With `shared` both
-    fields reference the same parameter object, so gradients from the two
-    directions and all iterations accumulate into one set.
-    """
-
-    cfe_r: CfeParams
-    cfe_t: CfeParams
-    shared: bool = False
-    iterations: int = 1
-
-    def __post_init__(self):
-        if self.shared and self.cfe_r is not self.cfe_t:
-            raise ConfigurationError(
-                "shared mode requires cfe_r and cfe_t to be one parameter object"
-            )
-        if self.iterations < 0:
-            raise ConfigurationError(f"iterations must be >= 0, got {self.iterations}")
-
-    def named_tensors(self, prefix: str = ""):
-        if self.shared:
-            yield from self.cfe_r.named_tensors(prefix + "cfe.")
-        else:
-            yield from self.cfe_r.named_tensors(prefix + "cfe_r.")
-            yield from self.cfe_t.named_tensors(prefix + "cfe_t.")
-
-
-@dataclass
-class StackedParams:
-    """Independently parameterized (cfe_r, cfe_t) blocks applied in series."""
-
-    blocks: list = field(default_factory=list)
-
-    def named_tensors(self, prefix: str = ""):
-        for i, (block_r, block_t) in enumerate(self.blocks):
-            yield from block_r.named_tensors(f"{prefix}block{i}.cfe_r.")
-            yield from block_t.named_tensors(f"{prefix}block{i}.cfe_t.")
-
-
-def init_icfe_params(channels: int, ffn_hidden: int, heads: int,
-                     rng: np.random.Generator, iterations: int = 1,
-                     shared: bool = False, dtype=tc.STANDARD) -> IcfeParams:
-    cfe_r = init_cfe_params(channels, ffn_hidden, heads, rng, dtype=dtype)
-    cfe_t = cfe_r if shared else init_cfe_params(channels, ffn_hidden, heads, rng, dtype=dtype)
-    return IcfeParams(cfe_r=cfe_r, cfe_t=cfe_t, shared=shared, iterations=iterations)
-
-
-def init_stacked_params(channels: int, ffn_hidden: int, heads: int, blocks: int,
-                        rng: np.random.Generator, dtype=tc.STANDARD) -> StackedParams:
+def stacked_spec(channels: int, ffn_hidden: int, blocks: int) -> dict:
+    """The stacked baseline's learnables, name -> ParamSpec in draw order:
+    one ``cfe_spec`` set under ``block{i}.cfe_r.`` and one under
+    ``block{i}.cfe_t.`` per block."""
     if blocks < 1:
         raise ConfigurationError(f"stack needs at least one block, got {blocks}")
-    return StackedParams([
-        (init_cfe_params(channels, ffn_hidden, heads, rng, dtype=dtype),
-         init_cfe_params(channels, ffn_hidden, heads, rng, dtype=dtype))
-        for _ in range(blocks)
-    ])
+    cfe = cfe_spec(channels, ffn_hidden)
+    return {f"block{i}.cfe_{branch}.{leaf}": p
+            for i in range(blocks) for branch in "rt" for leaf, p in cfe.items()}
 
 
-def _dual_step(t_r: TokenSeq, t_t: TokenSeq, cfe_r: CfeParams, cfe_t: CfeParams,
-               sequential: bool):
+def _dual_step(t_r: TokenSeq, t_t: TokenSeq, p_r, p_t, heads: int, sequential: bool):
     if sequential:
-        t_r = cfe_forward(t_r, t_t, cfe_r)
-        t_t = cfe_forward(t_t, t_r, cfe_t)
+        t_r = cfe_forward(t_r, t_t, p_r, heads)
+        t_t = cfe_forward(t_t, t_r, p_t, heads)
         return t_r, t_t
     r_prev, t_prev = t_r, t_t
-    return (cfe_forward(r_prev, t_prev, cfe_r),
-            cfe_forward(t_prev, r_prev, cfe_t))
+    return (cfe_forward(r_prev, t_prev, p_r, heads),
+            cfe_forward(t_prev, r_prev, p_t, heads))
 
 
-def icfe_forward(t_r: TokenSeq, t_t: TokenSeq, p: IcfeParams,
+def icfe_forward(t_r: TokenSeq, t_t: TokenSeq, p_r, p_t, heads: int, iterations: int,
                  sequential: bool = False):
-    """Apply the dual pair `p.iterations` times with shared parameters.
+    """Apply the dual pair `iterations` times with the same parameters.
 
-    Zero iterations return the inputs untouched.
+    `p_r` enhances the rgb branch (queries from thermal), `p_t` the thermal
+    branch; the same mapping for both shares one set between the
+    directions.  Zero iterations return the inputs untouched.
     """
-    for _ in range(p.iterations):
-        t_r, t_t = _dual_step(t_r, t_t, p.cfe_r, p.cfe_t, sequential)
+    for _ in range(iterations):
+        t_r, t_t = _dual_step(t_r, t_t, p_r, p_t, heads, sequential)
     return t_r, t_t
 
 
-def stacked_forward(t_r: TokenSeq, t_t: TokenSeq, p: StackedParams,
-                    sequential: bool = False):
-    """Apply each independently parameterized block once, in order."""
-    if not p.blocks:
+def stacked_forward(t_r: TokenSeq, t_t: TokenSeq, p, heads: int, sequential: bool = False):
+    """Apply each block of a ``stacked_spec`` mapping once, in order."""
+    blocks = len(p) // (2 * len(PARAM_NAMES))
+    if not blocks:
         raise ConfigurationError("stacked_forward needs at least one block")
-    for block_r, block_t in p.blocks:
-        t_r, t_t = _dual_step(t_r, t_t, block_r, block_t, sequential)
+    for i in range(blocks):
+        block_r, block_t = ({leaf: p[f"block{i}.cfe_{branch}.{leaf}"] for leaf in PARAM_NAMES}
+                            for branch in "rt")
+        t_r, t_t = _dual_step(t_r, t_t, block_r, block_t, heads, sequential)
     return t_r, t_t

@@ -5,43 +5,16 @@ with a learnable weight ``lambda = sigmoid(lambda_raw)`` so the blend
 stays in (0, 1) for any raw value.  The convolution variant folds each
 s x s x C block into channels and compresses back to C with a 1x1
 projection.  Both divide the token count by s**2.  ``shrink_spec``
-declares either variant's learnables and their init rules.
+declares either variant's learnables and their init rules; the shrink
+functions take them as a leaf -> Tensor mapping with those names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor_core as tc
-from .tensor_core import ConfigurationError, DimensionError, ParamSpec, Tensor
-
-
-@dataclass
-class MixedPoolParam:
-    """Unconstrained raw blend weight; the effective weight is its sigmoid."""
-
-    lambda_raw: Tensor  # shape (1,)
-
-    def lambda_value(self) -> float:
-        x = self.lambda_raw.item()
-        return float(1.0 / (1.0 + np.exp(-x))) if x >= 0 else float(np.exp(x) / (1.0 + np.exp(x)))
-
-    def named_tensors(self, prefix: str = ""):
-        yield prefix + "lambda_raw", self.lambda_raw
-
-
-@dataclass
-class ConvShrinkParam:
-    """1x1 projection over the space-to-channel folded map."""
-
-    w: Tensor  # (s*s*C) x C
-    b: Tensor  # C
-
-    def named_tensors(self, prefix: str = ""):
-        yield prefix + "w", self.w
-        yield prefix + "b", self.b
+from .tensor_core import DimensionError, ParamSpec, Tensor
 
 
 def shrink_spec(variant: str, s: int, channels: int) -> dict:
@@ -55,47 +28,36 @@ def shrink_spec(variant: str, s: int, channels: int) -> dict:
             "b": ParamSpec((channels,))}
 
 
-def init_mixed_pool_param(dtype=tc.STANDARD) -> MixedPoolParam:
-    # the pool leaf does not depend on the window or the width
-    return MixedPoolParam(**tc.init_tensors(shrink_spec("pool", 1, 1), None, dtype))
-
-
-def init_conv_shrink_param(s: int, channels: int, rng: np.random.Generator,
-                           dtype=tc.STANDARD) -> ConvShrinkParam:
-    return ConvShrinkParam(**tc.init_tensors(shrink_spec("conv", s, channels), rng, dtype))
-
-
-def shrink_pool(fmap: Tensor, s: int, p: MixedPoolParam) -> Tensor:
-    """lambda * avg_pool + (1 - lambda) * max_pool over s x s windows."""
+def shrink_pool(fmap: Tensor, s: int, p) -> Tensor:
+    """lambda * avg_pool + (1 - lambda) * max_pool over s x s windows,
+    lambda = sigmoid(p["lambda_raw"])."""
     avg = tc.pool2d(fmap, s, "avg")
     mx = tc.pool2d(fmap, s, "max")
-    lam = tc.sigmoid(p.lambda_raw)
+    lam = tc.sigmoid(p["lambda_raw"])
     one = tc.scalar(1.0, dtype=fmap.dtype)
     return tc.add(tc.scalar_mul(lam, avg), tc.scalar_mul(tc.sub(one, lam), mx))
 
 
-def shrink_conv(fmap: Tensor, s: int, p: ConvShrinkParam) -> Tensor:
-    """Fold s x s x C blocks into channels, then project back to C."""
+def shrink_conv(fmap: Tensor, s: int, p) -> Tensor:
+    """Fold s x s x C blocks into channels, then project back to C by
+    p["w"] ((s*s*C) x C) and p["b"] (C)."""
     if fmap.data.ndim != 3:
         raise DimensionError(f"feature map must be rank 3, got {fmap.shape}")
     h, w, c = fmap.shape
     expected = (s * s * c, c)
-    if p.w.shape != expected:
+    if p["w"].shape != expected:
         raise DimensionError(
-            f"shrink weight shape {p.w.shape} does not match required {expected}"
+            f"shrink weight shape {p['w'].shape} does not match required {expected}"
         )
     folded = tc.space_to_channel(fmap, s)  # raises ConfigurationError on divisibility
     ho, wo = h // s, w // s
     flat = tc.reshape(folded, (ho * wo, s * s * c))
     with tc.op_stage("shrink"):
-        projected = tc.matmul(flat, p.w)
-    return tc.reshape(tc.add(projected, p.b), (ho, wo, c))
+        projected = tc.matmul(flat, p["w"])
+    return tc.reshape(tc.add(projected, p["b"]), (ho, wo, c))
 
 
-def shrink(fmap: Tensor, s: int, param) -> Tensor:
-    """Dispatch on the parameter kind."""
-    if isinstance(param, MixedPoolParam):
-        return shrink_pool(fmap, s, param)
-    if isinstance(param, ConvShrinkParam):
-        return shrink_conv(fmap, s, param)
-    raise ConfigurationError(f"unknown shrink parameter type {type(param).__name__}")
+def shrink(fmap: Tensor, s: int, p) -> Tensor:
+    """The variant whose learnables `p` holds: pool for a ``lambda_raw``
+    blend, else conv."""
+    return (shrink_pool if "lambda_raw" in p else shrink_conv)(fmap, s, p)

@@ -2,29 +2,18 @@
 
 A token is the channel vector of one spatial position; flattening is
 row-major, so token ``i`` of an HxWxC map is pixel ``(i // W, i % W)``.
-An optional learnable per-token embedding is added at tokenize time to
+An optional learnable per-token table is added at tokenize time to
 inject spatial position into the otherwise order-free attention stage;
-``pe_spec`` declares its table and init rule.
+``pe_spec`` declares it and its init rule, and ``tokenize`` takes the
+table itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor_core as tc
 from .tensor_core import DimensionError, ParamSpec, Tensor
-
-
-@dataclass
-class PositionalEmbedding:
-    """Learnable additive table, one row per token."""
-
-    table: Tensor
-
-    def named_tensors(self, prefix: str = ""):
-        yield prefix + "table", self.table
 
 
 @dataclass
@@ -58,24 +47,20 @@ def pe_spec(tokens: int, channels: int) -> dict:
     return {"table": ParamSpec((tokens, channels), 0.02)}
 
 
-def init_positional_embedding(tokens: int, channels: int, rng: np.random.Generator,
-                              dtype=tc.STANDARD) -> PositionalEmbedding:
-    return PositionalEmbedding(**tc.init_tensors(pe_spec(tokens, channels), rng, dtype))
-
-
-def tokenize(fmap: Tensor, pe: PositionalEmbedding | None = None) -> TokenSeq:
-    """Flatten an HxWxC map to HW x C tokens, adding `pe` if given."""
+def tokenize(fmap: Tensor, table: Tensor | None = None) -> TokenSeq:
+    """Flatten an HxWxC map to HW x C tokens, adding the positional
+    `table` if given."""
     if fmap.data.ndim != 3:
         raise DimensionError(f"feature map must be rank 3, got {fmap.shape}")
     h, w, c = fmap.shape
     tokens = tc.reshape(fmap, (h * w, c))
-    if pe is not None:
-        if pe.table.shape != tokens.shape:
+    if table is not None:
+        if table.shape != tokens.shape:
             raise DimensionError(
-                f"positional embedding shape {pe.table.shape} does not match "
+                f"positional embedding shape {table.shape} does not match "
                 f"token shape {tokens.shape}"
             )
-        tokens = tc.add(tokens, pe.table)
+        tokens = tc.add(tokens, table)
     return TokenSeq(tokens, h, w)
 
 

@@ -9,9 +9,10 @@ Layout:
     payload       tensors concatenated little-endian, manifest order
 
 The manifest meta carries the pipeline configuration and input extents,
-so a load reconstructs the full weight structure, sharing included, through
-``dmff.assemble``, which checks the tensor names, shapes and dtype against
-the configuration.  The meta is read by ``dmff.config_from_json``: every
+so a load rebuilds the weights through ``dmff.assemble``, which checks the
+tensor names, shapes and dtype against the configuration and orders them
+as ``param_spec`` does.  A set that several directions share is stored
+once, under its one name per tensor.  The meta is read by ``dmff.config_from_json``: every
 ``DmffConfig`` field is required except ``input_duplication`` and
 ``sequential_update``, unknown keys are rejected, and each value must have
 its field's JSON type; the extents, like every table shape, must be JSON

@@ -62,7 +62,8 @@ def test_criterion_3_shrink_scaling():
     fmap = tc.Tensor(rng.standard_normal((h, w, c)), dtype=np.float64)
     tokens = {}
     for window in (1, 2):  # token shrink factors 1 and 4
-        out = sfs.shrink_pool(fmap, window, sfs.init_mixed_pool_param(dtype=np.float64))
+        pool = tc.init_tensors(sfs.shrink_spec("pool", window, c), None, np.float64)
+        out = sfs.shrink_pool(fmap, window, pool)
         tokens[window * window] = out.shape[0] * out.shape[1]
     assert tokens[1] == 64 and tokens[4] == 16
     att = {s: sum(audit.measured_attention_multiplies("ours", t, c).values())
@@ -74,27 +75,26 @@ def test_criterion_3_shrink_scaling():
 
 
 def test_criterion_4_parameter_scaling():
-    counts = {audit.param_count(
-        icfe.init_icfe_params(16, 64, 8, np.random.default_rng(1), iterations=n,
-                              dtype=np.float64))
-        for n in (0, 1, 2, 3, 10)}
-    one_block = audit.param_count(
-        icfe.init_stacked_params(16, 64, 8, 1, np.random.default_rng(1), dtype=np.float64))
-    stacked_ok = all(
-        audit.param_count(icfe.init_stacked_params(
-            16, 64, 8, k, np.random.default_rng(1), dtype=np.float64)) == k * one_block
-        for k in (1, 2, 4, 6, 8, 10))
+    counts = {audit.param_count(dmff.init_dmff_weights(
+        DmffConfig(iterations=n), 8, 8, 16, np.random.default_rng(1), dtype=np.float64
+    ).tensors) for n in (0, 1, 2, 3, 10)}
+
+    def stacked_count(blocks):
+        spec = icfe.stacked_spec(16, 64, blocks)
+        return audit.param_count(tc.init_tensors(spec, np.random.default_rng(1), np.float64))
+
+    one_block = stacked_count(1)
+    stacked_ok = all(stacked_count(k) == k * one_block for k in (1, 2, 3, 4, 6, 8, 10))
     note("4 parameter sharing: constant over iterations, linear over blocks",
          len(counts) == 1 and stacked_ok)
 
 
 def test_criterion_5_identity_bypass():
     rng = np.random.default_rng(2)
-    params = cfe.init_cfe_params(16, 64, 8, rng, dtype=np.float64,
-                                 coefficients=(0.0, 1.0, 1.0, 0.0))
+    params = tc.init_tensors(cfe.cfe_spec(16, 64, (0.0, 1.0, 1.0, 0.0)), rng, np.float64)
     target = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64), 4, 4)
     aux = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64), 4, 4)
-    out = cfe.cfe_forward(target, aux, params)
+    out = cfe.cfe_forward(target, aux, params, 8)
     token_ok = np.array_equal(out.tokens.data, target.tokens.data)
 
     cfg_d = DmffConfig(mode="d", shrink_window=1)
@@ -111,7 +111,7 @@ def test_criterion_5_identity_bypass():
     wts_d = dmff.replace_parameters(wts_d, mapping)
     cfg_e = DmffConfig(mode="e")
     wts_e = dmff.DmffWeights(cfg=cfg_e, height=8, width=8, channels=16,
-                             nin_w=wts_d.nin_w, nin_b=wts_d.nin_b)
+                             tensors={n: wts_d.tensors[n] for n in ("nin.w", "nin.b")})
     f_r = tc.Tensor(rng.standard_normal((8, 8, 16)), dtype=np.float64)
     f_t = tc.Tensor(rng.standard_normal((8, 8, 16)), dtype=np.float64)
     out_d = dmff.dmff_fuse(f_r, f_t, cfg_d, wts_d)
@@ -122,20 +122,20 @@ def test_criterion_5_identity_bypass():
 
 def test_criterion_6_attention_invariants():
     rng = np.random.default_rng(3)
-    params = cfe.init_cfe_params(16, 64, 8, rng, dtype=np.float64)
+    params = tc.init_tensors(cfe.cfe_spec(16, 64), rng, np.float64)
     q = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)) * 5, dtype=np.float64), 4, 4)
     kv = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)) * 5, dtype=np.float64), 4, 4)
-    _, weights = cfe.cross_attention(q, kv, params, return_weights=True)
+    _, weights = cfe.cross_attention(q, kv, params, 8, return_weights=True)
     rows_ok = all(
         np.max(np.abs(w.data.sum(axis=1) - 1.0)) < 1e-9 for w in weights
     ) and len(weights) == 8
 
     target = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64), 4, 4)
     aux = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64), 4, 4)
-    base = cfe.cfe_forward(target, aux, params)
+    base = cfe.cfe_forward(target, aux, params, 8)
     perm = rng.permutation(16)
     shuffled = codec.TokenSeq(tc.Tensor(target.tokens.data[perm], dtype=np.float64), 4, 4)
-    permuted = cfe.cfe_forward(target, aux, params, attention_kv=shuffled)
+    permuted = cfe.cfe_forward(target, aux, params, 8, attention_kv=shuffled)
     perm_ok = np.max(np.abs(base.tokens.data - permuted.tokens.data)) < 1e-9
     note("6 attention invariants: row sums, kv-permutation invariance",
          rows_ok and perm_ok)
@@ -201,8 +201,8 @@ def test_criterion_10_mixed_pooling_endpoints():
     fmap = tc.Tensor(rng.standard_normal((8, 8, 16)), dtype=np.float64)
     avg = tc.pool2d(fmap, 2, "avg").data
     mx = tc.pool2d(fmap, 2, "max").data
-    at_plus = sfs.shrink_pool(fmap, 2, sfs.MixedPoolParam(tc.scalar(20.0, np.float64)))
-    at_minus = sfs.shrink_pool(fmap, 2, sfs.MixedPoolParam(tc.scalar(-20.0, np.float64)))
+    at_plus = sfs.shrink_pool(fmap, 2, {"lambda_raw": tc.scalar(20.0, np.float64)})
+    at_minus = sfs.shrink_pool(fmap, 2, {"lambda_raw": tc.scalar(-20.0, np.float64)})
     endpoints_ok = (np.max(np.abs(at_plus.data - avg)) < 1e-6
                     and np.max(np.abs(at_minus.data - mx)) < 1e-6)
 
@@ -210,13 +210,13 @@ def test_criterion_10_mixed_pooling_endpoints():
     tape = tc.Tape()
     tape.watch(raw, "lambda_raw")
     with tc.record_on(tape):
-        out = sfs.shrink_pool(fmap, 2, sfs.MixedPoolParam(raw))
+        out = sfs.shrink_pool(fmap, 2, {"lambda_raw": raw})
         loss = tc.sum_all(tc.mul(out, out))
     analytic = tc.backward(tc.scalar(1.0, np.float64), tape, loss)["lambda_raw"].item()
     eps = 1e-5
 
     def loss_at(v):
-        out = sfs.shrink_pool(fmap, 2, sfs.MixedPoolParam(tc.scalar(v, np.float64)))
+        out = sfs.shrink_pool(fmap, 2, {"lambda_raw": tc.scalar(v, np.float64)})
         return float((out.data ** 2).sum())
 
     numeric = (loss_at(0.4 + eps) - loss_at(0.4 - eps)) / (2 * eps)

@@ -218,7 +218,7 @@ def test_console_entry_point_runs():
     assert "QK^T" in proc.stdout
 
 
-def _fuse(tmp_path, synth_spec, rgb=None, thermal=None, weights=None):
+def _fuse(tmp_path, synth_spec, rgb=None, thermal=None, weights=None, mode="d"):
     prefix = tmp_path / "scene"
     main(["gen", "--spec", synth_spec, "--out-prefix", str(prefix)])
     if weights is None:
@@ -226,7 +226,7 @@ def _fuse(tmp_path, synth_spec, rgb=None, thermal=None, weights=None):
     out = tmp_path / "fused.rawtensor"
     rc = main(["fuse", "--rgb", str(rgb or f"{prefix}_rgb.rawtensor"),
                "--thermal", str(thermal or f"{prefix}_thermal.rawtensor"),
-               "--weights", str(weights), "--mode", "d", "--out", str(out)])
+               "--weights", str(weights), "--mode", mode, "--out", str(out)])
     return rc, out
 
 
@@ -274,4 +274,21 @@ def test_malformed_weights_table_is_clean_error(tmp_path, synth_spec, capsys, ki
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("built", ["a", "b"])
+def test_fuse_in_a_mode_whose_tensors_the_weights_lack_is_clean_error(
+        tmp_path, synth_spec, train_config, capsys, built):
+    config = json.loads(Path(train_config).read_text())
+    config["dmff"]["mode"] = built
+    weights = tmp_path / "w.icaf"
+    assert main(["train-toy", "--config", write_json(tmp_path / "t.json", config),
+                 "--out-weights", str(weights)]) == 0
+    capsys.readouterr()
+    rc, out = _fuse(tmp_path, synth_spec, weights=weights, mode="c")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "'nin.w'" in err and "mode 'c'" in err and f"mode '{built}'" in err
     assert not out.exists()

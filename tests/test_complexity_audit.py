@@ -3,7 +3,7 @@ import pytest
 
 from crossfuse import complexity_audit as audit
 from crossfuse import dmff, icfe, tensor_core as tc
-from crossfuse.cfe import init_cfe_params
+from crossfuse.cfe import cfe_spec
 
 
 def test_qk_term_values_at_unit_dims():
@@ -111,7 +111,7 @@ def test_invalid_variant_rejected():
 
 def test_cfe_param_count_frozen_value(rng):
     # 4 projections of 16x16, ffn 16x64 + 64 + 64x16 + 16, four coefficients
-    p = init_cfe_params(16, 64, 8, rng, dtype=np.float64)
+    p = tc.init_tensors(cfe_spec(16, 64), rng, np.float64)
     assert audit.param_count(p) == 4 * 16 * 16 + (16 * 64 + 64) + (64 * 16 + 16) + 4
     assert audit.param_count(p) == 3156
 
@@ -119,33 +119,39 @@ def test_cfe_param_count_frozen_value(rng):
 def test_icfe_count_independent_of_iterations(rng):
     counts = set()
     for n in (0, 1, 2, 3, 10):
-        p = icfe.init_icfe_params(16, 64, 8, np.random.default_rng(7),
-                                  iterations=n, dtype=np.float64)
-        counts.add(audit.param_count(p))
+        cfg = dmff.DmffConfig(heads=8, ffn_hidden=64, iterations=n)
+        p = dmff.init_dmff_weights(cfg, 8, 8, 16, np.random.default_rng(7), dtype=np.float64)
+        counts.add(audit.param_count(p.tensors))
     assert len(counts) == 1
 
 
+def enhancement_tensors(mode, rng):
+    wts = dmff.init_dmff_weights(dmff.DmffConfig(mode=mode, heads=8, ffn_hidden=64),
+                                 8, 8, 16, rng, dtype=np.float64)
+    return {n: t for n, t in wts.named_tensors() if n.startswith("cfe")}
+
+
 def test_shared_icfe_counts_one_set(rng):
-    unshared = icfe.init_icfe_params(16, 64, 8, rng, shared=False, dtype=np.float64)
-    shared = icfe.init_icfe_params(16, 64, 8, rng, shared=True, dtype=np.float64)
+    unshared = enhancement_tensors("d", rng)
+    shared = enhancement_tensors("c", rng)
     assert audit.param_count(unshared) == 2 * audit.param_count(shared)
 
 
 def test_stacked_count_linear_in_blocks(rng):
-    one = audit.param_count(icfe.init_stacked_params(16, 64, 8, 1, rng, dtype=np.float64))
+    one = audit.param_count(tc.init_tensors(icfe.stacked_spec(16, 64, 1), rng, np.float64))
     for k in (2, 3, 5):
-        stack = icfe.init_stacked_params(16, 64, 8, k, rng, dtype=np.float64)
+        stack = tc.init_tensors(icfe.stacked_spec(16, 64, k), rng, np.float64)
         assert audit.param_count(stack) == k * one
 
 
 def test_dmff_breakdown_accounts_every_tensor(rng):
     cfg = dmff.DmffConfig(mode="d", heads=2, ffn_hidden=16)
     wts = dmff.init_dmff_weights(cfg, 4, 4, 8, rng, dtype=np.float64)
-    breakdown = audit.param_breakdown(wts)
+    breakdown = audit.param_breakdown(wts.tensors)
     assert breakdown["pe_r.table"] == 4 * 8
     assert breakdown["sfs_r.lambda_raw"] == 1
     assert breakdown["nin.w"] == 16 * 8
-    assert audit.param_count(wts) == sum(breakdown.values())
+    assert audit.param_count(wts.tensors) == sum(breakdown.values())
 
 
 # --- report --------------------------------------------------------------------------

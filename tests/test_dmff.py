@@ -1,11 +1,11 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from crossfuse import cfe, dmff, icfe, sfs, tensor_core as tc, token_codec
-from crossfuse.icfe import IcfeParams
 from conftest import DTYPE_TOL, fd_gradient, rel_err
 
 
@@ -24,6 +24,11 @@ def make_cfg(**kw):
 
 def build(cfg, rng, h=4, w=4, c=8):
     return dmff.init_dmff_weights(cfg, h, w, c, rng, dtype=np.float64)
+
+
+def stage(wts, prefix):
+    """The tensors under `prefix`, keyed by leaf."""
+    return {n[len(prefix):]: t for n, t in wts.named_tensors() if n.startswith(prefix)}
 
 
 def coeff_overrides(wts, a, b, g, d):
@@ -82,7 +87,7 @@ def test_mode_e_with_averaging_weights_is_elementwise_mean(rng):
     f_r, f_t = make_inputs(rng)
     wts = build(cfg, rng)
     w = tc.Tensor(np.vstack([0.5 * np.eye(8), 0.5 * np.eye(8)]), dtype=np.float64)
-    wts.nin_w, wts.nin_b = w, tc.zeros((8,), dtype=np.float64)
+    wts = dmff.replace_parameters(wts, {"nin.w": w, "nin.b": tc.zeros((8,), dtype=np.float64)})
     out = dmff.dmff_fuse(f_r, f_t, cfg, wts)
     npt.assert_allclose(out.primary.data, 0.5 * (f_r.data + f_t.data), atol=1e-12)
 
@@ -99,7 +104,7 @@ def test_mode_d_identity_bypass_matches_mode_e(rng):
 
     cfg_e = make_cfg(mode="e")
     wts_e = dmff.DmffWeights(cfg=cfg_e, height=4, width=4, channels=8,
-                             nin_w=wts_d.nin_w, nin_b=wts_d.nin_b)
+                             tensors={n: wts_d.tensors[n] for n in ("nin.w", "nin.b")})
     f_r, f_t = make_inputs(rng)
     out_d = dmff.dmff_fuse(f_r, f_t, cfg_d, wts_d)
     out_e = dmff.dmff_fuse(f_r, f_t, cfg_e, wts_e)
@@ -121,23 +126,24 @@ def test_mode_a_against_staged_composition_oracle(rng):
         lam = 1.0 / (1.0 + np.exp(-raw))
         return lam * avg + (1.0 - lam) * mx
 
-    def np_cfe(target, aux, p):
+    def np_cfe(target, aux, p, heads):
+        p = {leaf: t.data for leaf, t in p.items()}
         c = target.shape[1]
-        d = c // p.heads
-        q = aux @ p.w_q.data
-        k = target @ p.w_k.data
-        v = target @ p.w_v.data
+        d = c // heads
+        q = aux @ p["w_q"]
+        k = target @ p["w_k"]
+        v = target @ p["w_v"]
         z = np.zeros_like(target)
-        for j in range(p.heads):
+        for j in range(heads):
             qj, kj, vj = (m[:, j * d:(j + 1) * d] for m in (q, k, v))
             scores = qj @ kj.T / np.sqrt(d)
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             probs = e / e.sum(axis=1, keepdims=True)
             z[:, j * d:(j + 1) * d] = probs @ vj
-        t_prime = p.alpha.item() * (z @ p.w_o.data) + p.beta.item() * target
-        hidden = np.maximum(t_prime @ p.ffn_w1.data + p.ffn_b1.data, 0.0)
-        f = hidden @ p.ffn_w2.data + p.ffn_b2.data
-        return p.gamma.item() * t_prime + p.delta.item() * f
+        t_prime = p["alpha"].item() * (z @ p["w_o"]) + p["beta"].item() * target
+        hidden = np.maximum(t_prime @ p["ffn_w1"] + p["ffn_b1"], 0.0)
+        f = hidden @ p["ffn_w2"] + p["ffn_b2"]
+        return p["gamma"].item() * t_prime + p["delta"].item() * f
 
     def np_bilinear(x, h_out, w_out):
         h, w, c = x.shape
@@ -153,11 +159,12 @@ def test_mode_a_against_staged_composition_oracle(rng):
                              + fy * (1 - fx) * x[y1, x0] + fy * fx * x[y1, x1])
         return out
 
-    sr = np_mixed_pool(f_r.data, 2, wts.sfs_r.lambda_raw.item())
-    st = np_mixed_pool(f_t.data, 2, wts.sfs_t.lambda_raw.item())
-    t_r = sr.reshape(4, 8) + wts.pe_r.table.data
-    t_t = st.reshape(4, 8) + wts.pe_t.table.data
-    enhanced = np_cfe(t_r, t_t, wts.icfe.cfe_r)
+    t = wts.tensors
+    sr = np_mixed_pool(f_r.data, 2, t["sfs_r.lambda_raw"].item())
+    st = np_mixed_pool(f_t.data, 2, t["sfs_t.lambda_raw"].item())
+    t_r = sr.reshape(4, 8) + t["pe_r.table"].data
+    t_t = st.reshape(4, 8) + t["pe_t.table"].data
+    enhanced = np_cfe(t_r, t_t, stage(wts, "cfe."), cfg.heads)
     expected = np_bilinear(enhanced.reshape(2, 2, 8), 4, 4)
     assert np.max(np.abs(got.primary.data - expected)) < 1e-9
 
@@ -196,17 +203,16 @@ def test_shared_and_copied_unshared_agree_on_identical_branches(rng):
     cfg_c = make_cfg(mode="c")
     wts_c = build(cfg_c, rng)
     cfg_d = make_cfg(mode="d")
-    shared_set = wts_c.icfe.cfe_r
-    wts_d = dmff.DmffWeights(
-        cfg=cfg_d, height=4, width=4, channels=8,
-        icfe=IcfeParams(shared_set, dataclasses.replace(shared_set),
-                        shared=False, iterations=1),
-        pe_r=wts_c.pe_r, pe_t=wts_c.pe_r,
-        sfs_r=wts_c.sfs_r, sfs_t=wts_c.sfs_r,
-        nin_w=wts_c.nin_w, nin_b=wts_c.nin_b,
-    )
-    wts_c.pe_t = wts_c.pe_r
-    wts_c.sfs_t = wts_c.sfs_r
+    # both branches get the rgb embedding and blend, so only the weight
+    # layout tells the two runs apart
+    t = dict(wts_c.tensors, **{"pe_t.table": wts_c.tensors["pe_r.table"],
+                              "sfs_t.lambda_raw": wts_c.tensors["sfs_r.lambda_raw"]})
+    wts_c = dataclasses.replace(wts_c, tensors=t)
+    shared_set = stage(wts_c, "cfe.")
+    unshared = {prefix + leaf: x for prefix in ("cfe_r.", "cfe_t.")
+                for leaf, x in shared_set.items()}
+    unshared.update((n, x) for n, x in t.items() if not n.startswith("cfe."))
+    wts_d = dmff.DmffWeights(cfg=cfg_d, height=4, width=4, channels=8, tensors=unshared)
     f_r, _ = make_inputs(rng)
     out_c = dmff.dmff_fuse(f_r, f_r, cfg_c, wts_c)
     out_d = dmff.dmff_fuse(f_r, f_r, cfg_d, wts_d)
@@ -220,6 +226,59 @@ def test_mode_config_weight_consistency_enforced(rng):
     f_r, f_t = make_inputs(rng)
     with pytest.raises(tc.ConfigurationError):
         dmff.dmff_fuse(f_r, f_t, cfg_d, wts_c)
+
+
+# Weights built in each mode (rows) run in each config mode (columns) at
+# 4x4x8 f64: the first 16 hex digits of sha256(primary), or the error class.
+# Pinned while the weights were still held in per-stage containers; the
+# weight layout must not change a bit of any output.
+CE, RGB, THERMAL = "ConfigurationError", "fee875d74ad64976", "2ecdefa2f290e2ba"
+MODE_GRID = {
+    "a": dict(a="f4af3c73a9c399da", b="89681fcb187f4dfb", c=CE, d=CE, e=CE,
+              f_rgb=RGB, f_thermal=THERMAL),
+    "b": dict(a="f4af3c73a9c399da", b="89681fcb187f4dfb", c=CE, d=CE, e=CE,
+              f_rgb=RGB, f_thermal=THERMAL),
+    "c": dict(a="f4af3c73a9c399da", b="89681fcb187f4dfb", c="5b7d44f1fb71eb29", d=CE,
+              e="7dfe8d8335512346", f_rgb=RGB, f_thermal=THERMAL),
+    "d": dict(a="cd0c12d0af12e997", b="6591b7902b5ed7f7", c=CE, d="f8c51a7ce69bfd1c",
+              e="2b47248f1d4367d4", f_rgb=RGB, f_thermal=THERMAL),
+    "e": dict(a=CE, b=CE, c=CE, d=CE, e="e6e8c8f02848ee2e", f_rgb=RGB, f_thermal=THERMAL),
+    "f_rgb": dict(a=CE, b=CE, c=CE, d=CE, e=CE, f_rgb=RGB, f_thermal=THERMAL),
+    "f_thermal": dict(a=CE, b=CE, c=CE, d=CE, e=CE, f_rgb=RGB, f_thermal=THERMAL),
+}
+
+
+@pytest.mark.parametrize("built", dmff.MODES)
+def test_every_mode_pair_gives_its_pinned_output_or_a_configuration_error(built):
+    wts = build(make_cfg(mode=built), np.random.default_rng(11))
+    f_r, f_t = make_inputs(np.random.default_rng(12))
+    for mode in dmff.MODES:
+        try:
+            out = dmff.dmff_fuse(f_r, f_t, dataclasses.replace(wts.cfg, mode=mode), wts)
+            got = hashlib.sha256(out.primary.data.tobytes()).hexdigest()[:16]
+        except tc.ConfigurationError:
+            got = CE
+        assert got == MODE_GRID[built][mode], (built, mode)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 3), ("heads", 4), ("heads", 1), ("ffn_hidden", 16),
+    ("shrink_variant", "conv"), ("shrink_window", 1)])
+def test_fuse_rejects_a_config_the_weights_were_not_built_with(field, value, rng):
+    cfg = make_cfg(heads=2, ffn_hidden=8, iterations=1, shrink_variant="pool")
+    wts = build(cfg, rng)
+    f_r, f_t = make_inputs(rng)
+    with pytest.raises(tc.ConfigurationError, match=f"config {field} is"):
+        dmff.dmff_fuse(f_r, f_t, dataclasses.replace(cfg, **{field: value}), wts)
+
+
+def test_fuse_takes_duplication_and_update_order_from_the_config(rng):
+    wts = build(make_cfg(mode="d"), rng)
+    f_r, f_t = make_inputs(rng)
+    base = dmff.dmff_fuse(f_r, f_t, wts.cfg, wts).primary.data
+    for field, value in (("input_duplication", "rgb_both"), ("sequential_update", True)):
+        out = dmff.dmff_fuse(f_r, f_t, dataclasses.replace(wts.cfg, **{field: value}), wts)
+        assert not np.array_equal(out.primary.data, base), field
 
 
 def test_iterations_are_bounded():
@@ -286,12 +345,16 @@ def _resize_then_fuse(f_r, f_t, cfg, wts):
     # the fusion's definition: resize both enhanced maps, then fuse them
     h, w, _ = f_r.shape
     s = cfg.shrink_window
-    t_r = token_codec.tokenize(sfs.shrink(f_r, s, wts.sfs_r), wts.pe_r)
-    t_t = token_codec.tokenize(sfs.shrink(f_t, s, wts.sfs_t), wts.pe_t)
-    t_r, t_t = icfe.icfe_forward(t_r, t_t, wts.icfe, sequential=cfg.sequential_update)
+    t = wts.tensors
+    t_r = token_codec.tokenize(sfs.shrink(f_r, s, stage(wts, "sfs_r.")), t["pe_r.table"])
+    t_t = token_codec.tokenize(sfs.shrink(f_t, s, stage(wts, "sfs_t.")), t["pe_t.table"])
+    cfe_r, cfe_t = ((stage(wts, "cfe_r."), stage(wts, "cfe_t.")) if cfg.mode == "d"
+                    else (stage(wts, "cfe."),) * 2)
+    t_r, t_t = icfe.icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
+                                 sequential=cfg.sequential_update)
     return dmff.nin_fuse(tc.bilinear_resize(token_codec.detokenize(t_r), h, w),
                          tc.bilinear_resize(token_codec.detokenize(t_t), h, w),
-                         wts.nin_w, wts.nin_b)
+                         t["nin.w"], t["nin.b"])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -365,8 +428,8 @@ def test_replace_parameters_preserves_sharing(rng):
     new = dmff.replace_parameters(
         wts, {"cfe.w_q": tc.Tensor(np.zeros((8, 8)), dtype=np.float64)}
     )
-    assert new.icfe.cfe_r is new.icfe.cfe_t
-    npt.assert_array_equal(new.icfe.cfe_t.w_q.data, 0.0)
+    assert list(new.tensors) == list(wts.tensors)  # still the one shared "cfe." set
+    npt.assert_array_equal(new.tensors["cfe.w_q"].data, 0.0)
 
 
 @pytest.mark.parametrize("bad", ["unknown", "shape", "dtype"])
@@ -383,10 +446,11 @@ def test_replace_parameters_rejects_bad_entries(rng, bad):
         dmff.replace_parameters(wts, {name: tensor})
 
 
-def test_replace_parameters_rejects_weights_that_do_not_match_their_config(rng):
+def test_fuse_rejects_weights_that_do_not_match_their_config(rng):
     wts = dataclasses.replace(build(make_cfg(mode="c"), rng), cfg=make_cfg(mode="d"))
+    f_r, f_t = make_inputs(rng)
     with pytest.raises(tc.ConfigurationError, match="cfe_r"):
-        dmff.replace_parameters(wts, {})
+        dmff.dmff_fuse(f_r, f_t, wts.cfg, dmff.replace_parameters(wts, {}))
 
 
 # --- parameter schema -----------------------------------------------------------
@@ -471,47 +535,50 @@ def test_init_is_byte_identical_to_the_helper_composition(mode):
                 assert_same_draws(new.named_tensors(),
                                   reference_init(cfg, 4, 8, 8, rng_ref, dtype),
                                   rng_new, rng_ref)
-                if new.icfe is not None:
-                    assert new.icfe.shared == (mode != "d")
-                    assert (new.icfe.cfe_r is new.icfe.cfe_t) == (mode != "d")
-                    assert new.icfe.iterations == iterations
-                    assert new.icfe.cfe_r.heads == cfg.heads
+                assert new.cfg == cfg
 
 
 def _prefixed(*parts):
     return [(prefix + leaf, a) for prefix, leaves in parts for leaf, a in leaves.items()]
 
 
+def _enhancement_spec(mode):
+    # the enhancement sets of param_spec: one shared set in mode c, two in d
+    spec = dmff.param_spec(make_cfg(mode=mode, heads=2, ffn_hidden=10), 2, 2, 6)
+    return {n: p for n, p in spec.items() if n.startswith("cfe")}
+
+
 COEFFS = (0.0, 1.0, 0.5, -2.0)
-STAGE_HELPERS = {
-    "cfe": (lambda rng, dt: cfe.init_cfe_params(6, 10, 2, rng, dtype=dt),
+# each stage's spec, drawn by tc.init_tensors, against the reference draws
+STAGE_SPECS = {
+    "cfe": (lambda: cfe.cfe_spec(6, 10),
             lambda rng, dt: _prefixed(("", reference_cfe(6, 10, rng, dt)))),
     "cfe_coefficients": (
-        lambda rng, dt: cfe.init_cfe_params(6, 10, 2, rng, dtype=dt, coefficients=COEFFS),
+        lambda: cfe.cfe_spec(6, 10, COEFFS),
         lambda rng, dt: _prefixed(("", reference_cfe(6, 10, rng, dt, COEFFS)))),
-    "pool": (lambda rng, dt: sfs.init_mixed_pool_param(dtype=dt),
+    "pool": (lambda: sfs.shrink_spec("pool", 3, 5),
              lambda rng, dt: _prefixed(("", reference_pool(dt)))),
-    "conv": (lambda rng, dt: sfs.init_conv_shrink_param(3, 5, rng, dtype=dt),
+    "conv": (lambda: sfs.shrink_spec("conv", 3, 5),
              lambda rng, dt: _prefixed(("", reference_conv(3, 5, rng, dt)))),
-    "pe": (lambda rng, dt: token_codec.init_positional_embedding(7, 5, rng, dtype=dt),
+    "pe": (lambda: token_codec.pe_spec(7, 5),
            lambda rng, dt: _prefixed(("", reference_pe(7, 5, rng, dt)))),
-    "icfe": (lambda rng, dt: icfe.init_icfe_params(6, 10, 2, rng, dtype=dt),
+    "icfe": (lambda: _enhancement_spec("d"),
              lambda rng, dt: _prefixed(("cfe_r.", reference_cfe(6, 10, rng, dt)),
                                        ("cfe_t.", reference_cfe(6, 10, rng, dt)))),
-    "icfe_shared": (lambda rng, dt: icfe.init_icfe_params(6, 10, 2, rng, shared=True, dtype=dt),
+    "icfe_shared": (lambda: _enhancement_spec("c"),
                     lambda rng, dt: _prefixed(("cfe.", reference_cfe(6, 10, rng, dt)))),
-    "stacked": (lambda rng, dt: icfe.init_stacked_params(6, 10, 2, 2, rng, dtype=dt),
+    "stacked": (lambda: icfe.stacked_spec(6, 10, 2),
                 lambda rng, dt: _prefixed(*[(f"block{i}.cfe_{b}.", reference_cfe(6, 10, rng, dt))
                                             for i in range(2) for b in "rt"])),
 }
 
 
-@pytest.mark.parametrize("helper", sorted(STAGE_HELPERS))
+@pytest.mark.parametrize("helper", sorted(STAGE_SPECS))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_stage_helper_init_is_byte_identical_to_the_reference(helper, dtype):
-    new, ref = STAGE_HELPERS[helper]
+    spec, ref = STAGE_SPECS[helper]
     rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-    assert_same_draws(new(rng_new, dtype).named_tensors(), ref(rng_ref, dtype),
+    assert_same_draws(tc.init_tensors(spec(), rng_new, dtype).items(), ref(rng_ref, dtype),
                       rng_new, rng_ref)
 
 
@@ -530,6 +597,9 @@ def test_param_spec_rejects_bad_extents():
         dmff.param_spec(make_cfg(shrink_window=3), 4, 8, 8)
     with pytest.raises(tc.ConfigurationError):
         dmff.param_spec(make_cfg(mode="e"), 4, 8, 0)
+    for mode in dmff.ATTENTION_MODES:  # heads must divide the channels
+        with pytest.raises(tc.ConfigurationError, match="heads"):
+            dmff.param_spec(make_cfg(mode=mode, heads=3), 4, 8, 8)
 
 
 def test_assemble_round_trips_and_shares_by_mode(rng):
@@ -538,5 +608,9 @@ def test_assemble_round_trips_and_shares_by_mode(rng):
         wts = build(cfg, rng)
         back = dmff.assemble(cfg, 4, 4, 8, dict(wts.named_tensors()))
         assert list(back.named_tensors()) == list(wts.named_tensors())
-        assert back.icfe.shared == (mode != "d")
-        assert (back.icfe.cfe_r is back.icfe.cfe_t) == (mode != "d")
+        assert ("cfe.w_q" in back.tensors) == (mode != "d")
+        assert ("cfe_r.w_q" in back.tensors) == (mode == "d")
+        # any input order comes back in param_spec order
+        shuffled = dict(reversed(list(wts.named_tensors())))
+        assert list(dmff.assemble(cfg, 4, 4, 8, shuffled).named_tensors()) == \
+            list(wts.named_tensors())

@@ -1,11 +1,8 @@
-import dataclasses
-
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from crossfuse import icfe, tensor_core as tc
-from crossfuse.cfe import cfe_forward, init_cfe_params
+from crossfuse.cfe import cfe_forward, cfe_spec
 from crossfuse.token_codec import TokenSeq
 from conftest import fd_gradient, rel_err
 
@@ -15,98 +12,99 @@ def seq(arr):
     return TokenSeq(tc.Tensor(arr, dtype=np.float64), arr.shape[0], 1)
 
 
-def make_icfe(rng, iterations=1, shared=False):
-    return icfe.init_icfe_params(4, 8, 2, rng, iterations=iterations,
-                                 shared=shared, dtype=np.float64)
+def make_set(rng):
+    return tc.init_tensors(cfe_spec(4, 8), rng, np.float64)
+
+
+def make_pair(rng, shared=False):
+    """(rgb set, thermal set); one mapping for both directions when shared."""
+    p_r = make_set(rng)
+    return p_r, (p_r if shared else make_set(rng))
+
+
+def prefixed(*parts):
+    return {prefix + leaf: t for prefix, p in parts for leaf, t in p.items()}
 
 
 def test_zero_iterations_is_identity(rng):
-    p = make_icfe(rng, iterations=0)
+    p_r, p_t = make_pair(rng)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    out_r, out_t = icfe.icfe_forward(t_r, t_t, p)
+    out_r, out_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 0)
     assert out_r is t_r
     assert out_t is t_t
 
 
 def test_one_iteration_equals_single_dual_application(rng):
-    p = make_icfe(rng, iterations=1)
+    p_r, p_t = make_pair(rng)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    out_r, out_t = icfe.icfe_forward(t_r, t_t, p)
-    want_r = cfe_forward(t_r, t_t, p.cfe_r)
-    want_t = cfe_forward(t_t, t_r, p.cfe_t)
+    out_r, out_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
+    want_r = cfe_forward(t_r, t_t, p_r, 2)
+    want_t = cfe_forward(t_t, t_r, p_t, 2)
     npt.assert_array_equal(out_r.tokens.data, want_r.tokens.data)
     npt.assert_array_equal(out_t.tokens.data, want_t.tokens.data)
 
 
 def test_two_iterations_match_manual_composition(rng):
-    p = make_icfe(rng, iterations=2)
+    p_r, p_t = make_pair(rng)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    out_r, out_t = icfe.icfe_forward(t_r, t_t, p)
+    out_r, out_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 2)
     # manual synchronous composition with the same parameter tensors
-    r1 = cfe_forward(t_r, t_t, p.cfe_r)
-    t1 = cfe_forward(t_t, t_r, p.cfe_t)
-    r2 = cfe_forward(r1, t1, p.cfe_r)
-    t2 = cfe_forward(t1, r1, p.cfe_t)
+    r1 = cfe_forward(t_r, t_t, p_r, 2)
+    t1 = cfe_forward(t_t, t_r, p_t, 2)
+    r2 = cfe_forward(r1, t1, p_r, 2)
+    t2 = cfe_forward(t1, r1, p_t, 2)
     npt.assert_array_equal(out_r.tokens.data, r2.tokens.data)
     npt.assert_array_equal(out_t.tokens.data, t2.tokens.data)
 
 
 def test_sequential_flag_changes_the_composition(rng):
-    p = make_icfe(rng, iterations=1)
+    p_r, p_t = make_pair(rng)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    sync_r, sync_t = icfe.icfe_forward(t_r, t_t, p)
-    seq_r, seq_t = icfe.icfe_forward(t_r, t_t, p, sequential=True)
+    sync_r, sync_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
+    seq_r, seq_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1, sequential=True)
     npt.assert_array_equal(sync_r.tokens.data, seq_r.tokens.data)
     # thermal sees the updated rgb stream in sequential mode
     assert np.max(np.abs(sync_t.tokens.data - seq_t.tokens.data)) > 1e-9
-    want_t = cfe_forward(t_t, seq_r, p.cfe_t)
+    want_t = cfe_forward(t_t, seq_r, p_t, 2)
     npt.assert_array_equal(seq_t.tokens.data, want_t.tokens.data)
 
 
-def test_shared_mode_requires_one_object(rng):
-    a = init_cfe_params(4, 8, 2, rng, dtype=np.float64)
-    b = init_cfe_params(4, 8, 2, rng, dtype=np.float64)
-    with pytest.raises(tc.ConfigurationError):
-        icfe.IcfeParams(cfe_r=a, cfe_t=b, shared=True)
-
-
 def test_stacked_one_block_matches_icfe_one_iteration(rng):
-    p = make_icfe(rng, iterations=1)
-    stack = icfe.StackedParams([(p.cfe_r, p.cfe_t)])
+    p_r, p_t = make_pair(rng)
+    stack = prefixed(("block0.cfe_r.", p_r), ("block0.cfe_t.", p_t))
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    i_r, i_t = icfe.icfe_forward(t_r, t_t, p)
-    s_r, s_t = icfe.stacked_forward(t_r, t_t, stack)
+    i_r, i_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
+    s_r, s_t = icfe.stacked_forward(t_r, t_t, stack, 2)
     npt.assert_array_equal(i_r.tokens.data, s_r.tokens.data)
     npt.assert_array_equal(i_t.tokens.data, s_t.tokens.data)
 
 
 def test_identity_second_block_is_a_no_op(rng):
-    first = (init_cfe_params(4, 8, 2, rng, dtype=np.float64),
-             init_cfe_params(4, 8, 2, rng, dtype=np.float64))
+    first = make_pair(rng)
     bypass = tuple(
-        dataclasses.replace(
-            blk,
-            alpha=tc.scalar(0.0, np.float64), beta=tc.scalar(1.0, np.float64),
-            gamma=tc.scalar(1.0, np.float64), delta=tc.scalar(0.0, np.float64),
-        )
-        for blk in (init_cfe_params(4, 8, 2, rng, dtype=np.float64),
-                    init_cfe_params(4, 8, 2, rng, dtype=np.float64))
+        dict(blk, alpha=tc.scalar(0.0, np.float64), beta=tc.scalar(1.0, np.float64),
+             gamma=tc.scalar(1.0, np.float64), delta=tc.scalar(0.0, np.float64))
+        for blk in make_pair(rng)
     )
+    one = prefixed(*zip(("block0.cfe_r.", "block0.cfe_t."), first))
+    two = dict(one, **prefixed(*zip(("block1.cfe_r.", "block1.cfe_t."), bypass)))
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    one_r, one_t = icfe.stacked_forward(t_r, t_t, icfe.StackedParams([first]))
-    two_r, two_t = icfe.stacked_forward(t_r, t_t, icfe.StackedParams([first, bypass]))
+    one_r, one_t = icfe.stacked_forward(t_r, t_t, one, 2)
+    two_r, two_t = icfe.stacked_forward(t_r, t_t, two, 2)
     npt.assert_array_equal(one_r.tokens.data, two_r.tokens.data)
     npt.assert_array_equal(one_t.tokens.data, two_t.tokens.data)
 
 
 def test_three_blocks_match_explicit_fold(rng):
-    stack = icfe.init_stacked_params(4, 8, 2, 3, rng, dtype=np.float64)
+    stack = tc.init_tensors(icfe.stacked_spec(4, 8, 3), rng, np.float64)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    got_r, got_t = icfe.stacked_forward(t_r, t_t, stack)
+    got_r, got_t = icfe.stacked_forward(t_r, t_t, stack, 2)
     cur_r, cur_t = t_r, t_t
-    for block_r, block_t in stack.blocks:
-        cur_r, cur_t = (cfe_forward(cur_r, cur_t, block_r),
-                        cfe_forward(cur_t, cur_r, block_t))
+    for i in range(3):
+        block_r, block_t = ({n.rsplit(".", 1)[1]: t for n, t in stack.items()
+                             if n.startswith(f"block{i}.cfe_{b}.")} for b in "rt")
+        cur_r, cur_t = (cfe_forward(cur_r, cur_t, block_r, 2),
+                        cfe_forward(cur_t, cur_r, block_t, 2))
     npt.assert_array_equal(got_r.tokens.data, cur_r.tokens.data)
     npt.assert_array_equal(got_t.tokens.data, cur_t.tokens.data)
 
@@ -114,51 +112,45 @@ def test_three_blocks_match_explicit_fold(rng):
 def test_shared_gradients_sum_over_iterations(rng):
     # with two iterations the shared weights are used four times; the tape
     # must accumulate every use, matching finite differences
-    p = make_icfe(rng, iterations=2, shared=True)
+    p, _ = make_pair(rng, shared=True)
     r_arr = rng.standard_normal((3, 4)) * 0.5
     t_arr = rng.standard_normal((3, 4)) * 0.5
 
     def loss_value(params):
-        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), params)
+        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), params, params, 2, 2)
         return float((out_r.tokens.data ** 2).sum() + (out_t.tokens.data ** 2).sum())
 
     tape = tc.Tape()
-    tape.watch_all(p.named_tensors())
+    tape.watch_all(prefixed(("cfe.", p)).items())
     with tc.record_on(tape):
-        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), p)
+        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), p, p, 2, 2)
         loss = tc.add(tc.sum_all(tc.mul(out_r.tokens, out_r.tokens)),
                       tc.sum_all(tc.mul(out_t.tokens, out_t.tokens)))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
-    names = dict(p.named_tensors())
-    assert all(name.startswith("cfe.") for name in names)
     for name in ("cfe.w_q", "cfe.ffn_w1", "cfe.alpha", "cfe.beta"):
-        shared_obj = p.cfe_r
         field = name.split(".", 1)[1]
 
         def loss_with(t, field=field):
-            new = dataclasses.replace(shared_obj, **{field: t})
-            return loss_value(icfe.IcfeParams(new, new, shared=True, iterations=2))
+            return loss_value({**p, field: t})
 
-        fd = fd_gradient(loss_with, names[name])
+        fd = fd_gradient(loss_with, p[field])
         assert rel_err(rec[name].data, fd) < 1e-4, name
 
 
 def test_unshared_gradients_fd_validated(rng):
-    p = make_icfe(rng, iterations=2, shared=False)
+    p_r, p_t = make_pair(rng)
     r_arr = rng.standard_normal((3, 4)) * 0.5
     t_arr = rng.standard_normal((3, 4)) * 0.5
     tape = tc.Tape()
-    tape.watch_all(p.named_tensors())
+    tape.watch_all(prefixed(("cfe_r.", p_r), ("cfe_t.", p_t)).items())
     with tc.record_on(tape):
-        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), p)
+        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), p_r, p_t, 2, 2)
         loss = tc.sum_all(tc.mul(out_r.tokens, out_t.tokens))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
 
     def loss_with_wq(t):
-        new_r = dataclasses.replace(p.cfe_r, w_q=t)
-        newp = icfe.IcfeParams(new_r, p.cfe_t, shared=False, iterations=2)
-        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), newp)
+        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), {**p_r, "w_q": t}, p_t, 2, 2)
         return float((out_r.tokens.data * out_t.tokens.data).sum())
 
-    fd = fd_gradient(loss_with_wq, p.cfe_r.w_q)
+    fd = fd_gradient(loss_with_wq, p_r["w_q"])
     assert rel_err(rec["cfe_r.w_q"].data, fd) < 1e-4

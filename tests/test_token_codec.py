@@ -6,6 +6,10 @@ from crossfuse import tensor_core as tc
 from crossfuse import token_codec as codec
 
 
+def make_table(tokens, c, rng):
+    return tc.init_tensors(codec.pe_spec(tokens, c), rng, np.float64)["table"]
+
+
 def test_single_pixel_map_tokenizes_to_its_channel_vector(rng):
     v = rng.standard_normal(5)
     seq = codec.tokenize(tc.Tensor(v.reshape(1, 1, 5), dtype=np.float64))
@@ -20,14 +24,14 @@ def test_tokenize_row_major_order():
 
 
 def test_zero_map_plus_embedding_equals_table(rng):
-    pe = codec.init_positional_embedding(6, 3, rng, dtype=np.float64)
+    pe = make_table(6, 3, rng)
     m = tc.zeros((2, 3, 3), dtype=np.float64)
     seq = codec.tokenize(m, pe)
-    npt.assert_array_equal(seq.tokens.data, pe.table.data)
+    npt.assert_array_equal(seq.tokens.data, pe.data)
 
 
 def test_embedding_shape_mismatch_rejected(rng):
-    pe = codec.init_positional_embedding(5, 3, rng, dtype=np.float64)
+    pe = make_table(5, 3, rng)
     m = tc.zeros((2, 3, 3), dtype=np.float64)
     with pytest.raises(tc.DimensionError):
         codec.tokenize(m, pe)
@@ -67,18 +71,18 @@ def test_inconsistent_origin_extents_rejected(rng):
 
 def test_add_then_subtract_embedding_restores_tokens(rng):
     m = tc.Tensor(rng.standard_normal((3, 4, 5)), dtype=np.float64)
-    pe = codec.init_positional_embedding(12, 5, rng, dtype=np.float64)
+    pe = make_table(12, 5, rng)
     with_pe = codec.tokenize(m, pe)
-    restored = tc.sub(with_pe.tokens, pe.table)
+    restored = tc.sub(with_pe.tokens, pe)
     npt.assert_array_equal(restored.data, codec.tokenize(m).tokens.data)
 
 
 def test_embedding_gradient_equals_token_gradient(rng):
     m = tc.Tensor(rng.standard_normal((3, 4, 5)), dtype=np.float64)
-    pe = codec.init_positional_embedding(12, 5, rng, dtype=np.float64)
+    pe = make_table(12, 5, rng)
     w = tc.Tensor(rng.standard_normal((5, 5)), dtype=np.float64)
     tape = tc.Tape()
-    tape.watch(pe.table, "pe")
+    tape.watch(pe, "pe")
     tape.watch(m, "map")
     with tc.record_on(tape):
         seq = codec.tokenize(m, pe)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -35,8 +36,35 @@ def test_round_trip_preserves_sharing(tmp_path, rng):
     path = tmp_path / "w.icaf"
     weights_io.save_weights(wts, path)
     back = weights_io.load_weights(path)
-    assert back.icfe.shared
-    assert back.icfe.cfe_r is back.icfe.cfe_t
+    assert list(back.tensors) == list(wts.tensors)
+    assert "cfe.w_q" in back.tensors and "cfe_r.w_q" not in back.tensors
+
+
+# The first 16 hex digits of sha256 of each saved file, seeded init at 4x4x8,
+# in (pool f32, pool f64, conv f32, conv f64) order; pinned while the weights
+# were still held in per-stage containers.
+ICAF_DIGESTS = {
+    "a": ("b135e4c15ef525af", "229783d6c97ab2e6", "d5c4012388e22fc4", "7c9e4501d137260e"),
+    "b": ("1301db8b1a42787d", "978cf555130aa953", "50e928d1b67ffbe3", "a448271b8e732621"),
+    "c": ("2341f5074fc4937c", "9512e23e9d8d0833", "b3081b82c1301584", "098e314f4e628265"),
+    "d": ("0235b5f6140167ba", "ead145a601d749d5", "f96653997b5fa1b8", "d8e0406b3737f1fc"),
+    "e": ("6b7bbc5e5d494a41", "53cacf21c7e21a61", "4dad7b52ae4e8aee", "0d1f6fee9baae351"),
+    "f_rgb": ("2d9ae748ad4a487c", "2d9ae748ad4a487c", "74cadf47a9395d25", "74cadf47a9395d25"),
+    "f_thermal": ("8172ac0c6dd90fb1", "8172ac0c6dd90fb1", "3d7888e10bf6bad7", "3d7888e10bf6bad7"),
+}
+
+
+@pytest.mark.parametrize("mode", dmff.MODES)
+def test_saved_bytes_are_pinned(tmp_path, mode):
+    digests = iter(ICAF_DIGESTS[mode])
+    for variant in ("pool", "conv"):
+        for dtype in (np.float32, np.float64):
+            cfg = DmffConfig(mode=mode, shrink_variant=variant, heads=2, ffn_hidden=16)
+            wts = dmff.init_dmff_weights(cfg, 4, 4, 8, np.random.default_rng(3), dtype=dtype)
+            path = tmp_path / f"{variant}-{np.dtype(dtype).name}.icaf"
+            weights_io.save_weights(wts, path)
+            got = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+            assert got == next(digests), (variant, np.dtype(dtype).name)
 
 
 def test_save_is_deterministic(tmp_path, rng):
@@ -157,7 +185,7 @@ def test_loaded_weights_run_the_pipeline(tmp_path, rng):
 
 def test_hand_written_file_without_defect_loads(tmp_path):
     back = weights_io.load_weights(write_icaf_probe(tmp_path / "w.icaf", None))
-    assert back.icfe.cfe_r.w_q.shape == (8, 8)
+    assert back.tensors["cfe_r.w_q"].shape == (8, 8)
 
 
 def test_meta_without_the_later_config_fields_loads(tmp_path):
