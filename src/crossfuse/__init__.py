@@ -14,7 +14,7 @@ from .tensor_core import (
     record_on,
     write_rawtensor,
 )
-from .token_codec import TokenSeq, detokenize, tokenize
+from .token_codec import detokenize, tokenize
 from .sfs import shrink_conv, shrink_pool
 from .cfe import cfe_forward, cross_attention
 from .icfe import icfe_forward, stacked_forward

@@ -10,6 +10,9 @@ two-layer feed-forward network:
     t' = alpha * (z @ w_o) + beta * target
     out = gamma * t' + delta * ffn(t')
 
+Tokens in and out are plain T x C tensors; this module never needs the
+spatial grid they were flattened from.
+
 All four coefficients start at 1.  ``cfe_spec`` declares the twelve
 learnables and their init rules once, for every prefix they are laid out
 under; the functions here take them as one leaf -> Tensor mapping with
@@ -34,8 +37,7 @@ from __future__ import annotations
 import math
 
 from . import tensor_core as tc
-from .tensor_core import DimensionError, ParamSpec, Tensor
-from .token_codec import TokenSeq
+from .tensor_core import ParamSpec, Tensor
 
 COEFFICIENTS = (1.0, 1.0, 1.0, 1.0)  # initial alpha, beta, gamma, delta
 
@@ -57,29 +59,20 @@ def cfe_spec(channels: int, ffn_hidden: int, coefficients=COEFFICIENTS) -> dict:
 PARAM_NAMES = tuple(cfe_spec(1, 1))
 
 
-def cross_attention(q_tokens: TokenSeq, kv_tokens: TokenSeq, p, heads: int,
+def cross_attention(q_tokens: Tensor, kv_tokens: Tensor, p, heads: int,
                     return_weights: bool = False):
-    """Multi-head scaled dot-product attention across two token sequences.
+    """Multi-head scaled dot-product attention across two T x C token
+    matrices.
 
     Returns the concatenated head outputs (T_q x C), before the output
     projection.  With ``return_weights`` also returns the per-head
-    attention probability matrices.
+    attention probability matrices.  Token channels that differ from the
+    projections' raise DimensionError (from ``matmul``).
     """
-    if q_tokens.channels != kv_tokens.channels:
-        raise DimensionError(
-            f"channel widths differ: queries {q_tokens.tokens.shape} vs "
-            f"keys/values {kv_tokens.tokens.shape}"
-        )
-    c = q_tokens.channels
-    w_q = p["w_q"]
-    if c != w_q.shape[0]:
-        raise DimensionError(
-            f"token channels {c} do not match parameter channels {w_q.shape[0]}"
-        )
     with tc.op_stage("proj"):
-        q = tc.matmul(q_tokens.tokens, w_q)
-        k = tc.matmul(kv_tokens.tokens, p["w_k"])
-        v = tc.matmul(kv_tokens.tokens, p["w_v"])
+        q = tc.matmul(q_tokens, p["w_q"])
+        k = tc.matmul(kv_tokens, p["w_k"])
+        v = tc.matmul(kv_tokens, p["w_v"])
     return tc.multi_head_attention(q, k, v, heads, return_weights=return_weights)
 
 
@@ -93,8 +86,8 @@ def ffn(x: Tensor, p) -> Tensor:
     return tc.add(out, p["ffn_b2"])
 
 
-def cfe_forward(t_target: TokenSeq, t_aux: TokenSeq, p, heads: int,
-                attention_kv: TokenSeq | None = None) -> TokenSeq:
+def cfe_forward(t_target: Tensor, t_aux: Tensor, p, heads: int,
+                attention_kv: Tensor | None = None) -> Tensor:
     """Enhance `t_target` with information queried from `t_aux`.
 
     `attention_kv` overrides the key/value source (defaults to the target
@@ -105,7 +98,6 @@ def cfe_forward(t_target: TokenSeq, t_aux: TokenSeq, p, heads: int,
     with tc.op_stage("proj"):
         z_proj = tc.matmul(z, p["w_o"])
     attended = tc.scalar_mul(p["alpha"], z_proj)
-    t_prime = tc.add(attended, tc.scalar_mul(p["beta"], t_target.tokens))
-    out = tc.add(tc.scalar_mul(p["gamma"], t_prime),
-                 tc.scalar_mul(p["delta"], ffn(t_prime, p)))
-    return TokenSeq(out, t_target.origin_h, t_target.origin_w)
+    t_prime = tc.add(attended, tc.scalar_mul(p["beta"], t_target))
+    return tc.add(tc.scalar_mul(p["gamma"], t_prime),
+                  tc.scalar_mul(p["delta"], ffn(t_prime, p)))

@@ -31,7 +31,7 @@ from .weights_io import WeightsFormatError, load_weights, save_weights
 _MODE_FLAGS = {m.replace("_", "-"): m for m in MODES}
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class _CheckConfig:
     """A ``gradcheck --config`` file: the run seed and the two configs."""
 
@@ -57,7 +57,7 @@ def _load_run_config(cls, path, what: str):
     raw = _load_json(path)
     cfg = config_from_json(cls, raw, what)
     if "seed" not in raw.get("synth", {}):  # the scene seed defaults to the run's
-        cfg.synth = dataclasses.replace(cfg.synth, seed=cfg.seed)
+        cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, seed=cfg.seed))
     return cfg
 
 

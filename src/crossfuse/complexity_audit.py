@@ -24,7 +24,6 @@ import numpy as np
 from . import tensor_core as tc
 from .cfe import cfe_forward, cfe_spec, cross_attention
 from .tensor_core import ConfigurationError
-from .token_codec import TokenSeq
 
 VARIANTS = ("ours", "cft")
 
@@ -153,8 +152,8 @@ def param_count(tensors) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_seq(t: int, c: int, rng) -> TokenSeq:
-    return TokenSeq(tc.Tensor(rng.standard_normal((t, c)), dtype=np.float64), t, 1)
+def _random_seq(t: int, c: int, rng) -> tc.Tensor:
+    return tc.Tensor(rng.standard_normal((t, c)), dtype=np.float64)
 
 
 def _pick_heads(c: int, heads: int | None) -> int:

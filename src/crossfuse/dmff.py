@@ -8,7 +8,9 @@ the tokens, before the resize: resizing acts per channel, so it commutes
 with the 1x1 projection, and each interpolation row sums to one, so the
 fusion bias is added after the resize unchanged.  That resizes one
 C-channel map instead of two and projects s^2 times fewer pixels.  Modes
-a and b detokenize their one enhanced branch and resize it.
+a and b detokenize their one enhanced branch and resize it.  The tokens
+are plain T x C tensors; ``dmff_fuse`` is the one place that knows their
+(H/s) x (W/s) grid, and passes it to ``detokenize`` and the fusion.
 
 Fusion modes select which stages run and what is emitted:
 
@@ -59,7 +61,7 @@ MAX_ITERATIONS = 64
 RUN_FIELDS = ("mode", "input_duplication", "sequential_update")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DmffConfig:
     shrink_variant: str = "pool"  # pool | conv
     shrink_window: int = 2
@@ -251,13 +253,15 @@ def nin_fuse(f_r: Tensor, f_t: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return tc.reshape(tc.add(mixed, b), (h, width, c))
 
 
-def _fuse_tokens(t_r, t_t, h: int, w: int, nin_w: Tensor, nin_b: Tensor) -> Tensor:
-    """``nin_fuse`` of the two token maps resized to h x w, computed as the
-    projection at token resolution, one resize, then the bias."""
-    c = t_r.channels
+def _fuse_tokens(t_r: Tensor, t_t: Tensor, grid, h: int, w: int,
+                 nin_w: Tensor, nin_b: Tensor) -> Tensor:
+    """``nin_fuse`` of the two token maps on `grid` resized to h x w,
+    computed as the projection at token resolution, one resize, then the
+    bias."""
+    c = t_r.shape[1]
     with tc.op_stage("nin"):
-        mixed = tc.matmul(tc.concat_cols([t_r.tokens, t_t.tokens]), nin_w)
-    fused = tc.bilinear_resize(tc.reshape(mixed, (t_r.origin_h, t_r.origin_w, c)), h, w)
+        mixed = tc.matmul(tc.concat_cols([t_r, t_t]), nin_w)
+    fused = tc.bilinear_resize(detokenize(mixed, *grid), h, w)
     return tc.reshape(tc.add(tc.reshape(fused, (h * w, c)), nin_b), (h, w, c))
 
 
@@ -319,21 +323,20 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
                   for prefix in ("pe_r.", "pe_t."))
     h, w, _ = f_r.shape
     s = cfg.shrink_window
-    shrunk_r = shrink(f_r, s, sfs_r)
-    shrunk_t = shrink(f_t, s, sfs_t)
-    t_r = tokenize(shrunk_r, pe_r)
-    t_t = tokenize(shrunk_t, pe_t)
+    grid = (h // s, w // s)  # the token grid; only this function needs it
+    t_r = tokenize(shrink(f_r, s, sfs_r), pe_r)
+    t_t = tokenize(shrink(f_t, s, sfs_t), pe_t)
 
     if mode in ("a", "b"):
         # one-branch refinement: the other branch only ever supplies queries
         main, other, p = (t_r, t_t, cfe_r) if mode == "a" else (t_t, t_r, cfe_t)
         for _ in range(cfg.iterations):
             main = cfe_forward(main, other, p, cfg.heads)
-        return FusionOutput(primary=tc.bilinear_resize(detokenize(main), h, w))
+        return FusionOutput(primary=tc.bilinear_resize(detokenize(main, *grid), h, w))
 
     t_r, t_t = icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
                             sequential=cfg.sequential_update)
-    return FusionOutput(primary=_fuse_tokens(t_r, t_t, h, w, nin["w"], nin["b"]))
+    return FusionOutput(primary=_fuse_tokens(t_r, t_t, grid, h, w, nin["w"], nin["b"]))
 
 
 # ---------------------------------------------------------------------------

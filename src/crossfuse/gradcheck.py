@@ -8,6 +8,7 @@ of every parameter tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,8 @@ class GradCheckReport:
         return all(c.passed(self.tol) for c in self.checks)
 
     def worst(self) -> TensorCheck:
-        return max(self.checks, key=lambda c: c.max_rel_err)
+        """The check with the largest error; a NaN error counts as largest."""
+        return max(self.checks, key=lambda c: (math.isnan(c.max_rel_err), c.max_rel_err))
 
     def format(self) -> str:
         width = max(len(c.name) for c in self.checks)
@@ -69,7 +71,15 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
     `weights` overrides the freshly initialized parameter set (they must be
     wide precision).  ``_grad_hook`` is a fault-injection point for the
     checker's own tests: it receives and may replace the analytic record.
+    A NaN error at any coordinate fails that tensor's check.  Raises
+    ConfigurationError unless `eps` and `tol` are finite and positive,
+    `min_samples` is at least 1 and the mode has learnables.
     """
+    for name, value in (("eps", eps), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise tc.ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+    if min_samples < 1:
+        raise tc.ConfigurationError(f"min_samples must be >= 1, got {min_samples}")
     if synth is None:
         synth = SyntheticPairSpec(seed=seed)
     rng = np.random.default_rng(seed)
@@ -90,6 +100,8 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
         return float((d * d).mean())
 
     params = dict(wts.named_tensors())
+    if not params:
+        raise tc.ConfigurationError(f"mode {cfg.mode!r} has no learnables to check")
     tape = tc.Tape()
     tape.watch_all(params.items())
     with tc.record_on(tape):
@@ -108,7 +120,7 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
         size = tensor.size
         n_coords = min(min_samples, size)
         coords = coord_rng.choice(size, size=n_coords, replace=False)
-        worst = 0.0
+        errs = []
         flat = tensor.data.reshape(-1)
         for idx in coords:
             bumped = flat.copy()
@@ -120,6 +132,8 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
             minus = loss_of(replace_parameters(
                 wts, {name: Tensor._wrap(bumped.reshape(tensor.shape))}))
             numeric = (plus - minus) / (2.0 * eps)
-            worst = max(worst, _rel_err(float(analytic.reshape(-1)[idx]), numeric))
-        checks.append(TensorCheck(name=name, max_rel_err=worst, coords_checked=n_coords))
+            errs.append(_rel_err(float(analytic.reshape(-1)[idx]), numeric))
+        # np.max, unlike max(), keeps a NaN, and a NaN error never passes
+        checks.append(TensorCheck(name=name, max_rel_err=float(np.max(errs)),
+                                  coords_checked=n_coords))
     return GradCheckReport(checks=checks, eps=eps, tol=tol)

@@ -6,7 +6,8 @@ pass, so the parameter count is independent of the iteration count;
 passing one leaf -> Tensor mapping for both directions shares it between
 them too, and the tape then sums every use into that one set.  The
 stacked baseline chains independently parameterized blocks, laid out by
-``stacked_spec`` (parameters grow linearly with depth).
+``stacked_spec`` (parameters grow linearly with depth).  Each branch is
+a plain T x C token tensor.
 
 Updates are synchronous by default: both branches of iteration k read the
 pair produced by iteration k-1.  The sequential alternative (thermal sees
@@ -16,8 +17,7 @@ the already-updated rgb stream) is available behind a flag.
 from __future__ import annotations
 
 from .cfe import PARAM_NAMES, cfe_forward, cfe_spec
-from .tensor_core import ConfigurationError
-from .token_codec import TokenSeq
+from .tensor_core import ConfigurationError, Tensor
 
 
 def stacked_spec(channels: int, ffn_hidden: int, blocks: int) -> dict:
@@ -31,7 +31,7 @@ def stacked_spec(channels: int, ffn_hidden: int, blocks: int) -> dict:
             for i in range(blocks) for branch in "rt" for leaf, p in cfe.items()}
 
 
-def _dual_step(t_r: TokenSeq, t_t: TokenSeq, p_r, p_t, heads: int, sequential: bool):
+def _dual_step(t_r: Tensor, t_t: Tensor, p_r, p_t, heads: int, sequential: bool):
     if sequential:
         t_r = cfe_forward(t_r, t_t, p_r, heads)
         t_t = cfe_forward(t_t, t_r, p_t, heads)
@@ -41,7 +41,7 @@ def _dual_step(t_r: TokenSeq, t_t: TokenSeq, p_r, p_t, heads: int, sequential: b
             cfe_forward(t_prev, r_prev, p_t, heads))
 
 
-def icfe_forward(t_r: TokenSeq, t_t: TokenSeq, p_r, p_t, heads: int, iterations: int,
+def icfe_forward(t_r: Tensor, t_t: Tensor, p_r, p_t, heads: int, iterations: int,
                  sequential: bool = False):
     """Apply the dual pair `iterations` times with the same parameters.
 
@@ -54,7 +54,7 @@ def icfe_forward(t_r: TokenSeq, t_t: TokenSeq, p_r, p_t, heads: int, iterations:
     return t_r, t_t
 
 
-def stacked_forward(t_r: TokenSeq, t_t: TokenSeq, p, heads: int, sequential: bool = False):
+def stacked_forward(t_r: Tensor, t_t: Tensor, p, heads: int, sequential: bool = False):
     """Apply each block of a ``stacked_spec`` mapping once, in order."""
     blocks = len(p) // (2 * len(PARAM_NAMES))
     if not blocks:

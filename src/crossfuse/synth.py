@@ -17,7 +17,7 @@ from . import tensor_core as tc
 from .tensor_core import ConfigurationError, Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticPairSpec:
     h: int = 8
     w: int = 8

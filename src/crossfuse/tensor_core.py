@@ -108,11 +108,6 @@ class Tensor:
             raise DimensionError(f"item() needs a single-element tensor, got {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def to_dtype(self, dtype) -> "Tensor":
-        if self.data.dtype == np.dtype(dtype):
-            return self
-        return Tensor._wrap(self.data.astype(dtype))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={_DTYPE_TO_NAME[self.dtype]})"
 

@@ -30,7 +30,7 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr0: float = 1e-2
     momentum: float = 0.937

@@ -92,10 +92,10 @@ def test_criterion_4_parameter_scaling():
 def test_criterion_5_identity_bypass():
     rng = np.random.default_rng(2)
     params = tc.init_tensors(cfe.cfe_spec(16, 64, (0.0, 1.0, 1.0, 0.0)), rng, np.float64)
-    target = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64), 4, 4)
-    aux = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64), 4, 4)
+    target = tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64)
+    aux = tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64)
     out = cfe.cfe_forward(target, aux, params, 8)
-    token_ok = np.array_equal(out.tokens.data, target.tokens.data)
+    token_ok = np.array_equal(out.data, target.data)
 
     cfg_d = DmffConfig(mode="d", shrink_window=1)
     wts_d = dmff.init_dmff_weights(cfg_d, 8, 8, 16, rng, dtype=np.float64)
@@ -123,20 +123,20 @@ def test_criterion_5_identity_bypass():
 def test_criterion_6_attention_invariants():
     rng = np.random.default_rng(3)
     params = tc.init_tensors(cfe.cfe_spec(16, 64), rng, np.float64)
-    q = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)) * 5, dtype=np.float64), 4, 4)
-    kv = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)) * 5, dtype=np.float64), 4, 4)
+    q = tc.Tensor(rng.standard_normal((16, 16)) * 5, dtype=np.float64)
+    kv = tc.Tensor(rng.standard_normal((16, 16)) * 5, dtype=np.float64)
     _, weights = cfe.cross_attention(q, kv, params, 8, return_weights=True)
     rows_ok = all(
         np.max(np.abs(w.data.sum(axis=1) - 1.0)) < 1e-9 for w in weights
     ) and len(weights) == 8
 
-    target = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64), 4, 4)
-    aux = codec.TokenSeq(tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64), 4, 4)
+    target = tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64)
+    aux = tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64)
     base = cfe.cfe_forward(target, aux, params, 8)
     perm = rng.permutation(16)
-    shuffled = codec.TokenSeq(tc.Tensor(target.tokens.data[perm], dtype=np.float64), 4, 4)
+    shuffled = tc.Tensor(target.data[perm], dtype=np.float64)
     permuted = cfe.cfe_forward(target, aux, params, 8, attention_kv=shuffled)
-    perm_ok = np.max(np.abs(base.tokens.data - permuted.tokens.data)) < 1e-9
+    perm_ok = np.max(np.abs(base.data - permuted.data)) < 1e-9
     note("6 attention invariants: row sums, kv-permutation invariance",
          rows_ok and perm_ok)
 
@@ -144,7 +144,7 @@ def test_criterion_6_attention_invariants():
 def test_criterion_7_round_trips(tmp_path):
     rng = np.random.default_rng(4)
     fmap = tc.Tensor(rng.standard_normal((8, 8, 16)), dtype=np.float32)
-    token_ok = np.array_equal(codec.detokenize(codec.tokenize(fmap)).data, fmap.data)
+    token_ok = np.array_equal(codec.detokenize(codec.tokenize(fmap), 8, 8).data, fmap.data)
 
     wts = dmff.init_dmff_weights(DmffConfig(), 8, 8, 16, rng, dtype=np.float32)
     path = tmp_path / "w.icaf"

@@ -6,13 +6,11 @@ import pytest
 
 from crossfuse import cfe
 from crossfuse import tensor_core as tc
-from crossfuse.token_codec import TokenSeq
 from conftest import fd_gradient, rel_err
 
 
 def seq(arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    return TokenSeq(tc.Tensor(arr, dtype=np.float64), arr.shape[0], 1)
+    return tc.Tensor(arr, dtype=np.float64)
 
 
 def attention_oracle(q, kv, wq, wk, wv, heads):
@@ -180,7 +178,7 @@ def test_identity_bypass_is_bit_exact(rng):
     target = seq(rng.standard_normal((6, 4)))
     aux = seq(rng.standard_normal((6, 4)))
     out = cfe.cfe_forward(target, aux, p, 2)
-    npt.assert_array_equal(out.tokens.data, target.tokens.data)
+    npt.assert_array_equal(out.data, target.data)
 
 
 def test_attention_disabled_leaves_target_plus_ffn(rng):
@@ -188,9 +186,9 @@ def test_attention_disabled_leaves_target_plus_ffn(rng):
     target = seq(rng.standard_normal((6, 4)))
     out_a = cfe.cfe_forward(target, seq(rng.standard_normal((6, 4))), p, 2)
     out_b = cfe.cfe_forward(target, seq(rng.standard_normal((6, 4))), p, 2)
-    npt.assert_array_equal(out_a.tokens.data, out_b.tokens.data)
-    expected = target.tokens.data + cfe.ffn(target.tokens, p).data
-    npt.assert_allclose(out_a.tokens.data, expected, atol=1e-12)
+    npt.assert_array_equal(out_a.data, out_b.data)
+    expected = target.data + cfe.ffn(target, p).data
+    npt.assert_allclose(out_a.data, expected, atol=1e-12)
 
 
 def test_scalar_closed_form():
@@ -208,7 +206,7 @@ def test_scalar_closed_form():
         gamma=tc.scalar(1.0, np.float64), delta=tc.scalar(1.0, np.float64),
     )
     out = cfe.cfe_forward(seq([[2.0]]), seq([[0.7]]), p, 1)
-    assert abs(out.tokens.data[0, 0] - 20.0) < 1e-9
+    assert abs(out.data[0, 0] - 20.0) < 1e-9
 
 
 def test_output_shape_follows_target(rng):
@@ -216,8 +214,7 @@ def test_output_shape_follows_target(rng):
     target = seq(rng.standard_normal((6, 4)))
     aux = seq(rng.standard_normal((6, 4)))
     out = cfe.cfe_forward(target, aux, p, 2)
-    assert out.tokens.shape == target.tokens.shape
-    assert (out.origin_h, out.origin_w) == (target.origin_h, target.origin_w)
+    assert out.shape == target.shape
 
 
 def test_attention_kv_permutation_leaves_forward_unchanged(rng):
@@ -226,9 +223,9 @@ def test_attention_kv_permutation_leaves_forward_unchanged(rng):
     aux = seq(rng.standard_normal((6, 4)))
     perm = rng.permutation(6)
     base = cfe.cfe_forward(target, aux, p, 2)
-    permuted_kv = seq(target.tokens.data[perm])
+    permuted_kv = seq(target.data[perm])
     out = cfe.cfe_forward(target, aux, p, 2, attention_kv=permuted_kv)
-    assert np.max(np.abs(base.tokens.data - out.tokens.data)) < 1e-9
+    assert np.max(np.abs(base.data - out.data)) < 1e-9
 
 
 def test_every_parameter_gets_fd_validated_gradient(rng):
@@ -239,13 +236,13 @@ def test_every_parameter_gets_fd_validated_gradient(rng):
 
     def loss_value(params):
         out = cfe.cfe_forward(seq(target_arr), seq(aux_arr), params, 2)
-        return float((out.tokens.data * probe).sum())
+        return float((out.data * probe).sum())
 
     tape = tc.Tape()
     tape.watch_all(p.items())
     with tc.record_on(tape):
         out = cfe.cfe_forward(seq(target_arr), seq(aux_arr), p, 2)
-        loss = tc.sum_all(tc.mul(out.tokens, tc.Tensor(probe, dtype=np.float64)))
+        loss = tc.sum_all(tc.mul(out, tc.Tensor(probe, dtype=np.float64)))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
     for name, tensor in p.items():
         assert name in rec, name

@@ -154,6 +154,7 @@ CONFIG_PROBES = {
     "infinite_rate": ("train-toy", {"lr0": 1e999}),
     "list_config": ("train-toy", [1, 2]),
     "list_section": ("gradcheck", {"dmff": [1, 2]}),
+    "nothing_to_check": ("gradcheck", {"dmff": {"mode": "f_rgb"}}),
     "string_extent": ("gen", {"h": "4"}),
     "not_utf8": ("gen", b"\xff\xfe{"),
 }
@@ -173,6 +174,14 @@ def test_bad_config_is_clean_error(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--eps 0", "--eps nan", "--tol nan", "--eps=-1e-5"])
+def test_meaningless_gradcheck_settings_are_clean_error(capsys, flag):
+    rc = main(["gradcheck", *flag.split()])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_scene_seed_defaults_to_the_run_seed(tmp_path):

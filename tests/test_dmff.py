@@ -261,6 +261,51 @@ def test_every_mode_pair_gives_its_pinned_output_or_a_configuration_error(built)
         assert got == MODE_GRID[built][mode], (built, mode)
 
 
+# Every taped gradient at 4x4x8 f64, per (mode, shrink variant, iterations,
+# sequential update): the first 16 hex digits of sha256 over each
+# parameter's name and gradient bytes, in ``param_spec`` order; the loss
+# reaches every parameter.  Pinned while the token matrices still carried
+# their grid; no refactor of the stages may change a bit.
+GRAD_GRID = {
+    ("a", "pool", 1, False): "1797982e4d3c43fa",
+    ("a", "pool", 3, False): "d44ca57cbea68485",
+    ("a", "conv", 1, False): "49e6b116f19723df",
+    ("a", "conv", 3, False): "d2063fff4af6eea9",
+    ("b", "pool", 1, False): "7e9e43838caae7ce",
+    ("b", "pool", 3, False): "5cc0fb0e6ab80159",
+    ("b", "conv", 1, False): "b96f0e988d2423f2",
+    ("b", "conv", 3, False): "6b02a825e0d684e2",
+    ("c", "pool", 1, False): "6a586db2a1f814ff",
+    ("c", "pool", 3, False): "151602f04e9739a9",
+    ("c", "conv", 1, False): "fe6aa03545f72dbe",
+    ("c", "conv", 3, False): "2e1dfba8a40a6188",
+    ("d", "pool", 1, False): "0ae9d23c88b35c0e",
+    ("d", "pool", 3, False): "2fdfc54eb21c44a1",
+    ("d", "conv", 1, False): "517eba984f4a6795",
+    ("d", "conv", 3, False): "44118b2c788b2b35",
+    ("d", "pool", 3, True): "d47d32d25a90383c",
+}
+
+
+@pytest.mark.parametrize("mode, variant, iterations, sequential", list(GRAD_GRID))
+def test_every_gradient_matches_its_pin(mode, variant, iterations, sequential):
+    cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations,
+                   sequential_update=sequential)
+    wts = build(cfg, np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    f_r, f_t = make_inputs(rng)
+    probe = tc.Tensor(rng.standard_normal((4, 4, 8)), dtype=np.float64)
+    tape = tc.Tape()
+    tape.watch_all(wts.named_tensors())
+    with tc.record_on(tape):
+        loss = tc.sum_all(tc.mul(dmff.dmff_fuse(f_r, f_t, cfg, wts).primary, probe))
+    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    digest = hashlib.sha256()
+    for name, _ in wts.named_tensors():
+        digest.update(name.encode() + rec[name].data.tobytes())
+    assert digest.hexdigest()[:16] == GRAD_GRID[mode, variant, iterations, sequential]
+
+
 @pytest.mark.parametrize("field, value", [
     ("iterations", 3), ("heads", 4), ("heads", 1), ("ffn_hidden", 16),
     ("shrink_variant", "conv"), ("shrink_window", 1)])
@@ -279,6 +324,20 @@ def test_fuse_takes_duplication_and_update_order_from_the_config(rng):
     for field, value in (("input_duplication", "rgb_both"), ("sequential_update", True)):
         out = dmff.dmff_fuse(f_r, f_t, dataclasses.replace(wts.cfg, **{field: value}), wts)
         assert not np.array_equal(out.primary.data, base), field
+
+
+def test_configs_cannot_change_under_built_weights(rng):
+    from crossfuse.synth import SyntheticPairSpec
+    from crossfuse.train import TrainConfig
+
+    cfg = make_cfg(iterations=1)
+    wts = build(cfg, rng)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.iterations = 3
+    assert wts.cfg.iterations == 1
+    for config in (TrainConfig(), SyntheticPairSpec()):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = 3
 
 
 def test_iterations_are_bounded():
@@ -352,8 +411,9 @@ def _resize_then_fuse(f_r, f_t, cfg, wts):
                     else (stage(wts, "cfe."),) * 2)
     t_r, t_t = icfe.icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
                                  sequential=cfg.sequential_update)
-    return dmff.nin_fuse(tc.bilinear_resize(token_codec.detokenize(t_r), h, w),
-                         tc.bilinear_resize(token_codec.detokenize(t_t), h, w),
+    grid = (h // s, w // s)
+    return dmff.nin_fuse(tc.bilinear_resize(token_codec.detokenize(t_r, *grid), h, w),
+                         tc.bilinear_resize(token_codec.detokenize(t_t, *grid), h, w),
                          t["nin.w"], t["nin.b"])
 
 
@@ -441,7 +501,7 @@ def test_replace_parameters_rejects_bad_entries(rng, bad):
     elif bad == "shape":
         tensor, error = tc.Tensor(np.zeros((8, 4)), dtype=np.float64), tc.DimensionError
     else:
-        tensor, error = tensor.to_dtype(np.float32), tc.ConfigurationError
+        tensor, error = tc.Tensor(np.zeros((8, 8)), dtype=np.float32), tc.ConfigurationError
     with pytest.raises(error, match=name):
         dmff.replace_parameters(wts, {name: tensor})
 

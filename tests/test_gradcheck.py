@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 
 from crossfuse import tensor_core as tc
 from crossfuse.dmff import DmffConfig
@@ -74,6 +77,27 @@ def test_corrupted_adjoint_is_detected_on_exactly_that_tensor():
     assert not report.passed
     failing = [c.name for c in report.checks if not c.passed(report.tol)]
     assert failing == ["cfe_r.w_v"]
+
+
+def test_nan_gradient_fails_every_check():
+    def nan_grads(record):
+        return tc.GradRecord({n: tc.Tensor(np.full(g.shape, np.nan), dtype=np.float64)
+                              for n, g in record.entries.items()})
+
+    report = grad_check(small_cfg(mode="d"), synth=SMALL, seed=3, min_samples=1,
+                        _grad_hook=nan_grads)
+    assert not report.passed
+    assert all(math.isnan(c.max_rel_err) and not c.passed(report.tol)
+               for c in report.checks)
+    assert math.isnan(report.worst().max_rel_err)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eps", 0.0), ("eps", -1e-5), ("eps", math.nan), ("eps", math.inf),
+    ("tol", 0.0), ("tol", math.nan), ("min_samples", 0)])
+def test_meaningless_settings_are_rejected(name, value):
+    with pytest.raises(tc.ConfigurationError, match=name):
+        grad_check(small_cfg(mode="e"), synth=SMALL, **{name: value})
 
 
 def test_report_format_mentions_every_tensor():

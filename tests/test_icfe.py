@@ -3,13 +3,11 @@ import numpy.testing as npt
 
 from crossfuse import icfe, tensor_core as tc
 from crossfuse.cfe import cfe_forward, cfe_spec
-from crossfuse.token_codec import TokenSeq
 from conftest import fd_gradient, rel_err
 
 
 def seq(arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    return TokenSeq(tc.Tensor(arr, dtype=np.float64), arr.shape[0], 1)
+    return tc.Tensor(arr, dtype=np.float64)
 
 
 def make_set(rng):
@@ -40,8 +38,8 @@ def test_one_iteration_equals_single_dual_application(rng):
     out_r, out_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
     want_r = cfe_forward(t_r, t_t, p_r, 2)
     want_t = cfe_forward(t_t, t_r, p_t, 2)
-    npt.assert_array_equal(out_r.tokens.data, want_r.tokens.data)
-    npt.assert_array_equal(out_t.tokens.data, want_t.tokens.data)
+    npt.assert_array_equal(out_r.data, want_r.data)
+    npt.assert_array_equal(out_t.data, want_t.data)
 
 
 def test_two_iterations_match_manual_composition(rng):
@@ -53,8 +51,8 @@ def test_two_iterations_match_manual_composition(rng):
     t1 = cfe_forward(t_t, t_r, p_t, 2)
     r2 = cfe_forward(r1, t1, p_r, 2)
     t2 = cfe_forward(t1, r1, p_t, 2)
-    npt.assert_array_equal(out_r.tokens.data, r2.tokens.data)
-    npt.assert_array_equal(out_t.tokens.data, t2.tokens.data)
+    npt.assert_array_equal(out_r.data, r2.data)
+    npt.assert_array_equal(out_t.data, t2.data)
 
 
 def test_sequential_flag_changes_the_composition(rng):
@@ -62,11 +60,11 @@ def test_sequential_flag_changes_the_composition(rng):
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
     sync_r, sync_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
     seq_r, seq_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1, sequential=True)
-    npt.assert_array_equal(sync_r.tokens.data, seq_r.tokens.data)
+    npt.assert_array_equal(sync_r.data, seq_r.data)
     # thermal sees the updated rgb stream in sequential mode
-    assert np.max(np.abs(sync_t.tokens.data - seq_t.tokens.data)) > 1e-9
+    assert np.max(np.abs(sync_t.data - seq_t.data)) > 1e-9
     want_t = cfe_forward(t_t, seq_r, p_t, 2)
-    npt.assert_array_equal(seq_t.tokens.data, want_t.tokens.data)
+    npt.assert_array_equal(seq_t.data, want_t.data)
 
 
 def test_stacked_one_block_matches_icfe_one_iteration(rng):
@@ -75,8 +73,8 @@ def test_stacked_one_block_matches_icfe_one_iteration(rng):
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
     i_r, i_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
     s_r, s_t = icfe.stacked_forward(t_r, t_t, stack, 2)
-    npt.assert_array_equal(i_r.tokens.data, s_r.tokens.data)
-    npt.assert_array_equal(i_t.tokens.data, s_t.tokens.data)
+    npt.assert_array_equal(i_r.data, s_r.data)
+    npt.assert_array_equal(i_t.data, s_t.data)
 
 
 def test_identity_second_block_is_a_no_op(rng):
@@ -91,8 +89,8 @@ def test_identity_second_block_is_a_no_op(rng):
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
     one_r, one_t = icfe.stacked_forward(t_r, t_t, one, 2)
     two_r, two_t = icfe.stacked_forward(t_r, t_t, two, 2)
-    npt.assert_array_equal(one_r.tokens.data, two_r.tokens.data)
-    npt.assert_array_equal(one_t.tokens.data, two_t.tokens.data)
+    npt.assert_array_equal(one_r.data, two_r.data)
+    npt.assert_array_equal(one_t.data, two_t.data)
 
 
 def test_three_blocks_match_explicit_fold(rng):
@@ -105,8 +103,8 @@ def test_three_blocks_match_explicit_fold(rng):
                              if n.startswith(f"block{i}.cfe_{b}.")} for b in "rt")
         cur_r, cur_t = (cfe_forward(cur_r, cur_t, block_r, 2),
                         cfe_forward(cur_t, cur_r, block_t, 2))
-    npt.assert_array_equal(got_r.tokens.data, cur_r.tokens.data)
-    npt.assert_array_equal(got_t.tokens.data, cur_t.tokens.data)
+    npt.assert_array_equal(got_r.data, cur_r.data)
+    npt.assert_array_equal(got_t.data, cur_t.data)
 
 
 def test_shared_gradients_sum_over_iterations(rng):
@@ -118,14 +116,14 @@ def test_shared_gradients_sum_over_iterations(rng):
 
     def loss_value(params):
         out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), params, params, 2, 2)
-        return float((out_r.tokens.data ** 2).sum() + (out_t.tokens.data ** 2).sum())
+        return float((out_r.data ** 2).sum() + (out_t.data ** 2).sum())
 
     tape = tc.Tape()
     tape.watch_all(prefixed(("cfe.", p)).items())
     with tc.record_on(tape):
         out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), p, p, 2, 2)
-        loss = tc.add(tc.sum_all(tc.mul(out_r.tokens, out_r.tokens)),
-                      tc.sum_all(tc.mul(out_t.tokens, out_t.tokens)))
+        loss = tc.add(tc.sum_all(tc.mul(out_r, out_r)),
+                      tc.sum_all(tc.mul(out_t, out_t)))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
     for name in ("cfe.w_q", "cfe.ffn_w1", "cfe.alpha", "cfe.beta"):
         field = name.split(".", 1)[1]
@@ -145,12 +143,12 @@ def test_unshared_gradients_fd_validated(rng):
     tape.watch_all(prefixed(("cfe_r.", p_r), ("cfe_t.", p_t)).items())
     with tc.record_on(tape):
         out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), p_r, p_t, 2, 2)
-        loss = tc.sum_all(tc.mul(out_r.tokens, out_t.tokens))
+        loss = tc.sum_all(tc.mul(out_r, out_t))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
 
     def loss_with_wq(t):
         out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), {**p_r, "w_q": t}, p_t, 2, 2)
-        return float((out_r.tokens.data * out_t.tokens.data).sum())
+        return float((out_r.data * out_t.data).sum())
 
     fd = fd_gradient(loss_with_wq, p_r["w_q"])
     assert rel_err(rec["cfe_r.w_q"].data, fd) < 1e-4

@@ -13,21 +13,20 @@ def make_table(tokens, c, rng):
 def test_single_pixel_map_tokenizes_to_its_channel_vector(rng):
     v = rng.standard_normal(5)
     seq = codec.tokenize(tc.Tensor(v.reshape(1, 1, 5), dtype=np.float64))
-    npt.assert_array_equal(seq.tokens.data, v[None, :])
-    assert (seq.origin_h, seq.origin_w) == (1, 1)
+    npt.assert_array_equal(seq.data, v[None, :])
 
 
 def test_tokenize_row_major_order():
     m = tc.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1), dtype=np.float64)
     seq = codec.tokenize(m)
-    npt.assert_array_equal(seq.tokens.data.reshape(-1), [1.0, 2.0, 3.0, 4.0])
+    npt.assert_array_equal(seq.data.reshape(-1), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_zero_map_plus_embedding_equals_table(rng):
     pe = make_table(6, 3, rng)
     m = tc.zeros((2, 3, 3), dtype=np.float64)
     seq = codec.tokenize(m, pe)
-    npt.assert_array_equal(seq.tokens.data, pe.data)
+    npt.assert_array_equal(seq.data, pe.data)
 
 
 def test_embedding_shape_mismatch_rejected(rng):
@@ -39,13 +38,13 @@ def test_embedding_shape_mismatch_rejected(rng):
 
 def test_round_trip_is_bit_exact(rng):
     m = tc.Tensor(rng.standard_normal((4, 6, 8)), dtype=np.float32)
-    back = codec.detokenize(codec.tokenize(m))
+    back = codec.detokenize(codec.tokenize(m), 4, 6)
     npt.assert_array_equal(back.data, m.data)
 
 
 def test_single_token_detokenizes_to_1x1(rng):
-    seq = codec.TokenSeq(tc.Tensor(rng.standard_normal((1, 7)), dtype=np.float64), 1, 1)
-    assert codec.detokenize(seq).shape == (1, 1, 7)
+    seq = tc.Tensor(rng.standard_normal((1, 7)), dtype=np.float64)
+    assert codec.detokenize(seq, 1, 1).shape == (1, 1, 7)
 
 
 def test_round_trip_under_token_permutation_oracle(rng):
@@ -55,9 +54,9 @@ def test_round_trip_under_token_permutation_oracle(rng):
     seq = codec.tokenize(tc.Tensor(m, dtype=np.float64))
     perm = rng.permutation(24)
     inv = np.argsort(perm)
-    shuffled = seq.tokens.data[perm]
-    restored = codec.TokenSeq(tc.Tensor(shuffled[inv], dtype=np.float64), 4, 6)
-    back = codec.detokenize(restored)
+    shuffled = seq.data[perm]
+    restored = tc.Tensor(shuffled[inv], dtype=np.float64)
+    back = codec.detokenize(restored, 4, 6)
     # independent index-map oracle: token i holds pixel (i // 6, i % 6)
     for i in range(24):
         npt.assert_array_equal(back.data[i // 6, i % 6], m[i // 6, i % 6])
@@ -66,15 +65,15 @@ def test_round_trip_under_token_permutation_oracle(rng):
 
 def test_inconsistent_origin_extents_rejected(rng):
     with pytest.raises(tc.DimensionError):
-        codec.TokenSeq(tc.Tensor(rng.standard_normal((6, 2)), dtype=np.float64), 2, 2)
+        codec.detokenize(tc.Tensor(rng.standard_normal((6, 2)), dtype=np.float64), 2, 2)
 
 
 def test_add_then_subtract_embedding_restores_tokens(rng):
     m = tc.Tensor(rng.standard_normal((3, 4, 5)), dtype=np.float64)
     pe = make_table(12, 5, rng)
     with_pe = codec.tokenize(m, pe)
-    restored = tc.sub(with_pe.tokens, pe)
-    npt.assert_array_equal(restored.data, codec.tokenize(m).tokens.data)
+    restored = tc.sub(with_pe, pe)
+    npt.assert_array_equal(restored.data, codec.tokenize(m).data)
 
 
 def test_embedding_gradient_equals_token_gradient(rng):
@@ -86,7 +85,7 @@ def test_embedding_gradient_equals_token_gradient(rng):
     tape.watch(m, "map")
     with tc.record_on(tape):
         seq = codec.tokenize(m, pe)
-        loss = tc.sum_all(tc.mul(tc.matmul(seq.tokens, w), seq.tokens))
+        loss = tc.sum_all(tc.mul(tc.matmul(seq, w), seq))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
     # additive coupling: dL/dPE == dL/dtokens == dL/dmap reshaped
     npt.assert_array_equal(rec["pe"].data, rec["map"].data.reshape(12, 5))
