@@ -3,13 +3,15 @@
 Order of stages: optional input duplication, spatial shrinking per
 branch, tokenization with per-branch positional embeddings, iterative
 dual enhancement, then a 1x1 fusion over the channel concatenation and
-bilinear re-calibration back to the input resolution.  The fusion runs on
-the tokens, before the resize: resizing acts per channel, so it commutes
-with the 1x1 projection, and each interpolation row sums to one, so the
-fusion bias is added after the resize unchanged.  That resizes one
-C-channel map instead of two and projects s^2 times fewer pixels.  Modes
-a and b detokenize their one enhanced branch and resize it.  The tokens
-are plain T x C tensors; ``dmff_fuse`` is the one place that knows their
+bilinear re-calibration back to the input resolution.  ``nin_fuse`` is
+the one fusion, for modes c, d and e, and it runs on the tokens, before
+the resize: resizing acts per channel, so it commutes with the 1x1
+projection, and each interpolation row sums to one, so the fusion bias is
+added after the resize unchanged.  That resizes one C-channel map instead
+of two and projects s^2 times fewer pixels.  Mode e fuses the raw maps'
+tokens on the H x W grid, where nothing is resized.  Modes a and b
+detokenize their one enhanced branch and resize it.  The tokens are plain
+T x C tensors; ``dmff_fuse`` is the one place that knows their
 (H/s) x (W/s) grid, and passes it to ``detokenize`` and the fusion.
 
 Fusion modes select which stages run and what is emitted:
@@ -234,35 +236,23 @@ def init_dmff_weights(cfg: DmffConfig, height: int, width: int, channels: int,
     return DmffWeights(cfg, height, width, channels, tensors)
 
 
-def nin_fuse(f_r: Tensor, f_t: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """1x1 projection of the channel concatenation of two equal maps."""
-    if f_r.shape != f_t.shape:
-        raise DimensionError(f"fusion inputs differ: {f_r.shape} vs {f_t.shape}")
-    if f_r.data.ndim != 3:
-        raise DimensionError(f"fusion inputs must be rank 3, got {f_r.shape}")
-    h, width, c = f_r.shape
-    if w.shape != (2 * c, c):
-        raise DimensionError(
-            f"fusion weight shape {w.shape} does not match required {(2 * c, c)}"
-        )
-    left = tc.reshape(f_r, (h * width, c))
-    right = tc.reshape(f_t, (h * width, c))
-    cat = tc.concat_cols([left, right])
-    with tc.op_stage("nin"):
-        mixed = tc.matmul(cat, w)
-    return tc.reshape(tc.add(mixed, b), (h, width, c))
+def nin_fuse(t_r: Tensor, t_t: Tensor, grid, h: int, w: int,
+             nin_w: Tensor, nin_b: Tensor) -> Tensor:
+    """The h x w x C fusion of two equal T x C token tensors on `grid`:
+    the 1x1 projection of their channel concatenation, resized to h x w
+    unless `grid` is h x w already, plus the bias.
 
-
-def _fuse_tokens(t_r: Tensor, t_t: Tensor, grid, h: int, w: int,
-                 nin_w: Tensor, nin_b: Tensor) -> Tensor:
-    """``nin_fuse`` of the two token maps on `grid` resized to h x w,
-    computed as the projection at token resolution, one resize, then the
-    bias."""
-    c = t_r.shape[1]
+    It equals resizing both maps and projecting them, since the resize
+    acts per channel and each interpolation row sums to one.  Raises
+    DimensionError; the ops reject weights that do not fit the tokens.
+    """
+    if t_r.shape != t_t.shape:
+        raise DimensionError(f"fusion inputs differ: {t_r.shape} vs {t_t.shape}")
     with tc.op_stage("nin"):
         mixed = tc.matmul(tc.concat_cols([t_r, t_t]), nin_w)
-    fused = tc.bilinear_resize(detokenize(mixed, *grid), h, w)
-    return tc.reshape(tc.add(tc.reshape(fused, (h * w, c)), nin_b), (h, w, c))
+    if tuple(grid) != (h, w):
+        mixed = tokenize(tc.bilinear_resize(detokenize(mixed, *grid), h, w))
+    return detokenize(tc.add(mixed, nin_b), h, w)
 
 
 def _stage(wts: DmffWeights, mode: str, prefix: str, leaves) -> dict:
@@ -308,9 +298,11 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
         return FusionOutput(primary=f_r)
     if mode == "f_thermal":
         return FusionOutput(primary=f_t)
+    h, w, _ = f_r.shape
     nin = _stage(wts, mode, "nin.", _LEAVES["nin"]) if mode in NIN_MODES else None
     if mode == "e":
-        return FusionOutput(primary=nin_fuse(f_r, f_t, nin["w"], nin["b"]))
+        return FusionOutput(primary=nin_fuse(tokenize(f_r), tokenize(f_t), (h, w), h, w,
+                                             nin["w"], nin["b"]))
 
     # modes a and b run whichever enhancement layout the weights carry;
     # mode c needs the one shared set, mode d one set per branch
@@ -321,7 +313,6 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
                     for prefix in ("sfs_r.", "sfs_t."))
     pe_r, pe_t = (_stage(wts, mode, prefix, _LEAVES["pe"])["table"]
                   for prefix in ("pe_r.", "pe_t."))
-    h, w, _ = f_r.shape
     s = cfg.shrink_window
     grid = (h // s, w // s)  # the token grid; only this function needs it
     t_r = tokenize(shrink(f_r, s, sfs_r), pe_r)
@@ -336,7 +327,7 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
 
     t_r, t_t = icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
                             sequential=cfg.sequential_update)
-    return FusionOutput(primary=_fuse_tokens(t_r, t_t, grid, h, w, nin["w"], nin["b"]))
+    return FusionOutput(primary=nin_fuse(t_r, t_t, grid, h, w, nin["w"], nin["b"]))
 
 
 # ---------------------------------------------------------------------------

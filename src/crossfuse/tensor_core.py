@@ -236,7 +236,8 @@ def _emit(out: Tensor, parents, backward_fn):
 def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> GradRecord:
     """Reverse sweep over `tape`, seeding `output` with `output_grad`.
 
-    `output` defaults to the tape's final recorded result, and
+    `output` defaults to the tape's final recorded result; any other must
+    be the result of a step on this tape (TapeStateError), and
     `output_grad` must match its shape and dtype.  Returns the gradient of
     every watched tensor that is reachable from the output; unreachable
     parameters are simply absent from the record.  Only tensors that are
@@ -251,6 +252,8 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
         raise TapeStateError("backward before forward: tape has no recorded operations")
     if output is None:
         output = tape.last_output()
+    elif not any(out is output for out, _, _ in tape._steps):
+        raise TapeStateError("backward from a tensor that this tape did not record")
     if output_grad.shape != output.shape:
         raise DimensionError(
             f"output_grad shape {output_grad.shape} != output shape {output.shape}"

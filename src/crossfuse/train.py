@@ -7,8 +7,7 @@ gradients through every fused pathway.
 
 Weight decay is skipped for the residual coefficients, the pooling blend,
 and the positional embeddings: decaying coefficients that are defined to
-start at 1 toward 0 would fight their role.  The exemption is
-configurable.
+start at 1 toward 0 would fight their role.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ class TrainConfig:
     lr_min: float = 0.0
     steps: int = 200
     seed: int = 42
-    exempt_scalars_from_decay: bool = True
     dmff: DmffConfig = field(default_factory=DmffConfig)
     synth: SyntheticPairSpec = field(default_factory=SyntheticPairSpec)
 
@@ -47,6 +45,13 @@ class TrainConfig:
             raise tc.ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.seed < 0:
             raise tc.ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.lr_min <= self.lr0:
+            raise tc.ConfigurationError(f"learning rates must satisfy 0 <= lr_min <= lr0, "
+                                        f"got lr_min {self.lr_min}, lr0 {self.lr0}")
+        if not 0 <= self.momentum < 1:
+            raise tc.ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise tc.ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -73,12 +78,12 @@ def squared_error_loss(prediction: Tensor, target: Tensor) -> Tensor:
 
 
 def sgd_update(params: dict, velocity: dict, grads: tc.GradRecord, lr: float,
-               momentum: float, weight_decay: float, exempt_scalars: bool = True) -> dict:
+               momentum: float, weight_decay: float) -> dict:
     """One momentum-SGD step over named parameters; returns new tensors.
 
-    Decay enters the gradient (g += wd * p) before the velocity update;
-    parameters missing from `grads` contribute a zero gradient.  Velocity
-    is updated in place.
+    Decay enters the gradient (g += wd * p) before the velocity update,
+    except for decay-exempt parameters; parameters missing from `grads`
+    contribute a zero gradient.  Velocity is updated in place.
     """
     wd = np.float32(weight_decay)
     mu = np.float32(momentum)
@@ -87,7 +92,7 @@ def sgd_update(params: dict, velocity: dict, grads: tc.GradRecord, lr: float,
     for name, p in params.items():
         g_t = grads.get(name)
         g = np.zeros(p.shape, dtype=p.dtype) if g_t is None else np.array(g_t.data)
-        if weight_decay and not (exempt_scalars and is_decay_exempt(name)):
+        if weight_decay and not is_decay_exempt(name):
             g = g + wd * p.data
         v = mu * velocity[name] + g
         velocity[name] = v
@@ -119,8 +124,7 @@ def train_toy(cfg: TrainConfig, step_callback=None) -> TrainResult:
         losses.append(loss_value)
         lrs.append(lr)
         grads = tc.backward(tc.scalar(1.0, dtype=tc.STANDARD), tape, loss)
-        params = sgd_update(params, velocity, grads, lr, cfg.momentum,
-                            cfg.weight_decay, cfg.exempt_scalars_from_decay)
+        params = sgd_update(params, velocity, grads, lr, cfg.momentum, cfg.weight_decay)
         wts = replace_parameters(wts, params)
         if step_callback is not None:
             step_callback(step, lr, loss_value)

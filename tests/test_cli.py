@@ -152,6 +152,13 @@ CONFIG_PROBES = {
     "negative_seed": ("gradcheck", {"seed": -1, "synth": {"seed": 1}}),
     "string_flag": ("gradcheck", {"dmff": {"sequential_update": "false"}}),
     "infinite_rate": ("train-toy", {"lr0": 1e999}),
+    # valid JSON that would train meaninglessly: ascent, a rising schedule,
+    # a velocity that never decays, decay that grows the weights
+    "negative_rate": ("train-toy", {"lr0": -0.5, "steps": 2}),
+    "floor_above_rate": ("train-toy", {"lr_min": 1.0, "steps": 2}),
+    "unit_momentum": ("train-toy", {"momentum": 1.0, "steps": 2}),
+    "negative_decay": ("train-toy", {"weight_decay": -2.0, "steps": 2}),
+    "decay_exemption_key": ("train-toy", {"exempt_scalars_from_decay": False, "steps": 2}),
     "list_config": ("train-toy", [1, 2]),
     "list_section": ("gradcheck", {"dmff": [1, 2]}),
     "nothing_to_check": ("gradcheck", {"dmff": {"mode": "f_rgb"}}),
@@ -174,6 +181,7 @@ def test_bad_config_is_clean_error(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--eps 0", "--eps nan", "--tol nan", "--eps=-1e-5"])

@@ -44,17 +44,24 @@ def coeff_overrides(wts, a, b, g, d):
 # --- nin fusion ------------------------------------------------------------------
 
 
+def nin_maps(f_r, f_t, w, b):
+    """``nin_fuse`` of two maps' tokens on the maps' own grid."""
+    h, width, _ = f_r.shape
+    return dmff.nin_fuse(token_codec.tokenize(f_r), token_codec.tokenize(f_t),
+                         (h, width), h, width, w, b)
+
+
 def test_nin_selector_returns_first_input(rng):
     f_r, f_t = make_inputs(rng, 3, 3, 4)
     w = tc.Tensor(np.vstack([np.eye(4), np.zeros((4, 4))]), dtype=np.float64)
-    out = dmff.nin_fuse(f_r, f_t, w, tc.zeros((4,), dtype=np.float64))
+    out = nin_maps(f_r, f_t, w, tc.zeros((4,), dtype=np.float64))
     npt.assert_allclose(out.data, f_r.data, atol=1e-12)
 
 
 def test_nin_averaging_construction(rng):
     f_r, f_t = make_inputs(rng, 3, 3, 4)
     w = tc.Tensor(np.vstack([0.5 * np.eye(4), 0.5 * np.eye(4)]), dtype=np.float64)
-    out = dmff.nin_fuse(f_r, f_t, w, tc.zeros((4,), dtype=np.float64))
+    out = nin_maps(f_r, f_t, w, tc.zeros((4,), dtype=np.float64))
     npt.assert_allclose(out.data, 0.5 * (f_r.data + f_t.data), atol=1e-12)
 
 
@@ -62,8 +69,8 @@ def test_nin_against_per_pixel_oracle(rng):
     f_r, f_t = make_inputs(rng, 3, 3, 4)
     w = rng.standard_normal((8, 4))
     b = rng.standard_normal(4)
-    out = dmff.nin_fuse(f_r, f_t, tc.Tensor(w, dtype=np.float64),
-                        tc.Tensor(b, dtype=np.float64))
+    out = nin_maps(f_r, f_t, tc.Tensor(w, dtype=np.float64),
+                   tc.Tensor(b, dtype=np.float64))
     for i in range(3):
         for j in range(3):
             vec = np.concatenate([f_r.data[i, j], f_t.data[i, j]])
@@ -75,8 +82,8 @@ def test_nin_shape_mismatch(rng):
     f_r = tc.Tensor(rng.standard_normal((3, 3, 4)), dtype=np.float64)
     f_t = tc.Tensor(rng.standard_normal((3, 4, 4)), dtype=np.float64)
     with pytest.raises(tc.DimensionError):
-        dmff.nin_fuse(f_r, f_t, tc.Tensor(np.zeros((8, 4)), dtype=np.float64),
-                      tc.zeros((4,), dtype=np.float64))
+        nin_maps(f_r, f_t, tc.Tensor(np.zeros((8, 4)), dtype=np.float64),
+                 tc.zeros((4,), dtype=np.float64))
 
 
 # --- pipeline modes -----------------------------------------------------------------
@@ -265,7 +272,8 @@ def test_every_mode_pair_gives_its_pinned_output_or_a_configuration_error(built)
 # sequential update): the first 16 hex digits of sha256 over each
 # parameter's name and gradient bytes, in ``param_spec`` order; the loss
 # reaches every parameter.  Pinned while the token matrices still carried
-# their grid; no refactor of the stages may change a bit.
+# their grid, mode e while it still fused full-resolution maps; no refactor
+# of the stages may change a bit.
 GRAD_GRID = {
     ("a", "pool", 1, False): "1797982e4d3c43fa",
     ("a", "pool", 3, False): "d44ca57cbea68485",
@@ -284,13 +292,13 @@ GRAD_GRID = {
     ("d", "conv", 1, False): "517eba984f4a6795",
     ("d", "conv", 3, False): "44118b2c788b2b35",
     ("d", "pool", 3, True): "d47d32d25a90383c",
+    ("e", "pool", 1, False): "eed9419f17178a47",
 }
 
 
-@pytest.mark.parametrize("mode, variant, iterations, sequential", list(GRAD_GRID))
-def test_every_gradient_matches_its_pin(mode, variant, iterations, sequential):
-    cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations,
-                   sequential_update=sequential)
+def _digests(cfg):
+    """sha256 prefixes of the output and of every taped gradient, in
+    ``param_spec`` order, at 4x4x8 f64 under a fixed probe loss."""
     wts = build(cfg, np.random.default_rng(21))
     rng = np.random.default_rng(22)
     f_r, f_t = make_inputs(rng)
@@ -298,12 +306,50 @@ def test_every_gradient_matches_its_pin(mode, variant, iterations, sequential):
     tape = tc.Tape()
     tape.watch_all(wts.named_tensors())
     with tc.record_on(tape):
-        loss = tc.sum_all(tc.mul(dmff.dmff_fuse(f_r, f_t, cfg, wts).primary, probe))
+        out = dmff.dmff_fuse(f_r, f_t, cfg, wts).primary
+        loss = tc.sum_all(tc.mul(out, probe))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
     digest = hashlib.sha256()
     for name, _ in wts.named_tensors():
         digest.update(name.encode() + rec[name].data.tobytes())
-    assert digest.hexdigest()[:16] == GRAD_GRID[mode, variant, iterations, sequential]
+    return hashlib.sha256(out.data.tobytes()).hexdigest()[:16], digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mode, variant, iterations, sequential", list(GRAD_GRID))
+def test_every_gradient_matches_its_pin(mode, variant, iterations, sequential):
+    cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations,
+                   sequential_update=sequential)
+    assert _digests(cfg)[1] == GRAD_GRID[mode, variant, iterations, sequential]
+
+
+# Modes c and d at shrink window 1, where the token grid is the map itself:
+# (output, gradient) digests as above, pinned before the fusion skipped its
+# identity resize there.
+WINDOW_ONE_GRID = {
+    ("c", "pool", 1): ("37e9e2710c9cabf9", "c29cab048583805b"),
+    ("c", "conv", 3): ("ca3f208541f4f2f9", "b79fae5b8dd068e1"),
+    ("d", "pool", 1): ("48eccb224d12add8", "e87d10cdee173a76"),
+    ("d", "conv", 3): ("c0c96e4eb134c707", "72bae69c08d4d97a"),
+}
+
+
+@pytest.mark.parametrize("mode, variant, iterations", list(WINDOW_ONE_GRID))
+def test_window_one_output_and_gradients_match_their_pins(mode, variant, iterations):
+    cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations,
+                   shrink_window=1)
+    assert _digests(cfg) == WINDOW_ONE_GRID[mode, variant, iterations]
+
+
+@pytest.mark.parametrize("mode, window", [("e", 2), ("c", 1), ("d", 1)])
+def test_fusion_on_the_input_grid_does_not_resize(mode, window, rng):
+    # at the input resolution the fusion has nothing to resample
+    cfg = make_cfg(mode=mode, shrink_window=window)
+    wts = build(cfg, rng)
+    f_r, f_t = make_inputs(rng)
+    with tc.count_multiplies() as counter:
+        dmff.dmff_fuse(f_r, f_t, cfg, wts)
+    assert counter.total("resize") == 0
+    assert counter.total("nin") == 4 * 4 * 16 * 8
 
 
 @pytest.mark.parametrize("field, value", [
@@ -412,9 +458,9 @@ def _resize_then_fuse(f_r, f_t, cfg, wts):
     t_r, t_t = icfe.icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
                                  sequential=cfg.sequential_update)
     grid = (h // s, w // s)
-    return dmff.nin_fuse(tc.bilinear_resize(token_codec.detokenize(t_r, *grid), h, w),
-                         tc.bilinear_resize(token_codec.detokenize(t_t, *grid), h, w),
-                         t["nin.w"], t["nin.b"])
+    return nin_maps(tc.bilinear_resize(token_codec.detokenize(t_r, *grid), h, w),
+                    tc.bilinear_resize(token_codec.detokenize(t_t, *grid), h, w),
+                    t["nin.w"], t["nin.b"])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

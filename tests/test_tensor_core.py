@@ -500,6 +500,19 @@ def test_backward_before_forward_is_state_error():
         tc.backward(tc.scalar(1.0), tape)
 
 
+def test_backward_from_an_unrecorded_tensor_is_state_error(rng):
+    # a loss taken outside record_on, or an input map, has no step on the
+    # tape: a sweep from it would return no gradient at all
+    x = tc.Tensor(rng.standard_normal((2, 2)), dtype=np.float64)
+    tape = tc.Tape()
+    tape.watch(x, "x")
+    with tc.record_on(tape):
+        tc.sum_all(tc.mul(x, x))
+    for output in (tc.sum_all(x), x):
+        with pytest.raises(tc.TapeStateError, match="did not record"):
+            tc.backward(tc.Tensor(np.ones(output.shape), dtype=np.float64), tape, output)
+
+
 def test_backward_unused_parameter_absent(rng):
     used = tc.Tensor(rng.standard_normal((2, 2)), dtype=np.float64)
     unused = tc.Tensor(rng.standard_normal((2, 2)), dtype=np.float64)
