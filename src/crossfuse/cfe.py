@@ -17,19 +17,9 @@ All four coefficients start at 1.  ``cfe_spec`` declares the twelve
 learnables and their init rules once, for every prefix they are laid out
 under; the functions here take them as one leaf -> Tensor mapping with
 those names, and the head count beside it.  Heads slice the channel axis
-into contiguous blocks; scores are scaled by 1/sqrt(C / heads), folded
-into the queries.  After the three projections the whole multi-head
-attention is one tape op, ``tensor_core.multi_head_attention``, with a
-hand-written adjoint.  It exponentiates the scores without the row-max
-shift whenever the Cauchy-Schwarz bound max|q|*max|k|/sqrt(C / heads)
-proves that exp cannot overflow, and takes the softmax row sums from a
-ones column appended to V, so the only pass over the T_q x T_k scores
-besides the two products is one base-2 exponential (log2(e) is folded
-into the queries).  The scores are computed in cache-sized blocks of
-whole heads or query-row tiles, the same blocks whether or not a tape
-records.  A taped call keeps only its one block buffer of scores: its
-adjoint recomputes the other blocks, so training holds one score block
-per attention call however many iterations share the weights.
+into contiguous blocks.  One call records eight tape steps: three
+projections, the attention op, the output projection, the two residuals
+(``scaled_sum``) and the FFN (``feed_forward``), all from ``tensor_core``.
 """
 
 from __future__ import annotations
@@ -77,13 +67,9 @@ def cross_attention(q_tokens: Tensor, kv_tokens: Tensor, p, heads: int,
 
 
 def ffn(x: Tensor, p) -> Tensor:
-    """Two fully-connected layers with a rectifier between them."""
+    """Two fully-connected layers with a rectifier between them: one tape op."""
     with tc.op_stage("ffn"):
-        hidden = tc.matmul(x, p["ffn_w1"])
-    hidden = tc.relu(tc.add(hidden, p["ffn_b1"]))
-    with tc.op_stage("ffn"):
-        out = tc.matmul(hidden, p["ffn_w2"])
-    return tc.add(out, p["ffn_b2"])
+        return tc.feed_forward(x, p["ffn_w1"], p["ffn_b1"], p["ffn_w2"], p["ffn_b2"])
 
 
 def cfe_forward(t_target: Tensor, t_aux: Tensor, p, heads: int,
@@ -97,7 +83,5 @@ def cfe_forward(t_target: Tensor, t_aux: Tensor, p, heads: int,
     z = cross_attention(t_aux, kv, p, heads)
     with tc.op_stage("proj"):
         z_proj = tc.matmul(z, p["w_o"])
-    attended = tc.scalar_mul(p["alpha"], z_proj)
-    t_prime = tc.add(attended, tc.scalar_mul(p["beta"], t_target))
-    return tc.add(tc.scalar_mul(p["gamma"], t_prime),
-                  tc.scalar_mul(p["delta"], ffn(t_prime, p)))
+    t_prime = tc.scaled_sum(p["alpha"], z_proj, p["beta"], t_target)
+    return tc.scaled_sum(p["gamma"], t_prime, p["delta"], ffn(t_prime, p))

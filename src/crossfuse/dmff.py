@@ -323,7 +323,8 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
         main, other, p = (t_r, t_t, cfe_r) if mode == "a" else (t_t, t_r, cfe_t)
         for _ in range(cfg.iterations):
             main = cfe_forward(main, other, p, cfg.heads)
-        return FusionOutput(primary=tc.bilinear_resize(detokenize(main, *grid), h, w))
+        fmap = detokenize(main, *grid)
+        return FusionOutput(primary=fmap if grid == (h, w) else tc.bilinear_resize(fmap, h, w))
 
     t_r, t_t = icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
                             sequential=cfg.sequential_update)

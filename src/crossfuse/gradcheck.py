@@ -123,15 +123,13 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
         errs = []
         flat = tensor.data.reshape(-1)
         for idx in coords:
-            bumped = flat.copy()
-            bumped[idx] = flat[idx] + eps
-            plus = loss_of(replace_parameters(
-                wts, {name: Tensor._wrap(bumped.reshape(tensor.shape))}))
-            bumped = flat.copy()
-            bumped[idx] = flat[idx] - eps
-            minus = loss_of(replace_parameters(
-                wts, {name: Tensor._wrap(bumped.reshape(tensor.shape))}))
-            numeric = (plus - minus) / (2.0 * eps)
+            plus_minus = []
+            for step in (eps, -eps):
+                bumped = flat.copy()
+                bumped[idx] = flat[idx] + step
+                plus_minus.append(loss_of(replace_parameters(
+                    wts, {name: Tensor._wrap(bumped.reshape(tensor.shape))})))
+            numeric = (plus_minus[0] - plus_minus[1]) / (2.0 * eps)
             errs.append(_rel_err(float(analytic.reshape(-1)[idx]), numeric))
         # np.max, unlike max(), keeps a NaN, and a NaN error never passes
         checks.append(TensorCheck(name=name, max_rel_err=float(np.max(errs)),

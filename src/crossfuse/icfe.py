@@ -32,13 +32,8 @@ def stacked_spec(channels: int, ffn_hidden: int, blocks: int) -> dict:
 
 
 def _dual_step(t_r: Tensor, t_t: Tensor, p_r, p_t, heads: int, sequential: bool):
-    if sequential:
-        t_r = cfe_forward(t_r, t_t, p_r, heads)
-        t_t = cfe_forward(t_t, t_r, p_t, heads)
-        return t_r, t_t
-    r_prev, t_prev = t_r, t_t
-    return (cfe_forward(r_prev, t_prev, p_r, heads),
-            cfe_forward(t_prev, r_prev, p_t, heads))
+    new_r = cfe_forward(t_r, t_t, p_r, heads)
+    return new_r, cfe_forward(t_t, new_r if sequential else t_r, p_t, heads)
 
 
 def icfe_forward(t_r: Tensor, t_t: Tensor, p_r, p_t, heads: int, iterations: int,

@@ -2,7 +2,8 @@
 
 Two variants.  The mixed-pooling variant blends average and max pooling
 with a learnable weight ``lambda = sigmoid(lambda_raw)`` so the blend
-stays in (0, 1) for any raw value.  The convolution variant folds each
+stays in (0, 1) for any raw value; the blend is one tape op,
+``tensor_core.sigmoid_blend``.  The convolution variant folds each
 s x s x C block into channels and compresses back to C with a 1x1
 projection.  Both divide the token count by s**2.  ``shrink_spec``
 declares either variant's learnables and their init rules; the shrink
@@ -33,9 +34,7 @@ def shrink_pool(fmap: Tensor, s: int, p) -> Tensor:
     lambda = sigmoid(p["lambda_raw"])."""
     avg = tc.pool2d(fmap, s, "avg")
     mx = tc.pool2d(fmap, s, "max")
-    lam = tc.sigmoid(p["lambda_raw"])
-    one = tc.scalar(1.0, dtype=fmap.dtype)
-    return tc.add(tc.scalar_mul(lam, avg), tc.scalar_mul(tc.sub(one, lam), mx))
+    return tc.sigmoid_blend(p["lambda_raw"], avg, mx)
 
 
 def shrink_conv(fmap: Tensor, s: int, p) -> Tensor:

@@ -1,19 +1,19 @@
 """Dense tensor substrate with exact reverse-mode adjoints.
 
-Every operation the fusion stack needs lives here: matrix products,
-row-wise softmax, fused multi-head attention (a base-2 exponential over
-cache-sized score blocks, shift-free when the scores provably cannot
-overflow, with softmax row sums from a ones column appended to V; the
-adjoint recomputes the blocks instead of keeping them all), 2-d
-pooling, bilinear resizing, and the supporting
-elementwise/reshape plumbing.  It also holds the parameter init rule type,
-``ParamSpec``, and the one function that draws tensors from a spec,
-``init_tensors``; every stage declares its learnables as specs and every
-init path draws through it.  Forward calls optionally record onto a
-:class:`Tape`; :func:`backward` replays the tape in reverse to produce a
-:class:`GradRecord` for all watched (named) tensors, running only the steps
-that lead back to a watched tensor and dropping each other gradient once it
-is consumed.
+Every operation the fusion stack needs lives here: matrix products, fused
+multi-head attention (its adjoint recomputes the cache-sized score blocks;
+see ``multi_head_attention``), 2-d pooling, bilinear resizing, the
+elementwise/reshape plumbing, and three composite ops, ``scaled_sum``,
+``feed_forward`` and ``sigmoid_blend``.  Each records one tape step for a
+composition of three to five elementary ops, keeps only what its adjoint
+reads, and computes in the composition's order, so its outputs and
+gradients are the composition's to the bit.  The module also holds the
+parameter init rule type, ``ParamSpec``, and ``init_tensors``, the one
+function that draws tensors from a spec.  Forward calls optionally record
+onto a :class:`Tape`; :func:`backward` replays the tape in reverse to
+produce a :class:`GradRecord` for all watched (named) tensors, running
+only the steps that lead back to a watched tensor and dropping each other
+gradient once it is consumed.
 
 Most calls are on small tensors, where an op's fixed cost is comparable to
 its numpy work, so entry is kept cheap: the active tapes, multiply counters
@@ -190,11 +190,6 @@ class Tape:
     def num_steps(self) -> int:
         return len(self._steps)
 
-    def last_output(self) -> Tensor:
-        if not self._steps:
-            raise TapeStateError("tape is empty: run a forward evaluation first")
-        return self._steps[-1][0]
-
 
 class _ThreadState(threading.local):
     """Per-thread op state: the active tapes, the active multiply counters
@@ -251,7 +246,7 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
     if not tape._steps:
         raise TapeStateError("backward before forward: tape has no recorded operations")
     if output is None:
-        output = tape.last_output()
+        output = tape._steps[-1][0]
     elif not any(out is output for out, _, _ in tape._steps):
         raise TapeStateError("backward from a tensor that this tape did not record")
     if output_grad.shape != output.shape:
@@ -453,21 +448,43 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), bwd)
 
 
-def scalar_mul(s: Tensor, x: Tensor) -> Tensor:
-    """Scale `x` by the single-element learnable `s`."""
-    sd, xd = s.data, x.data
-    if sd.size != 1:
-        raise DimensionError(f"scalar_mul coefficient must be one element, got {sd.shape}")
-    if sd.dtype != xd.dtype:
-        _common_dtype(s, x)
-    sval = sd.reshape(-1)[0]
-    out = Tensor._wrap(sval * xd)
+def _scaled(a: Tensor, x: Tensor, av):
+    """av * x for the one-element `a`, with av its value or computed from
+    it, and the adjoint, which returns da and dx."""
+    ad, xd = a.data, x.data
+    if ad.size != 1:
+        raise DimensionError(f"coefficient must be one element, got {ad.shape}")
+    if ad.dtype != xd.dtype:
+        _common_dtype(a, x)
 
     def bwd(g):
-        ds = np.array([np.sum(g * xd)], dtype=g.dtype)
-        return ds, sval * g
+        return np.array([np.sum(g * xd)], dtype=g.dtype), av * g
 
-    return _emit(out, (s, x), bwd)
+    return av * xd, bwd
+
+
+def scalar_mul(s: Tensor, x: Tensor) -> Tensor:
+    """Scale `x` by the single-element learnable `s`."""
+    out, bwd = _scaled(s, x, s.data.reshape(-1)[0])
+    return _emit(Tensor._wrap(out), (s, x), bwd)
+
+
+def _scaled_pair(a: Tensor, x: Tensor, b: Tensor, y: Tensor, av, bv):
+    """av * x + bv * y for same-shape x, y (see ``_scaled``), and the
+    adjoint, which returns da, dx, db and dy."""
+    if x.data.shape != y.data.shape or x.data.dtype != y.data.dtype:
+        _common_dtype(x, y)
+        raise DimensionError(f"scaled terms differ in shape: {x.shape} vs {y.shape}")
+    (out, x_bwd), (out_y, y_bwd) = _scaled(a, x, av), _scaled(b, y, bv)
+    out += out_y
+    return Tensor._wrap(out), lambda g: (*x_bwd(g), *y_bwd(g))
+
+
+def scaled_sum(a: Tensor, x: Tensor, b: Tensor, y: Tensor) -> Tensor:
+    """a * x + b * y for single-element learnables a, b: one tape step where
+    two ``scalar_mul`` and an ``add`` took three."""
+    out, bwd = _scaled_pair(a, x, b, y, a.data.reshape(-1)[0], b.data.reshape(-1)[0])
+    return _emit(out, (a, x, b, y), bwd)
 
 
 def const_scale(x: Tensor, c: float) -> Tensor:
@@ -493,18 +510,61 @@ def relu(x: Tensor) -> Tensor:
     return _emit(out, (x,), bwd)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _logistic(d: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: with e = exp(-|x|), which never
     exceeds 1, it is 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
-    d = x.data
     e = np.exp(-np.abs(d))
-    out_arr = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor._wrap(out_arr)
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """The logistic function, elementwise (see ``_logistic``)."""
+    out_arr = _logistic(x.data)
 
     def bwd(g):
         return (g * out_arr * (1.0 - out_arr),)
 
-    return _emit(out, (x,), bwd)
+    return _emit(Tensor._wrap(out_arr), (x,), bwd)
+
+
+def sigmoid_blend(l: Tensor, x: Tensor, y: Tensor) -> Tensor:
+    """lam * x + (1 - lam) * y with lam = sigmoid(l) for a single-element
+    `l`: one tape step for ``sigmoid``, ``sub``, two ``scalar_mul``, ``add``."""
+    lam_arr = _logistic(l.data)
+    lam = lam_arr.reshape(-1)[0]
+    out, pair_bwd = _scaled_pair(l, x, l, y, lam, x.dtype.type(1.0) - lam)
+
+    def bwd(g):
+        dlam, dx, dmu, dy = pair_bwd(g)
+        return (dlam - dmu) * lam_arr * (1.0 - lam_arr), dx, dy
+
+    return _emit(out, (l, x, y), bwd)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x w1 + b1) w2 + b2 for a 2-d x; both products count under the
+    active ``op_stage``.  An untaped call rectifies in place; a taped call
+    keeps only the pre-activation, the adjoint's mask and rectified layer."""
+    xd, w1d, b1d, w2d, b2d = x.data, w1.data, b1.data, w2.data, b2.data
+    if not xd.dtype == w1d.dtype == b1d.dtype == w2d.dtype == b2d.dtype:
+        _common_dtype(x, w1, b1, w2, b2)
+    if (xd.ndim != 2 or b1d.ndim != 1 or b2d.ndim != 1
+            or w1d.shape != (xd.shape[1], b1d.size) or w2d.shape != (b1d.size, b2d.size)):
+        raise DimensionError(f"feed_forward operands do not conform: "
+                             f"{[t.shape for t in (x, w1, b1, w2, b2)]}")
+    _note_matmul(xd.shape[0], xd.shape[1], b1d.size)
+    _note_matmul(xd.shape[0], b1d.size, b2d.size)
+    hidden = xd @ w1d
+    hidden += b1d
+    out = np.maximum(hidden, 0, out=None if _recording() else hidden) @ w2d
+    out += b2d
+
+    def bwd(g):
+        dh = (g @ w2d.T) * (hidden > 0)
+        return (dh @ w1d.T, xd.T @ dh, dh.sum(axis=0),
+                np.maximum(hidden, 0).T @ g, g.sum(axis=0))
+
+    return _emit(Tensor._wrap(out), (x, w1, b1, w2, b2), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -124,6 +124,9 @@ def train_toy(cfg: TrainConfig, step_callback=None) -> TrainResult:
         losses.append(loss_value)
         lrs.append(lr)
         grads = tc.backward(tc.scalar(1.0, dtype=tc.STANDARD), tape, loss)
+        bad = [n for n in params if n in grads and not np.isfinite(grads[n].data).all()]
+        if bad:  # name the first in spec order
+            raise TrainingDivergedError(f"gradient of {bad[0]!r} became non-finite at step {step}")
         params = sgd_update(params, velocity, grads, lr, cfg.momentum, cfg.weight_decay)
         wts = replace_parameters(wts, params)
         if step_callback is not None:

@@ -340,7 +340,7 @@ def test_window_one_output_and_gradients_match_their_pins(mode, variant, iterati
     assert _digests(cfg) == WINDOW_ONE_GRID[mode, variant, iterations]
 
 
-@pytest.mark.parametrize("mode, window", [("e", 2), ("c", 1), ("d", 1)])
+@pytest.mark.parametrize("mode, window", [("e", 2), ("c", 1), ("d", 1), ("a", 1), ("b", 1)])
 def test_fusion_on_the_input_grid_does_not_resize(mode, window, rng):
     # at the input resolution the fusion has nothing to resample
     cfg = make_cfg(mode=mode, shrink_window=window)
@@ -349,7 +349,23 @@ def test_fusion_on_the_input_grid_does_not_resize(mode, window, rng):
     with tc.count_multiplies() as counter:
         dmff.dmff_fuse(f_r, f_t, cfg, wts)
     assert counter.total("resize") == 0
-    assert counter.total("nin") == 4 * 4 * 16 * 8
+    # modes a and b emit one enhanced branch and fuse nothing
+    assert counter.total("nin") == (4 * 4 * 16 * 8 if mode in dmff.NIN_MODES else 0)
+
+
+@pytest.mark.parametrize("iterations, most", [(1, 38), (3, 70)])
+def test_taped_fuse_records_few_tape_steps(iterations, most, rng):
+    # one tape step per residual, per FFN and per pooling blend; the count
+    # does not depend on the extents
+    cfg = make_cfg(mode="d", shrink_variant="pool", iterations=iterations)
+    wts = build(cfg, rng, 8, 8, 16)
+    f_r, f_t = make_inputs(rng, 8, 8, 16)
+    tape = tc.Tape()
+    tape.watch_all(wts.named_tensors())
+    with tc.record_on(tape):
+        out = dmff.dmff_fuse(f_r, f_t, cfg, wts).primary
+        tc.mean_all(tc.mul(out, out))
+    assert tape.num_steps <= most
 
 
 @pytest.mark.parametrize("field, value", [

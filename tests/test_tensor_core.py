@@ -612,11 +612,103 @@ def test_composed_graph_matches_finite_differences(rng):
     assert rel_err(rec["w"].data, fd) < 1e-4
 
 
+# --- composite ops -------------------------------------------------------------
+
+COMPOSITE_PARENTS = {"scaled_sum": ("a", "x", "b", "y"),
+                     "feed_forward": ("x", "w1", "b1", "w2", "b2"),
+                     "sigmoid_blend": ("l", "avg", "max")}
+
+
+def composite_args(op, rng, dtype):
+    def t(*shape):
+        return tc.Tensor(rng.standard_normal(shape), dtype=dtype)
+
+    if op == "scaled_sum":
+        return (tc.scalar(0.7, dtype=dtype), t(4, 6), tc.scalar(-1.3, dtype=dtype), t(4, 6))
+    if op == "feed_forward":
+        return (t(4, 6), t(6, 5), t(5), t(5, 3), t(3))
+    return (tc.scalar(-0.4, dtype=dtype), t(2, 3, 4), t(2, 3, 4))
+
+
+# The composition of elementary ops that each composite op stands for, in
+# the order the op computes it.
+COMPOSITIONS = {
+    "scaled_sum": lambda a, x, b, y: tc.add(tc.scalar_mul(a, x), tc.scalar_mul(b, y)),
+    "feed_forward": lambda x, w1, b1, w2, b2: tc.add(
+        tc.matmul(tc.relu(tc.add(tc.matmul(x, w1), b1)), w2), b2),
+    "sigmoid_blend": lambda l, avg, mx: _blend_composition(tc.sigmoid(l), avg, mx),
+}
+
+
+def _blend_composition(lam, avg, mx):
+    one = tc.scalar(1.0, dtype=avg.dtype)
+    return tc.add(tc.scalar_mul(lam, avg), tc.scalar_mul(tc.sub(one, lam), mx))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(COMPOSITE_PARENTS))
+def test_composite_op_is_byte_equal_to_its_composition(op, dtype, rng):
+    args = composite_args(op, rng, dtype)
+    probe = rng.standard_normal(getattr(tc, op)(*args).shape).astype(dtype)
+    untaped = getattr(tc, op)(*args).data
+
+    def taped(fn):
+        tape = tc.Tape()
+        tape.watch_all(zip(COMPOSITE_PARENTS[op], args))
+        with tc.record_on(tape):
+            out = fn(*args)
+        rec = tc.backward(tc.Tensor(probe, dtype=dtype), tape, out)
+        return tape.num_steps, [out.data] + [rec[n].data for n in COMPOSITE_PARENTS[op]]
+
+    steps, got = taped(getattr(tc, op))
+    _, want = taped(COMPOSITIONS[op])
+    assert steps == 1
+    assert untaped.tobytes() == want[0].tobytes()
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("op, bad", [
+    ("scaled_sum", {0: (2,)}), ("scaled_sum", {3: (4, 5)}),
+    ("feed_forward", {1: (5, 5)}), ("feed_forward", {2: (4,)}), ("feed_forward", {4: (1, 3)}),
+    ("sigmoid_blend", {0: (2,)}), ("sigmoid_blend", {2: (2, 3, 5)}),
+])
+def test_composite_op_rejects_nonconforming_operands(op, bad, rng):
+    args = list(composite_args(op, rng, np.float64))
+    for i, shape in bad.items():
+        args[i] = tc.Tensor(np.ones(shape), dtype=np.float64)
+    with pytest.raises(tc.DimensionError):
+        getattr(tc, op)(*args)
+    args = list(composite_args(op, rng, np.float64))
+    args[-1] = tc.Tensor(args[-1].data, dtype=np.float32)
+    with pytest.raises(tc.ConfigurationError):
+        getattr(tc, op)(*args)
+
+
+def test_untaped_feed_forward_allocates_no_rectified_copy(rng):
+    x, w1, b1, w2, b2 = (tc.Tensor(rng.standard_normal(s), dtype=np.float32)
+                         for s in ((256, 64), (64, 128), (128,), (128, 64), (64,)))
+    hidden_bytes = 256 * 128 * 4
+    tracemalloc.start()
+    try:
+        out = tc.feed_forward(x, w1, b1, w2, b2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the hidden layer, the output and numpy's in-place broadcast buffer; a
+    # rectified copy of the hidden layer would add hidden_bytes
+    assert peak < out.data.nbytes + 1.5 * hidden_bytes
+
+
 @pytest.mark.parametrize("opname", [
     "matmul", "transpose", "add", "add_bias", "sub", "mul", "scalar_mul",
     "const_scale", "relu", "sigmoid", "softmax_rows", "reshape", "col_slice",
     "concat_cols", "pool_avg", "pool_max", "bilinear", "space_to_channel",
     "sum_all", "mean_all", "attention_q", "attention_k", "attention_v",
+    "scaled_sum_a", "scaled_sum_x", "scaled_sum_b", "scaled_sum_y",
+    "feed_forward_x", "feed_forward_w1", "feed_forward_b1", "feed_forward_w2",
+    "feed_forward_b2", "sigmoid_blend_l", "sigmoid_blend_avg", "sigmoid_blend_max",
 ])
 def test_every_op_adjoint_matches_finite_differences(opname, rng):
     x = tc.Tensor(rng.standard_normal((4, 6)), dtype=np.float64)
@@ -654,6 +746,13 @@ def test_every_op_adjoint_matches_finite_differences(opname, rng):
         "attention_k": (keys, lambda t: tc.multi_head_attention(x, t, values, 2)),
         "attention_v": (values, lambda t: tc.multi_head_attention(x, keys, t, 2)),
     }
+    # the composite ops, once per parent
+    for op, parents in COMPOSITE_PARENTS.items():
+        args = composite_args(op, rng, np.float64)
+        for i, parent in enumerate(parents):
+            builders[f"{op}_{parent}"] = (
+                args[i], lambda t, op=op, args=args, i=i:
+                getattr(tc, op)(*args[:i], t, *args[i + 1:]))
     leaf, op = builders[opname]
 
     def run_loss(t):

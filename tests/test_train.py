@@ -93,6 +93,30 @@ def test_divergence_aborts_with_diagnostic():
         tr.train_toy(small_cfg(lr0=1e6, steps=40))
 
 
+def test_non_finite_gradient_aborts_naming_the_first_parameter(monkeypatch):
+    # a finite loss with a non-finite gradient: the step must not be taken
+    from crossfuse import tensor_core as tc
+
+    real_backward = tc.backward
+    calls = []
+
+    def poisoned_backward(*args):
+        grads = real_backward(*args)
+        calls.append(1)
+        if len(calls) == 3:
+            for name in ("nin.b", "cfe_t.ffn_w1"):  # nin.b comes later in spec order
+                bad = np.array(grads[name].data)
+                bad.reshape(-1)[0] = np.inf if name == "nin.b" else np.nan
+                grads.entries[name] = tc.Tensor(bad)
+        return grads
+
+    monkeypatch.setattr(tc, "backward", poisoned_backward)
+    with pytest.raises(tr.TrainingDivergedError,
+                       match=r"gradient of 'cfe_t.ffn_w1' became non-finite at step 2"):
+        tr.train_toy(small_cfg(steps=5))
+    assert len(calls) == 3
+
+
 def test_trace_file_round_trips(tmp_path):
     result = tr.train_toy(small_cfg(steps=5))
     path = tmp_path / "trace.csv"
