@@ -54,7 +54,7 @@ def _load_json(path):
 
 
 def _load_run_config(cls, path, what: str):
-    raw = _load_json(path)
+    raw = {} if path is None else _load_json(path)  # no file reads as an empty one
     cfg = config_from_json(cls, raw, what)
     if "seed" not in raw.get("synth", {}):  # the scene seed defaults to the run's
         cfg = dataclasses.replace(cfg, synth=dataclasses.replace(cfg.synth, seed=cfg.seed))
@@ -81,7 +81,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_toy(args) -> int:
-    cfg = load_train_config(args.config) if args.config else TrainConfig()
+    cfg = load_train_config(args.config)
 
     def report(step, lr, loss):
         print(f"step {step:4d}  lr {lr:.6f}  loss {loss:.6f}")
@@ -102,10 +102,7 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.config:
-        cfg, spec, seed = load_check_config(args.config)
-    else:
-        cfg, spec, seed = DmffConfig(), SyntheticPairSpec(), 0
+    cfg, spec, seed = load_check_config(args.config)
     report = grad_check(cfg, synth=spec, seed=seed, eps=args.eps, tol=args.tol)
     print(report.format())
     return 0 if report.passed else 1

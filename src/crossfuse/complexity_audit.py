@@ -7,10 +7,15 @@ measured.
 
 Two attention variants are compared: ``ours`` runs two cross-attention
 modules over T tokens each, ``cft`` runs one self-attention over the 2T
-concatenation of both branches.  The published FFN figures for ``ours``
-are internally inconsistent (the per-row figure implies hidden width 2C,
-the total implies 4C); the audit reports both readings and flags the
-clash instead of resolving it.
+concatenation of both branches.  Every cft cost term is twice ours except
+the FFN's, since both variants feed 2T tokens through it.  The published
+FFN figures for ``ours`` are internally inconsistent (the per-row figure
+implies hidden width 2C, the total implies 4C); the audit reports both
+readings and flags the clash instead of resolving it.
+
+The runtime check is one counted enhancement pass per variant: the real
+``cfe_forward`` under one multiply counter, whose attention and FFN
+totals the ``measured_*`` functions and the report read.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor_core as tc
-from .cfe import cfe_forward, cfe_spec, cross_attention
+from .cfe import cfe_forward, cfe_spec
 from .tensor_core import ConfigurationError
 
 VARIANTS = ("ours", "cft")
@@ -63,9 +68,13 @@ def _expr(*terms) -> CostExpr:
     return CostExpr(tuple(Monomial(*t) for t in terms))
 
 
-def _check_variant(variant: str):
+def _cft_factor(variant: str) -> int:
+    """Validate `variant` and return its cost over ours: 1 for ours, 2 for
+    cft, which attends over twice the tokens.  Every cost term scales by it
+    except the FFN's."""
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return 1 if variant == "ours" else 2
 
 
 def attention_cost(variant: str, t: int, c: int) -> CostExpr:
@@ -74,17 +83,15 @@ def attention_cost(variant: str, t: int, c: int) -> CostExpr:
     ``ours`` totals the two cross-attention modules (each T^2*C per term);
     ``cft`` runs one self-attention over 2T tokens (4T^2*C per term).
     """
-    _check_variant(variant)
+    k = 2 * _cft_factor(variant)
     if t < 1 or c < 1:
         raise ConfigurationError(f"need T, C >= 1, got T={t}, C={c}")
-    per_term = 2 if variant == "ours" else 4
-    return _expr((per_term, 2, 1), (per_term, 2, 1))
+    return _expr((k, 2, 1), (k, 2, 1))
 
 
 def softmax_cost(variant: str) -> CostExpr:
     """Symbolic softmax entry count (not multiplies; never measured)."""
-    _check_variant(variant)
-    return _expr((2 if variant == "ours" else 4, 2, 0))
+    return _expr((2 * _cft_factor(variant), 2, 0))
 
 
 def ffn_cost(variant: str, t: int, c: int, h: int) -> CostExpr:
@@ -94,7 +101,7 @@ def ffn_cost(variant: str, t: int, c: int, h: int) -> CostExpr:
     versus one module of 2T), so both come to 4*T*C*h; `h` is folded into
     the coefficient so evaluation stays exact integer arithmetic.
     """
-    _check_variant(variant)
+    _cft_factor(variant)
     if t < 1 or c < 1 or h < 1:
         raise ConfigurationError(f"need T, C, h >= 1, got T={t}, C={c}, h={h}")
     return _expr((4 * h, 1, 1))
@@ -102,14 +109,12 @@ def ffn_cost(variant: str, t: int, c: int, h: int) -> CostExpr:
 
 def published_ffn_row(variant: str) -> CostExpr:
     """FFN figure as published: 8*T*C^2 for ours, 16*T*C^2 for cft."""
-    _check_variant(variant)
-    return _expr((8 if variant == "ours" else 16, 1, 2))
+    return _expr((8 * _cft_factor(variant), 1, 2))
 
 
 def published_total(variant: str) -> CostExpr:
     """Published totals: ours 2T^2C + 16TC^2, cft 4T^2C + 16TC^2."""
-    _check_variant(variant)
-    return _expr((2 if variant == "ours" else 4, 2, 1), (16, 1, 2))
+    return _expr((2 * _cft_factor(variant), 2, 1), (16, 1, 2))
 
 
 def implied_ffn_hidden(row: CostExpr, c: int) -> int:
@@ -152,61 +157,42 @@ def param_count(tensors) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_seq(t: int, c: int, rng) -> tc.Tensor:
-    return tc.Tensor(rng.standard_normal((t, c)), dtype=np.float64)
-
-
-def _pick_heads(c: int, heads: int | None) -> int:
-    if heads is not None:
-        return heads
-    for candidate in (8, 4, 2, 1):
-        if c % candidate == 0:
-            return candidate
-    return 1
+def _counted_run(variant: str, t: int, c: int, hidden: int,
+                 heads: int | None) -> tc.MultiplyCounter:
+    """The multiplies of one enhancement pass: ``cfe_forward`` in both
+    directions over T tokens (ours), or once over their 2T concatenation
+    (cft).  Counts do not depend on the head count, which defaults to 1."""
+    _cft_factor(variant)
+    heads = 1 if heads is None else heads
+    rng = np.random.default_rng(0)
+    p = tc.init_tensors(cfe_spec(c, hidden), rng, np.float64)
+    a, b = (tc.Tensor(rng.standard_normal((t, c)), dtype=np.float64) for _ in range(2))
+    counter = tc.MultiplyCounter()
+    with tc.count_multiplies(counter):
+        if variant == "ours":
+            cfe_forward(a, b, p, heads)
+            cfe_forward(b, a, p, heads)
+        else:
+            cat = tc.Tensor(np.concatenate([a.data, b.data]), dtype=np.float64)
+            cfe_forward(cat, cat, p, heads)
+    return counter
 
 
 def measured_attention_multiplies(variant: str, t: int, c: int,
-                                  heads: int | None = None, seed: int = 0) -> dict:
+                                  heads: int | None = None) -> dict:
     """Run the real attention kernels and count score/mixing multiplies.
 
     Returns {"qk": int, "av": int}.  Counts are head-count independent.
     """
-    _check_variant(variant)
-    heads = _pick_heads(c, heads)
-    rng = np.random.default_rng(seed)
-    p = tc.init_tensors(cfe_spec(c, 2 * c), rng, np.float64)
-    counter = tc.MultiplyCounter()
-    with tc.count_multiplies(counter):
-        if variant == "ours":
-            a, b = _random_seq(t, c, rng), _random_seq(t, c, rng)
-            cross_attention(a, b, p, heads)
-            cross_attention(b, a, p, heads)
-        else:
-            cat = _random_seq(2 * t, c, rng)
-            cross_attention(cat, cat, p, heads)
+    counter = _counted_run(variant, t, c, 1, heads)
     return {"qk": counter.total("attention_qk"), "av": counter.total("attention_av")}
 
 
 def measured_ffn_multiplies(variant: str, t: int, c: int, hidden: int,
-                            heads: int | None = None, seed: int = 0) -> int:
+                            heads: int | None = None) -> int:
     """FFN multiplies of a full forward at the given dims (both modules
     for ours, the single wide module for cft)."""
-    _check_variant(variant)
-    heads = _pick_heads(c, heads)
-    rng = np.random.default_rng(seed)
-    counter = tc.MultiplyCounter()
-    with tc.count_multiplies(counter):
-        if variant == "ours":
-            p_r = tc.init_tensors(cfe_spec(c, hidden), rng, np.float64)
-            p_t = tc.init_tensors(cfe_spec(c, hidden), rng, np.float64)
-            a, b = _random_seq(t, c, rng), _random_seq(t, c, rng)
-            cfe_forward(a, b, p_r, heads)
-            cfe_forward(b, a, p_t, heads)
-        else:
-            p = tc.init_tensors(cfe_spec(c, hidden), rng, np.float64)
-            cat = _random_seq(2 * t, c, rng)
-            cfe_forward(cat, cat, p, heads)
-    return counter.total("ffn")
+    return _counted_run(variant, t, c, hidden, heads).total("ffn")
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +202,23 @@ def measured_ffn_multiplies(variant: str, t: int, c: int, hidden: int,
 
 def audit_rows(t: int, c: int, h: int) -> list:
     """Table rows: (step, cft expr, cft value, ours expr, ours value)."""
+
+    def half_attention(variant):  # Q.Kt and scores.V cost the same
+        return CostExpr(attention_cost(variant, t, c).terms[:1])
+
     rows = []
-    qk_ours = attention_cost("ours", t, c)
-    qk_cft = attention_cost("cft", t, c)
-    half_ours = CostExpr(qk_ours.terms[:1])
-    half_cft = CostExpr(qk_cft.terms[:1])
-    rows.append(("QK^T", half_cft, half_cft.evaluate(t, c), half_ours, half_ours.evaluate(t, c)))
-    sm_ours, sm_cft = softmax_cost("ours"), softmax_cost("cft")
-    rows.append(("softmax", sm_cft, sm_cft.evaluate(t, c), sm_ours, sm_ours.evaluate(t, c)))
-    rows.append(("scores*V", half_cft, half_cft.evaluate(t, c), half_ours, half_ours.evaluate(t, c)))
-    pf_ours, pf_cft = published_ffn_row("ours"), published_ffn_row("cft")
-    rows.append(("FFN (published)", pf_cft, pf_cft.evaluate(t, c), pf_ours, pf_ours.evaluate(t, c)))
-    gf_ours, gf_cft = ffn_cost("ours", t, c, h), ffn_cost("cft", t, c, h)
-    rows.append((f"FFN (h={h})", gf_cft, gf_cft.evaluate(t, c), gf_ours, gf_ours.evaluate(t, c)))
-    pt_ours, pt_cft = published_total("ours"), published_total("cft")
-    rows.append(("Total (published)", pt_cft, pt_cft.evaluate(t, c), pt_ours, pt_ours.evaluate(t, c)))
+    for step, cost in (("QK^T", half_attention), ("softmax", softmax_cost),
+                       ("scores*V", half_attention), ("FFN (published)", published_ffn_row),
+                       (f"FFN (h={h})", lambda variant: ffn_cost(variant, t, c, h)),
+                       ("Total (published)", published_total)):
+        cft, ours = cost("cft"), cost("ours")
+        rows.append((step, cft, cft.evaluate(t, c), ours, ours.evaluate(t, c)))
     return rows
 
 
-def audit_report(t: int, c: int, h: int, measure: bool = True) -> str:
-    """Aligned text table of both variants at concrete (T, C, h)."""
+def audit_report(t: int, c: int, h: int) -> str:
+    """Aligned text table of both variants at concrete (T, C, h), the
+    published FFN clash, and the runtime counters of one pass per variant."""
     rows = audit_rows(t, c, h)
     buf = io.StringIO()
     buf.write(f"Multiply audit at T={t}, C={c}, h={h}\n")
@@ -250,21 +233,19 @@ def audit_report(t: int, c: int, h: int, measure: bool = True) -> str:
             f"{str(oe):<{widths[3]}}  {str(ov):<{widths[4]}}\n"
         )
     row_h = implied_ffn_hidden(published_ffn_row("ours"), c)
-    total_h = (published_total("ours").terms[1].coeff * c) // 4
+    total_h = implied_ffn_hidden(CostExpr(published_total("ours").terms[1:]), c)
     buf.write(
         f"\nNOTE: published ours FFN row implies hidden width {row_h} (2C) but the\n"
         f"published ours total implies {total_h} (4C); both readings are reported,\n"
         "the discrepancy is left unresolved.\n"
     )
-    if measure:
-        measured = measured_attention_multiplies("ours", t, c)
-        measured_cft = measured_attention_multiplies("cft", t, c)
-        ffn_meas = measured_ffn_multiplies("ours", t, c, h)
-        buf.write(
-            "\nRuntime counters: "
-            f"ours qk={measured['qk']} av={measured['av']} ffn={ffn_meas}; "
-            f"cft qk={measured_cft['qk']} av={measured_cft['av']}\n"
-        )
+    ours, cft = (_counted_run(variant, t, c, h, None) for variant in ("ours", "cft"))
+    buf.write(
+        "\nRuntime counters: "
+        f"ours qk={ours.total('attention_qk')} av={ours.total('attention_av')} "
+        f"ffn={ours.total('ffn')}; "
+        f"cft qk={cft.total('attention_qk')} av={cft.total('attention_av')}\n"
+    )
     return buf.getvalue()
 
 

@@ -239,8 +239,8 @@ def init_dmff_weights(cfg: DmffConfig, height: int, width: int, channels: int,
 def nin_fuse(t_r: Tensor, t_t: Tensor, grid, h: int, w: int,
              nin_w: Tensor, nin_b: Tensor) -> Tensor:
     """The h x w x C fusion of two equal T x C token tensors on `grid`:
-    the 1x1 projection of their channel concatenation, resized to h x w
-    unless `grid` is h x w already, plus the bias.
+    the 1x1 projection of their channel concatenation, as a map on `grid`,
+    resized to h x w unless `grid` is h x w already, plus the bias.
 
     It equals resizing both maps and projecting them, since the resize
     acts per channel and each interpolation row sums to one.  Raises
@@ -250,9 +250,10 @@ def nin_fuse(t_r: Tensor, t_t: Tensor, grid, h: int, w: int,
         raise DimensionError(f"fusion inputs differ: {t_r.shape} vs {t_t.shape}")
     with tc.op_stage("nin"):
         mixed = tc.matmul(tc.concat_cols([t_r, t_t]), nin_w)
+    mixed = detokenize(mixed, *grid)
     if tuple(grid) != (h, w):
-        mixed = tokenize(tc.bilinear_resize(detokenize(mixed, *grid), h, w))
-    return detokenize(tc.add(mixed, nin_b), h, w)
+        mixed = tc.bilinear_resize(mixed, h, w)
+    return tc.add(mixed, nin_b)
 
 
 def _stage(wts: DmffWeights, mode: str, prefix: str, leaves) -> dict:

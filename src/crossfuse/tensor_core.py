@@ -398,7 +398,9 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a rank-1 bias broadcast over rows."""
+    """Elementwise sum; also accepts a rank-1 bias `b` over the last axis of
+    `a`, of any rank.  The bias adjoint sums the gradient over every other
+    axis, as rows of its (-1, n) view."""
     ad, bd = a.data, b.data
     if ad.dtype != bd.dtype:
         _common_dtype(a, b)
@@ -409,11 +411,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return g, g
 
         return _emit(out, (a, b), bwd)
-    if bd.ndim == 1 and ad.ndim == 2 and bd.shape[0] == ad.shape[1]:
+    n = bd.shape[0]
+    if bd.ndim == 1 and ad.shape[-1] == n:
         out = Tensor._wrap(ad + bd)
 
         def bwd_bias(g):
-            return g, g.sum(axis=0)
+            return g, g.reshape(-1, n).sum(axis=0)
 
         return _emit(out, (a, b), bwd_bias)
     raise DimensionError(f"add shapes do not conform: {a.shape} vs {b.shape}")
@@ -860,9 +863,10 @@ def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
     """Window pooling of an HxWxC map by non-overlapping s x s windows.
 
     Average pooling spreads its adjoint uniformly; max pooling routes the
-    adjoint to the first (row-major) maximal element of each window.  Both
-    adjoints are strided assignments into the (h/s, s, w/s, s, c) view of
-    the input gradient.
+    adjoint to the first (row-major) maximal element of each window, a mask
+    its adjoint builds from the input and the output, so a taped forward
+    costs what an untaped one does.  Both adjoints are strided assignments
+    into the (h/s, s, w/s, s, c) view of the input gradient.
     """
     _require_rank(fmap, 3, "pool2d input")
     if s < 1:
@@ -891,32 +895,26 @@ def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:
     if kind == "avg":
         out_arr /= s * s
 
-        def bwd_avg(g):
+        def bwd(g):
             gx = np.empty((ho, s, wo, s, c), dtype=g.dtype)
             gx[...] = (g / (s * s))[:, None, :, None]
             return (gx.reshape(h, w, c),)
+    else:
+        def bwd(g):
+            # the first maximal element of each window, in the fold's order
+            first = np.empty((ho, s, wo, s, c), dtype=bool)
+            unclaimed = np.ones((ho, wo, c), dtype=bool)
+            for i in range(s):
+                for j in range(s):
+                    hit = np.equal(blocks[:, i, :, j], out_arr)
+                    hit &= unclaimed
+                    unclaimed ^= hit
+                    first[:, i, :, j] = hit
+            gx = np.multiply(g[:, None, :, None], first)
+            gx += 0  # a negative g times False gives -0.0; make it +0.0
+            return (gx.reshape(h, w, c),)
 
-        return _emit(Tensor._wrap(out_arr), (fmap,), bwd_avg)
-
-    out = Tensor._wrap(out_arr)
-    if not _recording():
-        return out
-    # the first maximal element of each window, in the fold's order
-    first = np.empty((ho, s, wo, s, c), dtype=bool)
-    unclaimed = np.ones((ho, wo, c), dtype=bool)
-    for i in range(s):
-        for j in range(s):
-            hit = np.equal(blocks[:, i, :, j], out_arr)
-            hit &= unclaimed
-            unclaimed ^= hit
-            first[:, i, :, j] = hit
-
-    def bwd_max(g):
-        gx = np.multiply(g[:, None, :, None], first)
-        gx += 0  # a negative g times False gives -0.0; make it +0.0
-        return (gx.reshape(h, w, c),)
-
-    return _emit(out, (fmap,), bwd_max)
+    return _emit(Tensor._wrap(out_arr), (fmap,), bwd)
 
 
 def _resize_coords(n_in: int, n_out: int):

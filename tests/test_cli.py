@@ -203,6 +203,22 @@ def test_scene_seed_defaults_to_the_run_seed(tmp_path):
     assert load_check_config(path)[1].seed == 2
 
 
+def test_train_toy_without_a_config_trains_as_an_empty_one(tmp_path, capsys):
+    # both take the scene seed from the run seed
+    assert main(["train-toy"]) == 0
+    bare = capsys.readouterr().out
+    assert main(["train-toy", "--config", write_json(tmp_path / "empty.json", {})]) == 0
+    assert capsys.readouterr().out == bare
+
+
+def test_gradcheck_defaults_without_a_config():
+    from crossfuse.cli import load_check_config
+    from crossfuse.dmff import DmffConfig
+    from crossfuse.synth import SyntheticPairSpec
+
+    assert load_check_config(None) == (DmffConfig(), SyntheticPairSpec(), 0)
+
+
 def test_fuse_modes_are_the_pipeline_modes():
     from crossfuse.cli import _MODE_FLAGS
     from crossfuse.dmff import MODES

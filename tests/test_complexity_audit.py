@@ -169,3 +169,35 @@ def test_audit_csv_shape():
     lines = audit.audit_csv(4, 4, 16).strip().split("\n")
     assert lines[0].startswith("step,")
     assert len(lines) == 7
+
+
+def test_audit_report_and_csv_are_pinned_literally():
+    # every character of both renderings, trailing column padding included
+    assert audit.audit_report(4, 8, 32) == "\n".join([
+        "Multiply audit at T=4, C=8, h=32",
+        "step               cft                 cft@T,C  ours                ours@T,C",
+        "----------------------------------------------------------------------------",
+        "QK^T               4*T^2*C             512      2*T^2*C             256     ",
+        "softmax            4*T^2               64       2*T^2               32      ",
+        "scores*V           4*T^2*C             512      2*T^2*C             256     ",
+        "FFN (published)    16*T*C^2            4096     8*T*C^2             2048    ",
+        "FFN (h=32)         128*T*C             4096     128*T*C             4096    ",
+        "Total (published)  4*T^2*C + 16*T*C^2  4608     2*T^2*C + 16*T*C^2  4352    ",
+        "",
+        "NOTE: published ours FFN row implies hidden width 16 (2C) but the",
+        "published ours total implies 32 (4C); both readings are reported,",
+        "the discrepancy is left unresolved.",
+        "",
+        "Runtime counters: ours qk=256 av=256 ffn=4096; cft qk=512 av=512",
+        "",
+    ])
+    assert audit.audit_csv(4, 8, 32) == "\n".join([
+        "step,cft_expr,cft_value,ours_expr,ours_value",
+        '"QK^T","4*T^2*C",512,"2*T^2*C",256',
+        '"softmax","4*T^2",64,"2*T^2",32',
+        '"scores*V","4*T^2*C",512,"2*T^2*C",256',
+        '"FFN (published)","16*T*C^2",4096,"8*T*C^2",2048',
+        '"FFN (h=32)","128*T*C",4096,"128*T*C",4096',
+        '"Total (published)","4*T^2*C + 16*T*C^2",4608,"2*T^2*C + 16*T*C^2",4352',
+        "",
+    ])

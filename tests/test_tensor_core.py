@@ -702,7 +702,7 @@ def test_untaped_feed_forward_allocates_no_rectified_copy(rng):
 
 
 @pytest.mark.parametrize("opname", [
-    "matmul", "transpose", "add", "add_bias", "sub", "mul", "scalar_mul",
+    "matmul", "transpose", "add", "add_bias", "add_bias_rank3", "sub", "mul", "scalar_mul",
     "const_scale", "relu", "sigmoid", "softmax_rows", "reshape", "col_slice",
     "concat_cols", "pool_avg", "pool_max", "bilinear", "space_to_channel",
     "sum_all", "mean_all", "attention_q", "attention_k", "attention_v",
@@ -720,12 +720,14 @@ def test_every_op_adjoint_matches_finite_differences(opname, rng):
     probe2 = rng.standard_normal((4, 6))
     keys = tc.Tensor(rng.standard_normal((5, 6)), dtype=np.float64)
     values = tc.Tensor(rng.standard_normal((5, 6)), dtype=np.float64)
+    bias3 = tc.Tensor(rng.standard_normal(2), dtype=np.float64)
 
     builders = {
         "matmul": (x, lambda t: tc.matmul(t, rhs)),
         "transpose": (x, tc.transpose),
         "add": (x, lambda t: tc.add(t, other)),
         "add_bias": (bias, lambda t: tc.add(x, t)),
+        "add_bias_rank3": (bias3, lambda t: tc.add(m3, t)),
         "sub": (x, lambda t: tc.sub(t, other)),
         "mul": (x, lambda t: tc.mul(t, other)),
         "scalar_mul": (coeff, lambda t: tc.scalar_mul(t, x)),
