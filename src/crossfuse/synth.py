@@ -4,7 +4,8 @@ Each scene is a sum of Gaussian blobs with per-channel intensity
 profiles.  A blob is visible in one branch only (with probability
 `complementarity`) or in both; the reconstruction target is the
 elementwise maximum of the pair, so it is only recoverable by actually
-combining the two branches.
+combining the two branches.  A map holds at most ``MAX_MAP_ELEMENTS``
+elements (ConfigurationError past it).
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import numpy as np
 
 from . import tensor_core as tc
 from .tensor_core import ConfigurationError, Tensor
+
+# 16 x the largest benchmark map (64x64x64): a scene past it is a corrupt config
+MAX_MAP_ELEMENTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,10 @@ class SyntheticPairSpec:
         if self.h < 1 or self.w < 1 or self.c < 1:
             raise ConfigurationError(
                 f"extents must be >= 1, got {self.h}x{self.w}x{self.c}"
+            )
+        if self.h * self.w * self.c > MAX_MAP_ELEMENTS:
+            raise ConfigurationError(
+                f"a {self.h}x{self.w}x{self.c} map has more than {MAX_MAP_ELEMENTS} elements"
             )
         if not 0.0 <= self.complementarity <= 1.0:
             raise ConfigurationError(

@@ -22,8 +22,9 @@ and ``op_stage`` labels are plain attributes of one per-thread state object,
 numpy arrays directly, calling the helpers that raise the named errors only
 on a mismatch.
 
-The rawtensor reader and the ICAF tensor table share one rule for shapes
-read from JSON, ``json_shape``.
+A rawtensor file and an ICAF tensor table entry hold one tensor record (a
+dtype name, a ``json_shape`` and a row-major little-endian payload), coded
+by ``encode_tensor``, ``tensor_layout`` and ``decode_tensor`` alone.
 
 Tensors are immutable after construction (the underlying numpy buffer is
 write-protected) and carry either standard (float32) or wide (float64)
@@ -46,7 +47,7 @@ STANDARD = np.float32
 WIDE = np.float64
 
 _DTYPE_TO_NAME = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-_NAME_TO_DTYPE = {"f32": np.float32, "f64": np.float64}
+_NAME_TO_DTYPE = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}  # as records store them
 
 
 class DimensionError(ValueError):
@@ -1001,22 +1002,15 @@ def space_to_channel(fmap: Tensor, s: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# rawtensor v1 file format
+# Tensor records: a dtype name, a JSON shape, a row-major little-endian payload
 # ---------------------------------------------------------------------------
 
 
-def write_rawtensor(path, tensor: Tensor):
-    """One JSON header line, then the row-major little-endian payload."""
-    header = {
-        "v": 1,
-        "dtype": _DTYPE_TO_NAME[tensor.dtype],
-        "shape": list(tensor.shape),
-    }
-    payload = np.ascontiguousarray(tensor.data, dtype=tensor.data.dtype.newbyteorder("<"))
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+def encode_tensor(t: Tensor) -> tuple:
+    """`t`'s record: its header fields (dtype name, shape) and payload bytes."""
+    name = _DTYPE_TO_NAME[t.dtype]
+    return ({"dtype": name, "shape": list(t.shape)},
+            np.ascontiguousarray(t.data, dtype=_NAME_TO_DTYPE[name]).tobytes())
 
 
 def json_shape(value, what: str) -> tuple:
@@ -1028,6 +1022,35 @@ def json_shape(value, what: str) -> tuple:
     return tuple(value)
 
 
+def tensor_layout(fields, what: str) -> tuple:
+    """(shape, little-endian dtype, payload byte count) of a record whose
+    header fields were read from JSON: an object with a known dtype name
+    and a ``json_shape``.  Raises ConfigurationError."""
+    if not isinstance(fields, dict):
+        raise ConfigurationError(f"{what} is not a JSON object")
+    name = fields.get("dtype")
+    if not isinstance(name, str) or name not in _NAME_TO_DTYPE:
+        raise ConfigurationError(f"unknown dtype {name!r} in {what}")
+    shape = json_shape(fields.get("shape"), f"shape in {what}")
+    dt = _NAME_TO_DTYPE[name]
+    return shape, dt, math.prod(shape) * dt.itemsize
+
+
+def decode_tensor(blob: bytes, offset: int, shape: tuple, dt) -> Tensor:
+    """The payload at `offset` of `blob`, checked by the caller to hold it.  On a
+    little-endian host this is a view of `blob`: pass a fresh bytes object."""
+    arr = np.frombuffer(blob, dtype=dt, count=math.prod(shape), offset=offset)
+    return Tensor._wrap(np.ascontiguousarray(arr.reshape(shape), dtype=dt.newbyteorder("=")))
+
+
+def write_rawtensor(path, tensor: Tensor):
+    """rawtensor v1: one JSON header line (version, record fields), then the payload."""
+    fields, payload = encode_tensor(tensor)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps({"v": 1, **fields}, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(payload)
+
+
 def read_rawtensor(path) -> Tensor:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -1036,30 +1059,10 @@ def read_rawtensor(path) -> Tensor:
         header = json.loads(header_line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"bad rawtensor header in {path}: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ConfigurationError(f"rawtensor header in {path} is not a JSON object")
-    if header.get("v") != 1:
-        raise ConfigurationError(f"unsupported rawtensor version {header.get('v')!r}")
-    dt_name = header.get("dtype")
-    if not isinstance(dt_name, str) or dt_name not in _NAME_TO_DTYPE:
-        raise ConfigurationError(f"unknown rawtensor dtype {dt_name!r}")
-    shape = json_shape(header.get("shape"), "rawtensor shape")
-    dt = np.dtype(_NAME_TO_DTYPE[dt_name]).newbyteorder("<")
-    expected = math.prod(shape) * dt.itemsize
-    if len(blob) != expected:
-        raise ConfigurationError(
-            f"rawtensor payload is {len(blob)} bytes, expected {expected}"
-        )
-    arr = np.frombuffer(blob, dtype=dt).reshape(shape)
-    return Tensor._wrap(np.ascontiguousarray(arr, dtype=_NAME_TO_DTYPE[dt_name]))
-
-
-def dtype_name(dtype) -> str:
-    return _DTYPE_TO_NAME[np.dtype(dtype)]
-
-
-def dtype_from_name(name: str):
-    try:
-        return _NAME_TO_DTYPE[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown dtype name {name!r}") from None
+    shape, dt, nbytes = tensor_layout(header, f"rawtensor header in {path}")
+    version = header.get("v")
+    if type(version) is not int or version != 1:  # JSON true and 1.0 are not 1
+        raise ConfigurationError(f"unsupported rawtensor version {version!r} in {path}")
+    if len(blob) != nbytes:
+        raise ConfigurationError(f"rawtensor payload in {path} is {len(blob)} bytes, not {nbytes}")
+    return decode_tensor(blob, 0, shape, dt)

@@ -6,7 +6,11 @@ Layout:
     bytes 4..7    format version, uint32 little-endian
     bytes 8..11   manifest byte length, uint32 little-endian
     manifest      UTF-8 JSON {"meta": {...}, "tensors": [{name, shape, dtype}]}
-    payload       tensors concatenated little-endian, manifest order
+    payload       the tensors' record payloads, concatenated in manifest order
+
+Each table entry names a tensor record, as a rawtensor file holds one;
+``tensor_core`` encodes, checks and decodes records, so this module knows
+only the framing: magic, version, manifest, names, order and error kinds.
 
 The manifest meta carries the pipeline configuration and input extents,
 so a load rebuilds the weights through ``dmff.assemble``, which checks the
@@ -23,14 +27,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import struct
-
-import numpy as np
 
 from . import tensor_core as tc
 from .dmff import DmffConfig, DmffWeights, assemble, config_from_json
-from .tensor_core import Tensor
 
 MAGIC = b"ICAF"
 VERSION = 1
@@ -61,15 +61,12 @@ class TruncatedPayloadError(WeightsFormatError):
 
 
 def save_weights(wts: DmffWeights, path):
-    tensors = list(wts.named_tensors())
+    records = [(name, *tc.encode_tensor(t)) for name, t in wts.named_tensors()]
     manifest = {
         # every DmffConfig field plus the input extents
         "meta": dict(dataclasses.asdict(wts.cfg), height=wts.height, width=wts.width,
                      channels=wts.channels),
-        "tensors": [
-            {"name": name, "shape": list(t.shape), "dtype": tc.dtype_name(t.dtype)}
-            for name, t in tensors
-        ],
+        "tensors": [{"name": name, **fields} for name, fields, _ in records],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -77,8 +74,8 @@ def save_weights(wts: DmffWeights, path):
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, t in tensors:
-            fh.write(np.ascontiguousarray(t.data, dtype=t.data.dtype.newbyteorder("<")).tobytes())
+        for _, _, payload in records:
+            fh.write(payload)
 
 
 def _take(blob: bytes, start: int, n: int, what: str) -> bytes:
@@ -86,17 +83,6 @@ def _take(blob: bytes, start: int, n: int, what: str) -> bytes:
     if len(part) != n:
         raise TruncatedPayloadError(f"file ends inside {what}: wanted {n} bytes, got {len(part)}")
     return part
-
-
-def _parse_entry(entry):
-    try:
-        name, shape = entry["name"], tc.json_shape(entry["shape"], "tensor shape")
-        dtype = tc.dtype_from_name(entry["dtype"])
-    except (KeyError, TypeError, tc.ConfigurationError) as exc:
-        raise ManifestError(f"bad tensor entry {entry!r}: {exc}") from exc
-    if not isinstance(name, str):
-        raise ManifestError(f"tensor entry {entry!r} needs a string name")
-    return name, shape, dtype
 
 
 def _config_from_meta(meta):
@@ -139,19 +125,21 @@ def load_weights(path) -> DmffWeights:
     tensors = {}
     offset = 0
     for entry in entries:
-        name, shape, dtype = _parse_entry(entry)
+        try:
+            shape, dt, nbytes = tc.tensor_layout(entry, "tensor entry")
+        except tc.ConfigurationError as exc:
+            raise ManifestError(f"bad tensor entry {entry!r}: {exc}") from exc
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise ManifestError(f"tensor entry {entry!r} needs a string name")
         if name in tensors:
             raise ManifestError(f"duplicate tensor name {name!r}")
-        count = math.prod(shape)
-        dt = np.dtype(dtype).newbyteorder("<")
-        nbytes = count * dt.itemsize
         if offset + nbytes > len(payload):
             raise TruncatedPayloadError(
                 f"payload ends inside tensor {name!r}: need {offset + nbytes} bytes, "
                 f"have {len(payload)}"
             )
-        arr = np.frombuffer(payload, dtype=dt, count=count, offset=offset).reshape(shape)
-        tensors[name] = Tensor._wrap(np.ascontiguousarray(arr, dtype=dtype))
+        tensors[name] = tc.decode_tensor(payload, offset, shape, dt)
         offset += nbytes
     if offset != len(payload):
         raise ManifestError(

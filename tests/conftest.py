@@ -55,6 +55,8 @@ RAWTENSOR_PROBES = {
     "dtype_is_a_list": (b'{"v": 1, "dtype": ["f32"], "shape": [2]}', 8),
     "string_extents": (b'{"v": 1, "dtype": "f32", "shape": ["8", "8"]}', 256),
     "boolean_extent": (b'{"v": 1, "dtype": "f32", "shape": [true, 2]}', 8),
+    "boolean_version": (b'{"v": true, "dtype": "f32", "shape": [4, 4, 8]}', 512),
+    "real_version": (b'{"v": 1.0, "dtype": "f32", "shape": [4, 4, 8]}', 512),
 }
 
 

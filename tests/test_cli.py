@@ -164,6 +164,10 @@ CONFIG_PROBES = {
     "nothing_to_check": ("gradcheck", {"dmff": {"mode": "f_rgb"}}),
     "string_extent": ("gen", {"h": "4"}),
     "not_utf8": ("gen", b"\xff\xfe{"),
+    # scenes too large to allocate: numpy would raise its own memory error
+    "huge_scene_gen": ("gen", {"h": 10_000_000, "w": 10_000_000}),
+    "huge_scene_train": ("train-toy", {"synth": {"h": 10_000_000, "w": 10_000_000}}),
+    "huge_scene_check": ("gradcheck", {"synth": {"h": 10_000_000, "w": 10_000_000}}),
 }
 
 

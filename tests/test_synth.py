@@ -49,3 +49,14 @@ def test_invalid_spec_rejected():
         SyntheticPairSpec(blob_count=-1)
     with pytest.raises(tc.ConfigurationError):
         SyntheticPairSpec(h=0)
+
+
+def test_scene_past_the_element_bound_rejected():
+    from crossfuse.synth import MAX_MAP_ELEMENTS
+
+    assert MAX_MAP_ELEMENTS == 2**22
+    SyntheticPairSpec(h=2**11, w=2**11, c=1)  # exactly at the bound
+    with pytest.raises(tc.ConfigurationError, match="elements"):
+        SyntheticPairSpec(h=2**11, w=2**11, c=2)
+    with pytest.raises(tc.ConfigurationError):
+        SyntheticPairSpec(h=10_000_000, w=10_000_000)

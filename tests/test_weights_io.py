@@ -8,7 +8,7 @@ import pytest
 
 from crossfuse import dmff, weights_io
 from crossfuse.dmff import DmffConfig
-from conftest import ICAF_PROBES, write_icaf, write_icaf_probe
+from conftest import ICAF_PROBES, RAWTENSOR_PROBES, write_icaf, write_icaf_probe
 
 
 def build_weights(rng, mode="d"):
@@ -203,6 +203,27 @@ def test_meta_without_the_later_config_fields_loads(tmp_path):
 def test_malformed_tensor_table_is_manifest_error(tmp_path, kind):
     with pytest.raises(weights_io.ManifestError):
         weights_io.load_weights(write_icaf_probe(tmp_path / "w.icaf", kind))
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in RAWTENSOR_PROBES if not k.endswith("_version")))
+def test_rawtensor_header_probes_in_the_tensor_table_are_manifest_errors(tmp_path, kind):
+    # both readers hold a tensor record to one rule
+    import json
+
+    path = write_icaf_probe(tmp_path / "w.icaf", None)
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack("<I", blob[8:12])
+    manifest = json.loads(blob[12 : 12 + mlen])
+    header = json.loads(RAWTENSOR_PROBES[kind][0])
+    entry = manifest["tensors"][0]
+    manifest["tensors"][0] = (header if kind == "not_an_object" else
+                              dict(entry, dtype=header["dtype"], shape=header["shape"]))
+    new_manifest = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(
+        blob[:8] + struct.pack("<I", len(new_manifest)) + new_manifest + blob[12 + mlen :]
+    )
+    with pytest.raises(weights_io.ManifestError):
+        weights_io.load_weights(path)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
