@@ -5,7 +5,8 @@ profiles.  A blob is visible in one branch only (with probability
 `complementarity`) or in both; the reconstruction target is the
 elementwise maximum of the pair, so it is only recoverable by actually
 combining the two branches.  A map holds at most ``MAX_MAP_ELEMENTS``
-elements (ConfigurationError past it).
+elements and a scene at most ``MAX_BLOB_COUNT`` blobs (ConfigurationError
+past either).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .tensor_core import ConfigurationError, Tensor
 
 # 16 x the largest benchmark map (64x64x64): a scene past it is a corrupt config
 MAX_MAP_ELEMENTS = 2**22
+# 50 x the default count; each blob costs a pass over the map
+MAX_BLOB_COUNT = 256
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,10 @@ class SyntheticPairSpec:
             raise ConfigurationError(
                 f"complementarity must be in [0, 1], got {self.complementarity}"
             )
-        if self.blob_count < 0:
-            raise ConfigurationError(f"blob_count must be >= 0, got {self.blob_count}")
+        if not 0 <= self.blob_count <= MAX_BLOB_COUNT:
+            raise ConfigurationError(
+                f"blob_count must be in [0, {MAX_BLOB_COUNT}], got {self.blob_count}"
+            )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 

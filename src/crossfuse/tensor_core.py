@@ -661,21 +661,20 @@ def softmax_rows(m: Tensor) -> Tensor:
     return _emit(out, (m,), bwd)
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    """T x C -> heads x T x (C / heads); head j owns a contiguous channel block."""
-    t, c = x.shape
-    return np.ascontiguousarray(x.reshape(t, heads, c // heads).transpose(1, 0, 2))
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    heads, t, d = x.shape
-    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t, heads * d)
-
-
-# Score blocks hold at most this many elements (1 MiB in f32), so that a
-# block stays in cache between the products and the exp: whole heads when one
-# head fits, else query-row tiles of one head.
-_ATTENTION_BLOCK_ELEMENTS = 1 << 18
+# Score blocks hold at most this many elements (256 KiB in f32): whole heads
+# when one head fits, else query-row tiles of one head.  It is the budget at
+# which OpenBLAS 0.3.31 runs the key-major products fastest.  Per query row
+# at T_k = 1024, d = 8, f32 (one thread, best of 7, a Sapphire Rapids core):
+#
+#     rows per tile              32    64    96   128   256
+#     K Q^T         ns / row    221   187   243   385   279
+#     [V|1]^T E^T   ns / row    232   236   272   468   476
+#
+# Both products slow down past 96 rows, where M N K passes ~10^6 (it looks
+# like OpenBLAS's small-matrix path).  Whole untaped calls at T = 1024, 8
+# heads, took 14.3, 10.4, 9.7, 13.7 and 14.3 ms at budgets 2^14 ... 2^18;
+# at T = 256 (one head per block) 2^16 was within 3% of the best.
+_ATTENTION_BLOCK_ELEMENTS = 1 << 16
 
 
 def _attention_blocks(heads: int, tq: int, tk: int):
@@ -704,14 +703,15 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """Concatenated head outputs softmax(Q_j K_j^T / sqrt(d)) V_j, T_q x C.
 
     Head j owns channels [j*d, (j+1)*d), d = C / heads.  The scale is folded
-    into Q (T_q x d) instead of the T_q x T_k scores, and so is log2(e):
-    exp(s) = 2^(s log2(e)), and ``exp2`` is the cheaper pass.  Per score
-    block the op makes one product Q K^T, one in-place ``exp2`` and one
-    product with [V | 1], a T_k x (d + 1) operand whose ones column yields
-    each row's sum s, so the normaliser needs no pass of its own; rows are
-    divided by s after the product.
+    into Q^T (d x T_q) instead of the scores, and so is log2(e):
+    exp(s) = 2^(s log2(e)), and ``exp2`` is the cheaper pass.  Score blocks
+    are key-major, T_k x rows per head, the shape in which BLAS runs these
+    d-narrow products fastest.  Per block the op makes one product
+    E^T = K (scale log2(e) Q)^T, one in-place ``exp2`` and one product
+    [V | 1]^T E^T, whose last row is each query's sum s, so the normaliser
+    needs no pass of its own; columns are divided by s after the product.
 
-    Softmax is shift-invariant, so the usual row-max shift only guards the
+    Softmax is shift-invariant, so the usual max shift only guards the
     exponential against overflow, and it is skipped per head when overflow
     is impossible.  With M the dtype's largest finite value and
     L = ln(M) / 4, Cauchy-Schwarz bounds every scaled score by
@@ -727,30 +727,29 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     adjoint stays finite as well, and the factor 4 in L leaves room for
     rounding in b and the scores.  The test is the same in base 2 (a
     base-2 exponent of at most log2(M) / 4), so it stays in natural units.
-    Otherwise (or for non-finite input) that head takes the exact row-max
-    shift: its queries carry only the natural scale, the row max is
-    subtracted from its natural scores, and only the O(1) differences are
-    scaled by log2(e), since folding before the shift would round large
+    Otherwise (or for non-finite input) that head takes the exact shift:
+    its queries carry only the natural scale, each query's max over the
+    keys (axis 0 of its block) is subtracted, and only the O(1) differences
+    are scaled by log2(e), since folding before the shift would round large
     exponents at their own ulp.  b costs O(T d) per head.
 
     Score blocks hold at most ``_ATTENTION_BLOCK_ELEMENTS`` elements: as
     many whole heads as fit, or else query-row tiles of one head, all
     computed in one reused block buffer, taped or not.  A taped call keeps
     no scores: only Q, K, [V | 1], the row sums, the output and that block
-    buffer, which still holds the last block's E; besides the block that
-    is O(T C) bytes.  Its adjoint is written out directly:
+    buffer, which still holds the last block's E^T; besides the block that
+    is O(T C) bytes.  Its adjoint is written out directly, with P = E / s
+    and gs = g / s:
 
-        dV = P^T g,  dS = P * (g V^T - rowsum(g * O)),
-        dQ = scale * dS K,  dK = dS^T (scale * Q).
+        dS^T = ([V | 1] [gs | -rowsum(gs * O)]^T) * E^T,
+        dQ^T = scale K^T dS^T,  dV = E^T gs,  dK = scale dS^T Q.
 
-    With P = E / s and gs = g / s, dS is one product
-    [gs | -rowsum(gs * O)] [V | 1]^T, times E.  The adjoint walks the
-    forward's blocks again, in head groups under a quarter of the budget,
-    and makes each group's products for all its heads at once; dV and dK
-    sum over a head's query-row tiles.  It reads the last block's E from
-    the kept buffer and recomputes every other group's E by the forward's
-    own code, so E is the same to the bit (recompute as in memory-efficient
-    attention, arXiv 2112.05682).
+    The adjoint walks the forward's blocks again, in head groups under a
+    quarter of the budget, and makes each group's products for all its
+    heads at once; dV and dK sum over a head's query-row tiles.  It reads
+    the last block's E^T from the kept buffer and recomputes every other
+    group's by the forward's own code, so E is the same to the bit
+    (recompute as in memory-efficient attention, arXiv 2112.05682).
 
     With ``return_weights`` also returns the per-head probability matrices
     (not recorded on the tape).
@@ -771,8 +770,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     _note_matmul(heads * tq, tk, d, stage="attention_av")
     scale = dt.type(1.0 / math.sqrt(d))
     log2e = dt.type(math.log2(math.e))
-    qh = _split_heads(q.data, heads)
-    kh = _split_heads(k.data, heads)
+    kh = k.data.reshape(tk, heads, d).transpose(1, 0, 2)  # K_h, T_k x d: a view
     v1 = np.ones((heads, tk, d + 1), dtype=dt)  # [V | 1] per head
     v1[..., :d] = v.data.reshape(tk, heads, d).transpose(1, 0, 2)
 
@@ -782,77 +780,86 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     # NaN compares False, so non-finite input takes the shifted path
     shift_free = (bound <= max_exponent) & (tk * vmax <= max_v_sum)
     shifted = [j for j, ok in enumerate(shift_free.tolist()) if not ok]
-    # the exponent operand: a shifted head keeps natural units until its shift
-    qe = qh * (scale * log2e)
+    # the exponent operand Q^T, d x T_q per head: a shifted head keeps
+    # natural units until its shift
+    qt = q.data.T.reshape(heads, d, tq)
+    qe = np.multiply(qt, scale * log2e, out=np.empty((heads, d, tq), dtype=dt))
     for j in shifted:
-        qe[j] = qh[j] * scale
+        np.multiply(qt[j], scale, out=qe[j])
 
     hb, rows = _attention_blocks(heads, tq, tk)
-    e = np.empty((hb, rows, tk), dtype=dt)
+    e = np.empty(hb * tk * rows, dtype=dt)
     blocks = [(j0, min(j0 + hb, heads), r0, min(r0 + rows, tq))
               for j0 in range(0, heads, hb) for r0 in range(0, tq, rows)]
 
+    def block_view(buf, j0, j1, r0, r1):
+        """A contiguous (heads, T_k, rows) view of a flat block buffer."""
+        return buf[: (j1 - j0) * tk * (r1 - r0)].reshape(j1 - j0, tk, r1 - r0)
+
     def exp_block(j0, j1, r0, r1, buf):
-        """E for heads [j0, j1) and query rows [r0, r1) of one block, into
+        """E^T for heads [j0, j1) and query rows [r0, r1) of one block, into
         `buf`.  The forward and the adjoint's recompute both run it on the
         same row tiles, and each head's product is its own GEMM, so both see
         the same E to the bit even when the adjoint takes fewer heads."""
-        eb = buf[: j1 - j0, : r1 - r0]
-        np.matmul(qe[j0:j1, r0:r1], kh[j0:j1].transpose(0, 2, 1), out=eb)
+        eb = block_view(buf, j0, j1, r0, r1)
+        np.matmul(kh[j0:j1], qe[j0:j1, :, r0:r1], out=eb)
         for j in shifted:
             if j0 <= j < j1:
-                eb[j - j0] -= eb[j - j0].max(axis=1, keepdims=True)
+                eb[j - j0] -= eb[j - j0].max(axis=0)
                 eb[j - j0] *= log2e
         return np.exp2(eb, out=eb)
 
-    av = np.empty((heads, tq, d + 1), dtype=dt)
+    av = np.empty((heads, d + 1, tq), dtype=dt)  # ([V | 1]^T E^T) per head
     probs = np.empty((heads, tq, tk), dtype=dt) if return_weights else None
     for j0, j1, r0, r1 in blocks:
         eb = exp_block(j0, j1, r0, r1, e)
-        np.matmul(eb, v1[j0:j1], out=av[j0:j1, r0:r1])
+        np.matmul(v1[j0:j1].transpose(0, 2, 1), eb, out=av[j0:j1, :, r0:r1])
         if return_weights:
-            np.divide(eb, av[j0:j1, r0:r1, d:], out=probs[j0:j1, r0:r1])
-    sums = av[..., d:]
-    oh = av[..., :d] / sums
-    out = Tensor._wrap(_merge_heads(oh))
+            np.divide(eb, av[j0:j1, d:, r0:r1], out=probs[j0:j1, r0:r1].transpose(0, 2, 1))
+    sums = av[:, d:]
+    oh = av[:, :d] / sums
+    out = Tensor._wrap(np.ascontiguousarray(oh.reshape(c, tq).T))
 
     def bwd(g):
-        # with P = E / s, the adjoint only needs E and gs = g / s (T_q x d)
-        gs1 = np.empty((heads, tq, d + 1), dtype=dt)  # [gs | -rowsum(gs * O)]
-        gs = gs1[..., :d]
-        np.divide(_split_heads(g, heads), sums, out=gs)
-        gs1[..., d] = -(gs * oh).sum(axis=2)
-        qs = qh * scale  # dK takes the natural-scale queries
-        dq, dk, dv = np.empty_like(qs), np.empty_like(kh), np.empty_like(kh)
+        # with P = E / s, the adjoint only needs E and gs = g / s
+        gs = np.divide(g.reshape(tq, heads, d), sums[:, 0].T[..., None])  # T_q x d per head
+        gs1 = np.empty((heads, d + 1, tq), dtype=dt)  # [gs | -rowsum(gs * O)]^T
+        gs1[:, :d] = gs.transpose(1, 2, 0)
+        np.negative((gs1[:, :d] * oh).sum(axis=1), out=gs1[:, d])
+        qh = q.data.reshape(tq, heads, d).transpose(1, 0, 2)
+        dq = np.empty((heads, d, tq), dtype=dt)  # dQ^T per head
+        dk, dv = np.empty((heads, tk, d), dtype=dt), np.empty((heads, tk, d), dtype=dt)
         # The adjoint holds E and dS where the forward holds E alone, and
         # makes five passes over them, so it takes each block's heads in
         # groups under a quarter of the budget, which stay in cache.  The
-        # forward left its last block's E in `e`.  Every other group's E is
+        # forward left its last block's E^T in `e`.  Every other group's is
         # recomputed into `eg`, so `e` keeps that block for a later sweep.
         hg = max(1, min(hb, _ATTENTION_BLOCK_ELEMENTS // 4 // (rows * tk)))
-        eg, ds = np.empty((hg, rows, tk), dtype=dt), np.empty((hg, rows, tk), dtype=dt)
+        eg, ds = np.empty(hg * tk * rows, dtype=dt), np.empty(hg * tk * rows, dtype=dt)
         for block in blocks:
             b0, b1, r0, r1 = block
             for j0 in range(b0, b1, hg):
                 j1 = min(j0 + hg, b1)
                 if block == blocks[-1]:
-                    eb = e[j0 - b0 : j1 - b0, : r1 - r0]
+                    eb = block_view(e, b0, b1, r0, r1)[j0 - b0 : j1 - b0]
                 else:
                     eb = exp_block(j0, j1, r0, r1, eg)
-                dsb = ds[: j1 - j0, : r1 - r0]
-                np.matmul(gs1[j0:j1, r0:r1], v1[j0:j1].transpose(0, 2, 1), out=dsb)
+                dsb = block_view(ds, j0, j1, r0, r1)  # dS^T
+                np.matmul(v1[j0:j1], gs1[j0:j1, :, r0:r1], out=dsb)
                 dsb *= eb
-                np.matmul(dsb, kh[j0:j1], out=dq[j0:j1, r0:r1])
+                np.matmul(kh[j0:j1].transpose(0, 2, 1), dsb, out=dq[j0:j1, :, r0:r1])
                 # dV and dK sum over query-row tiles: the first writes, the rest add
-                pv = np.matmul(eb.transpose(0, 2, 1), gs[j0:j1, r0:r1],
+                pv = np.matmul(eb, gs[r0:r1, j0:j1].transpose(1, 0, 2),
                                out=dv[j0:j1] if r0 == 0 else None)
-                pk = np.matmul(dsb.transpose(0, 2, 1), qs[j0:j1, r0:r1],
-                               out=dk[j0:j1] if r0 == 0 else None)
+                pk = np.matmul(dsb, qh[j0:j1, r0:r1], out=dk[j0:j1] if r0 == 0 else None)
                 if r0:
                     dv[j0:j1] += pv
                     dk[j0:j1] += pk
-        dq *= scale
-        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+        # dQ and dK take the scale as they merge their heads
+        dq = np.multiply(dq.transpose(2, 0, 1), scale, out=np.empty((tq, heads, d), dtype=dt))
+        dk = np.multiply(dk.transpose(1, 0, 2), scale, out=np.empty((tk, heads, d), dtype=dt))
+        dv = np.ascontiguousarray(dv.transpose(1, 0, 2))
+        return dq.reshape(tq, c), dk.reshape(tk, c), dv.reshape(tk, c)
 
     out = _emit(out, (q, k, v), bwd)
     if return_weights:
@@ -1051,18 +1058,29 @@ def write_rawtensor(path, tensor: Tensor):
         fh.write(payload)
 
 
+# The header line's length limit: a rawtensor header is a few dozen bytes
+_MAX_RAWTENSOR_HEADER = 4096
+
+
 def read_rawtensor(path) -> Tensor:
+    """A rawtensor v1 file's tensor.  Reads at most the header line's limit,
+    then at most one byte past the payload the header states, so a
+    malformed file costs no more than a valid one.  Raises ConfigurationError."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ConfigurationError(f"bad rawtensor header in {path}: {exc}") from exc
-    shape, dt, nbytes = tensor_layout(header, f"rawtensor header in {path}")
-    version = header.get("v")
-    if type(version) is not int or version != 1:  # JSON true and 1.0 are not 1
-        raise ConfigurationError(f"unsupported rawtensor version {version!r} in {path}")
+        header_line = fh.readline(_MAX_RAWTENSOR_HEADER + 1)
+        if len(header_line) > _MAX_RAWTENSOR_HEADER:
+            raise ConfigurationError(
+                f"rawtensor header in {path} is longer than {_MAX_RAWTENSOR_HEADER} bytes")
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ConfigurationError(f"bad rawtensor header in {path}: {exc}") from exc
+        shape, dt, nbytes = tensor_layout(header, f"rawtensor header in {path}")
+        version = header.get("v")
+        if type(version) is not int or version != 1:  # JSON true and 1.0 are not 1
+            raise ConfigurationError(f"unsupported rawtensor version {version!r} in {path}")
+        blob = fh.read(nbytes + 1)
     if len(blob) != nbytes:
-        raise ConfigurationError(f"rawtensor payload in {path} is {len(blob)} bytes, not {nbytes}")
+        size = "more than" if len(blob) > nbytes else f"{len(blob)} bytes, not"
+        raise ConfigurationError(f"rawtensor payload in {path} is {size} {nbytes} bytes")
     return decode_tensor(blob, 0, shape, dt)

@@ -168,6 +168,9 @@ CONFIG_PROBES = {
     "huge_scene_gen": ("gen", {"h": 10_000_000, "w": 10_000_000}),
     "huge_scene_train": ("train-toy", {"synth": {"h": 10_000_000, "w": 10_000_000}}),
     "huge_scene_check": ("gradcheck", {"synth": {"h": 10_000_000, "w": 10_000_000}}),
+    # scenes that would take years to draw, a blob at a time
+    "endless_scene_gen": ("gen", {"blob_count": 10**12}),
+    "endless_scene_train": ("train-toy", {"synth": {"blob_count": 10**12}}),
 }
 
 

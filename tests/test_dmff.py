@@ -324,12 +324,14 @@ def test_every_gradient_matches_its_pin(mode, variant, iterations, sequential):
 
 # Modes c and d at shrink window 1, where the token grid is the map itself:
 # (output, gradient) digests as above, pinned before the fusion skipped its
-# identity resize there.
+# identity resize there.  The gradient digests were pinned again when the
+# attention score blocks became key-major, whose products sum in another
+# order: no gradient moved by more than 5.3e-16 of its tensor's largest entry.
 WINDOW_ONE_GRID = {
-    ("c", "pool", 1): ("37e9e2710c9cabf9", "c29cab048583805b"),
-    ("c", "conv", 3): ("ca3f208541f4f2f9", "b79fae5b8dd068e1"),
-    ("d", "pool", 1): ("48eccb224d12add8", "e87d10cdee173a76"),
-    ("d", "conv", 3): ("c0c96e4eb134c707", "72bae69c08d4d97a"),
+    ("c", "pool", 1): ("37e9e2710c9cabf9", "41d773351f18ee81"),
+    ("c", "conv", 3): ("ca3f208541f4f2f9", "092ca0abb61bfd48"),
+    ("d", "pool", 1): ("48eccb224d12add8", "f663d613cc5639e0"),
+    ("d", "conv", 3): ("c0c96e4eb134c707", "f5e082a5e828137a"),
 }
 
 

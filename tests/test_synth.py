@@ -60,3 +60,13 @@ def test_scene_past_the_element_bound_rejected():
         SyntheticPairSpec(h=2**11, w=2**11, c=2)
     with pytest.raises(tc.ConfigurationError):
         SyntheticPairSpec(h=10_000_000, w=10_000_000)
+
+
+def test_scene_past_the_blob_bound_rejected():
+    from crossfuse.synth import MAX_BLOB_COUNT
+
+    assert MAX_BLOB_COUNT == 256
+    SyntheticPairSpec(blob_count=MAX_BLOB_COUNT)
+    for count in (MAX_BLOB_COUNT + 1, 10**12):
+        with pytest.raises(tc.ConfigurationError, match="blob_count"):
+            SyntheticPairSpec(blob_count=count)

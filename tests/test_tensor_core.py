@@ -847,10 +847,12 @@ def test_attention_untaped_head_blocks_match_taped_all_heads(dtype, block_heads,
 
 def test_attention_block_policy():
     budget = tc._ATTENTION_BLOCK_ELEMENTS
-    # whole heads while one head's scores fit, else query-row tiles of one head
+    assert budget == 2 ** 16
+    # whole heads while one head's scores fit, else query-row tiles of one
+    # head; the benchmark's shapes (gradcheck, training, fuse) get these tiles
     assert tc._attention_blocks(8, 16, 16) == (8, 16)
-    assert tc._attention_blocks(8, 256, 256) == (budget // 256 ** 2, 256)
-    assert tc._attention_blocks(8, 1024, 1024) == (1, budget // 1024)
+    assert tc._attention_blocks(8, 256, 256) == (1, 256)
+    assert tc._attention_blocks(8, 1024, 1024) == (1, 64)
     assert tc._attention_blocks(2, 3, budget + 1) == (1, 1)
 
 
@@ -1004,6 +1006,118 @@ def test_attention_adjoint_matches_stored_e_reference(dtype, budget_heads, budge
             assert got.tobytes() == ref.tobytes(), name
         else:
             assert np.max(np.abs(got - ref)) < DTYPE_TOL[dtype], name
+
+
+def softmax_attention_oracle(q, k, v, heads: int, g):
+    """Output and q, k, v gradients (adjoint seed `g`) of multi-head softmax
+    attention in float64 plain numpy, row-max shifted, with each result's
+    magnitude: the same formula on absolute values, which bounds how far a
+    rounding of P or of the products can move it."""
+    q, k, v, g = (np.asarray(a, dtype=np.float64) for a in (q, k, v, g))
+    d = q.shape[1] // heads
+    scale = 1.0 / math.sqrt(d)
+    out, dq, dk, dv = (np.zeros_like(a) for a in (q, q, k, v))
+    mags = np.zeros(4)
+    for j in range(heads):
+        cols = slice(j * d, (j + 1) * d)
+        qj, kj, vj, gj = q[:, cols], k[:, cols], v[:, cols], g[:, cols]
+        s = qj @ kj.T * scale
+        p = np.exp(s - s.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        oj = p @ vj
+        ds = p * (gj @ vj.T - (gj * oj).sum(axis=1, keepdims=True))
+        out[:, cols], dv[:, cols] = oj, p.T @ gj
+        dq[:, cols], dk[:, cols] = ds @ kj * scale, ds.T @ qj * scale
+        ds_mag = p * (np.abs(gj) @ np.abs(vj).T + (np.abs(gj) * np.abs(oj)).sum(axis=1)[:, None])
+        mags = np.maximum(mags, [np.abs(vj).max(), (ds_mag @ np.abs(kj)).max() * scale,
+                                 (ds_mag.T @ np.abs(qj)).max() * scale,
+                                 (p.T @ np.abs(gj)).max()])
+    return (out, dq, dk, dv), mags
+
+
+# a head's scaled-score bound, as a multiple of its dtype's shift-free limit
+SCORE_REACH = st.sampled_from([0.01, 0.3, 0.95, 1.05, 4.0]) | st.floats(0.0, 5.0)
+ATTENTION_CASE = st.tuples(
+    st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 3, 8]),
+    st.integers(1, 24), st.integers(1, 24), st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**32 - 1),
+).filter(lambda case: case[2] != case[3])
+# None keeps the kernel's budget; (n, 0) sets one for blocks of n whole heads
+# and (0, n) one for tiles of n query rows, partial last blocks included
+ATTENTION_BUDGET = st.none() | st.tuples(st.integers(1, 8), st.just(0)) | st.tuples(
+    st.just(0), st.integers(1, 24))
+
+
+def attention_operands(case, reach, huge_v):
+    """q, k, v and an adjoint seed for `case`, in its dtype; head j's q and
+    k are scaled so that its Cauchy-Schwarz score bound is reach[j] times
+    the dtype's shift-free limit ln(M) / 4.  `huge_v` puts |v| past the
+    limit M^(3/4) / T_k."""
+    heads, d, tq, tk, dtype, seed = case
+    r = np.random.default_rng(seed)
+    q, k = r.standard_normal((tq, heads * d)), r.standard_normal((tk, heads * d))
+    v, g = r.standard_normal((tk, heads * d)), r.standard_normal((tq, heads * d))
+    big = np.finfo(dtype).max
+    for j in range(heads):
+        cols = slice(j * d, (j + 1) * d)
+        b = np.sqrt((q[:, cols] ** 2).sum(axis=1).max() * (k[:, cols] ** 2).sum(axis=1).max() / d)
+        q[:, cols] *= np.sqrt(reach[j % len(reach)] * np.log(big) / 4 / b)
+        k[:, cols] *= np.sqrt(reach[j % len(reach)] * np.log(big) / 4 / b)
+    if huge_v:
+        v *= 2 * big ** 0.75 / tk
+    return [a.astype(dtype) for a in (q, k, v, g)]
+
+
+def taped_attention(arrays, heads, budget):
+    """multi_head_attention's output and q, k, v gradients, under a block
+    budget of (heads per block, rows per tile) when `budget` is given."""
+    q, k, v, g = arrays
+    with pytest.MonkeyPatch.context() as mp:
+        if budget:
+            mp.setattr(tc, "_ATTENTION_BLOCK_ELEMENTS",
+                       budget[0] * len(q) * len(k) or budget[1] * len(k))
+        leaves = [tc.Tensor(a, dtype=a.dtype) for a in (q, k, v)]
+        tape = tc.Tape()
+        tape.watch_all(zip("qkv", leaves))
+        with tc.record_on(tape):
+            out = tc.multi_head_attention(*leaves, heads)
+        rec = tc.backward(tc.Tensor(g, dtype=g.dtype), tape, out)
+    return [out.data, *(rec[n].data for n in "qkv")]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ATTENTION_CASE, st.lists(SCORE_REACH, min_size=1, max_size=8), st.booleans(),
+       ATTENTION_BUDGET)
+def test_attention_matches_float64_softmax_oracle(case, reach, huge_v, budget):
+    # The oracle shares no kernel op, so it bounds any reassociation of the
+    # kernel's products: each result may differ by the dtype's tolerance
+    # times its magnitude, times the score bound where exponents are large.
+    heads, dtype = case[0], case[4]
+    arrays = attention_operands(case, reach, huge_v)
+    got = taped_attention(arrays, heads, budget)
+    refs, mags = softmax_attention_oracle(*arrays[:3], heads, arrays[3])
+    reach_max = max(reach[j % len(reach)] for j in range(heads))
+    tol = DTYPE_TOL[dtype] * max(1.0, reach_max * np.log(np.finfo(dtype).max) / 4)
+    for name, a, ref, mag in zip(("out", "q", "k", "v"), got, refs, mags):
+        assert a.dtype == np.dtype(dtype), name
+        assert np.all(np.isfinite(a)), name
+        assert np.max(np.abs(a - ref)) <= tol * mag, name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite input is the point
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ATTENTION_CASE.filter(lambda case: case[0] > 1), st.sampled_from("qkv"),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 2**16), ATTENTION_BUDGET)
+def test_attention_non_finite_head_leaves_other_heads_finite(case, which, bad, where, budget):
+    heads, d = case[0], case[1]
+    arrays = attention_operands(case, [0.3], huge_v=False)
+    x = arrays["qkv".index(which)]
+    row, j = where % len(x), where % heads
+    x[row, j * d + where % d] = bad
+    got = taped_attention(arrays, heads, budget)
+    others = np.arange(heads * d) // d != j
+    for name, a in zip(("out", "q", "k", "v"), got):
+        assert np.all(np.isfinite(a[:, others])), name
 
 
 def test_taped_attention_retains_one_score_block(rng):
@@ -1161,6 +1275,36 @@ def test_rawtensor_truncated_payload_rejected(tmp_path):
     path.write_bytes(blob[:-3])
     with pytest.raises(tc.ConfigurationError):
         tc.read_rawtensor(path)
+
+
+def _rejected_with_peak(path, match):
+    """read_rawtensor's ConfigurationError on `path`, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(tc.ConfigurationError, match=match):
+            tc.read_rawtensor(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rawtensor_trailing_bytes_rejected_without_reading_them(tmp_path):
+    # a [4, 4, 8] f32 header states 512 payload bytes; the file holds 8 MiB
+    path = tmp_path / "map.rawtensor"
+    tc.write_rawtensor(path, tc.Tensor(np.zeros((4, 4, 8)), dtype=np.float32))
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * (8 << 20))
+    peak = _rejected_with_peak(path, f"{path}.* more than 512 bytes")
+    assert peak < 64 << 10
+
+
+def test_rawtensor_overlong_header_line_rejected(tmp_path):
+    # valid JSON for a valid record, padded past the header limit
+    header = b'{"v": 1, "dtype": "f32", "shape": [4, 4, 8]' + b" " * (8 << 20) + b"}\n"
+    path = tmp_path / "map.rawtensor"
+    path.write_bytes(header + b"\0" * 512)
+    peak = _rejected_with_peak(path, f"header in {path} is longer than 4096 bytes")
+    assert peak < 64 << 10
 
 
 @pytest.mark.parametrize("kind", sorted(RAWTENSOR_PROBES))
