@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -1064,8 +1065,9 @@ _MAX_RAWTENSOR_HEADER = 4096
 
 def read_rawtensor(path) -> Tensor:
     """A rawtensor v1 file's tensor.  Reads at most the header line's limit,
-    then at most one byte past the payload the header states, so a
-    malformed file costs no more than a valid one.  Raises ConfigurationError."""
+    then the payload only once the bytes left in the file match the size the
+    header states, so a malformed file costs no more than a valid one.  Raises
+    ConfigurationError."""
     with open(path, "rb") as fh:
         header_line = fh.readline(_MAX_RAWTENSOR_HEADER + 1)
         if len(header_line) > _MAX_RAWTENSOR_HEADER:
@@ -1079,8 +1081,8 @@ def read_rawtensor(path) -> Tensor:
         version = header.get("v")
         if type(version) is not int or version != 1:  # JSON true and 1.0 are not 1
             raise ConfigurationError(f"unsupported rawtensor version {version!r} in {path}")
-        blob = fh.read(nbytes + 1)
-    if len(blob) != nbytes:
-        size = "more than" if len(blob) > nbytes else f"{len(blob)} bytes, not"
-        raise ConfigurationError(f"rawtensor payload in {path} is {size} {nbytes} bytes")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != nbytes:
+            raise ConfigurationError(f"rawtensor payload in {path} is {left} bytes, not {nbytes}")
+        blob = fh.read(nbytes)
     return decode_tensor(blob, 0, shape, dt)

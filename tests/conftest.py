@@ -59,9 +59,16 @@ RAWTENSOR_PROBES = {
     "real_version": (b'{"v": 1.0, "dtype": "f32", "shape": [4, 4, 8]}', 512),
 }
 
+# Valid headers stating payloads past ssize_t and past memory, each followed
+# by a few bytes: a reader must reject them without allocating the payload
+RAWTENSOR_SIZE_PROBES = {
+    "extent_past_ssize_t": (b'{"v": 1, "dtype": "f32", "shape": [1000000000000000000000000000000]}', 8),
+    "payload_past_memory": (b'{"v": 1, "dtype": "f32", "shape": [1048576, 1048576, 1024]}', 8),
+}
+
 
 def write_rawtensor_probe(path, kind):
-    header, nbytes = RAWTENSOR_PROBES[kind]
+    header, nbytes = {**RAWTENSOR_PROBES, **RAWTENSOR_SIZE_PROBES}[kind]
     path.write_bytes(header + b"\n" + b"\x00" * nbytes)
     return path
 

@@ -11,7 +11,8 @@ import pytest
 import crossfuse
 from crossfuse import tensor_core as tc
 from crossfuse.cli import main
-from conftest import ICAF_PROBES, RAWTENSOR_PROBES, write_icaf_probe, write_rawtensor_probe
+from conftest import (ICAF_PROBES, RAWTENSOR_PROBES, RAWTENSOR_SIZE_PROBES, write_icaf_probe,
+                      write_rawtensor_probe)
 
 
 def write_json(path, payload):
@@ -298,7 +299,7 @@ def test_fuse_refuses_to_write_a_non_finite_map(tmp_path, synth_spec, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", sorted(RAWTENSOR_PROBES))
+@pytest.mark.parametrize("kind", sorted(RAWTENSOR_PROBES | RAWTENSOR_SIZE_PROBES))
 def test_malformed_rawtensor_is_clean_error(tmp_path, synth_spec, capsys, kind):
     bad = write_rawtensor_probe(tmp_path / "bad.rawtensor", kind)
     rc, _ = _fuse(tmp_path, synth_spec, thermal=bad)

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfuse import tensor_core as tc
-from conftest import DTYPE_TOL, RAWTENSOR_PROBES, fd_gradient, rel_err, write_rawtensor_probe
+from conftest import (DTYPE_TOL, RAWTENSOR_PROBES, RAWTENSOR_SIZE_PROBES, fd_gradient, rel_err,
+                      write_rawtensor_probe)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -1294,7 +1295,14 @@ def test_rawtensor_trailing_bytes_rejected_without_reading_them(tmp_path):
     tc.write_rawtensor(path, tc.Tensor(np.zeros((4, 4, 8)), dtype=np.float32))
     with open(path, "ab") as fh:
         fh.write(b"\0" * (8 << 20))
-    peak = _rejected_with_peak(path, f"{path}.* more than 512 bytes")
+    peak = _rejected_with_peak(path, f"{path} is {(8 << 20) + 512} bytes, not 512")
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("kind", sorted(RAWTENSOR_SIZE_PROBES))
+def test_rawtensor_oversized_stated_payload_rejected_without_allocating_it(tmp_path, kind):
+    path = write_rawtensor_probe(tmp_path / "map.rawtensor", kind)
+    peak = _rejected_with_peak(path, f"{path} is 8 bytes, not")
     assert peak < 64 << 10
 
 
