@@ -28,9 +28,15 @@ import numpy as np
 
 from . import tensor_core as tc
 from .cfe import cfe_forward, cfe_spec
+from .dmff import MAX_PARAM_ELEMENTS, admit_spec
 from .tensor_core import ConfigurationError
 
 VARIANTS = ("ours", "cft")
+# The counted passes run the real kernels, so sizes are admitted first.  The
+# cft pass's attention at this many multiplies takes ~2 s on one core (8
+# GMAC/s measured at T = 2048, C = 64, f64); it admits the paper's 40 x 40
+# level at C = 512 unshrunk (~1.05e10) and the workloads' T <= 1024.
+MAX_AUDIT_MULTIPLIES = 1 << 34
 
 
 class Monomial(NamedTuple):
@@ -161,11 +167,23 @@ def _counted_run(variant: str, t: int, c: int, hidden: int,
                  heads: int | None) -> tc.MultiplyCounter:
     """The multiplies of one enhancement pass: ``cfe_forward`` in both
     directions over T tokens (ours), or once over their 2T concatenation
-    (cft).  Counts do not depend on the head count, which defaults to 1."""
+    (cft).  Counts do not depend on the head count, which defaults to 1.
+    Raises ConfigurationError, before anything is allocated, when the
+    weights exceed ``dmff.MAX_PARAM_ELEMENTS``, when the cft pass's
+    attention exceeds ``MAX_AUDIT_MULTIPLIES`` or when its widest
+    activation, 2T tokens by max(C, hidden), exceeds the weights' bound."""
     _cft_factor(variant)
     heads = 1 if heads is None else heads
+    spec = admit_spec(cfe_spec(c, hidden))
+    mults = attention_cost("cft", t, c).evaluate(t, c)
+    if mults > MAX_AUDIT_MULTIPLIES:
+        raise ConfigurationError(f"a counted pass at T={t}, C={c} would take {mults} "
+                                 f"attention multiplies, more than {MAX_AUDIT_MULTIPLIES}")
+    if 2 * t * max(c, hidden) > MAX_PARAM_ELEMENTS:
+        raise ConfigurationError(f"a counted pass at T={t}, C={c}, h={hidden} would hold "
+                                 f"activations of more than {MAX_PARAM_ELEMENTS} elements")
     rng = np.random.default_rng(0)
-    p = tc.init_tensors(cfe_spec(c, hidden), rng, np.float64)
+    p = tc.init_tensors(spec, rng, np.float64)
     a, b = (tc.Tensor(rng.standard_normal((t, c)), dtype=np.float64) for _ in range(2))
     counter = tc.MultiplyCounter()
     with tc.count_multiplies(counter):

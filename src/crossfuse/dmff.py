@@ -58,6 +58,9 @@ NIN_MODES = ("c", "d", "e")
 # The paper refines with a few weight-shared iterations; a count far past
 # this is a corrupt config, not a deeper model.
 MAX_ITERATIONS = 64
+# A weight set past this many elements (64 MiB in f32) is a corrupt config:
+# ~70x fuse_d64's ~238k, the largest any workload or test builds.
+MAX_PARAM_ELEMENTS = 1 << 24
 # The config fields a run may set apart from the weights' own config; the
 # others are fixed when the weights are built.
 RUN_FIELDS = ("mode", "input_duplication", "sequential_update")
@@ -181,8 +184,9 @@ def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
     enhancement set serves every iteration; modes a, b and c also share it
     between the two directions (prefix ``cfe.``), mode d keeps one per
     branch (``cfe_r.``, ``cfe_t.``).  Raises ConfigurationError for extents
-    the shrink window does not divide and for heads that do not divide
-    the channels of an attention mode.
+    the shrink window does not divide, for heads that do not divide the
+    channels of an attention mode and for a spec of more than
+    ``MAX_PARAM_ELEMENTS`` elements, before anything is allocated.
     """
     s, c = cfg.shrink_window, channels
     if min(height, width, channels) < 1 or height % s or width % s:
@@ -200,7 +204,17 @@ def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
         parts += [("pe_r.", pe), ("pe_t.", pe), ("sfs_r.", shrunk), ("sfs_t.", shrunk)]
     if cfg.mode in NIN_MODES:
         parts.append(("nin.", _nin_spec(c)))
-    return {prefix + leaf: p for prefix, leaves in parts for leaf, p in leaves.items()}
+    return admit_spec({prefix + leaf: p for prefix, leaves in parts for leaf, p in leaves.items()})
+
+
+def admit_spec(spec: dict) -> dict:
+    """`spec`, once its element total is known to be at most
+    ``MAX_PARAM_ELEMENTS``.  Raises ConfigurationError."""
+    size = sum(math.prod(p.shape) for p in spec.values())
+    if size > MAX_PARAM_ELEMENTS:
+        raise ConfigurationError(
+            f"the weights would hold {size} elements, more than {MAX_PARAM_ELEMENTS}")
+    return spec
 
 
 def assemble(cfg: DmffConfig, height: int, width: int, channels: int,

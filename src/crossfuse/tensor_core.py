@@ -737,20 +737,19 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     Score blocks hold at most ``_ATTENTION_BLOCK_ELEMENTS`` elements: as
     many whole heads as fit, or else query-row tiles of one head, all
     computed in one reused block buffer, taped or not.  A taped call keeps
-    no scores: only Q, K, [V | 1], the row sums, the output and that block
-    buffer, which still holds the last block's E^T; besides the block that
-    is O(T C) bytes.  Its adjoint is written out directly, with P = E / s
-    and gs = g / s:
+    no scores and no block: only Q, K, [V | 1], the row sums and the
+    output, O(T C) bytes.  Its adjoint is written out directly, with
+    P = E / s and gs = g / s:
 
         dS^T = ([V | 1] [gs | -rowsum(gs * O)]^T) * E^T,
         dQ^T = scale K^T dS^T,  dV = E^T gs,  dK = scale dS^T Q.
 
-    The adjoint walks the forward's blocks again, in head groups under a
-    quarter of the budget, and makes each group's products for all its
-    heads at once; dV and dK sum over a head's query-row tiles.  It reads
-    the last block's E^T from the kept buffer and recomputes every other
-    group's by the forward's own code, so E is the same to the bit
-    (recompute as in memory-efficient attention, arXiv 2112.05682).
+    The adjoint walks the forward's own blocks and makes each block's
+    products for all its heads at once; dV and dK sum over a head's
+    query-row tiles.  It recomputes every block's E^T by the forward's own
+    code into a block buffer of its own, so E is the same to the bit
+    (recompute as in memory-efficient attention, arXiv 2112.05682, and
+    FlashAttention-2, arXiv 2307.08691).
 
     With ``return_weights`` also returns the per-head probability matrices
     (not recorded on the tape).
@@ -800,8 +799,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     def exp_block(j0, j1, r0, r1, buf):
         """E^T for heads [j0, j1) and query rows [r0, r1) of one block, into
         `buf`.  The forward and the adjoint's recompute both run it on the
-        same row tiles, and each head's product is its own GEMM, so both see
-        the same E to the bit even when the adjoint takes fewer heads."""
+        same blocks, and each head's product is its own GEMM, so both see
+        the same E to the bit."""
         eb = block_view(buf, j0, j1, r0, r1)
         np.matmul(kh[j0:j1], qe[j0:j1, :, r0:r1], out=eb)
         for j in shifted:
@@ -830,32 +829,20 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         qh = q.data.reshape(tq, heads, d).transpose(1, 0, 2)
         dq = np.empty((heads, d, tq), dtype=dt)  # dQ^T per head
         dk, dv = np.empty((heads, tk, d), dtype=dt), np.empty((heads, tk, d), dtype=dt)
-        # The adjoint holds E and dS where the forward holds E alone, and
-        # makes five passes over them, so it takes each block's heads in
-        # groups under a quarter of the budget, which stay in cache.  The
-        # forward left its last block's E^T in `e`.  Every other group's is
-        # recomputed into `eg`, so `e` keeps that block for a later sweep.
-        hg = max(1, min(hb, _ATTENTION_BLOCK_ELEMENTS // 4 // (rows * tk)))
-        eg, ds = np.empty(hg * tk * rows, dtype=dt), np.empty(hg * tk * rows, dtype=dt)
-        for block in blocks:
-            b0, b1, r0, r1 = block
-            for j0 in range(b0, b1, hg):
-                j1 = min(j0 + hg, b1)
-                if block == blocks[-1]:
-                    eb = block_view(e, b0, b1, r0, r1)[j0 - b0 : j1 - b0]
-                else:
-                    eb = exp_block(j0, j1, r0, r1, eg)
-                dsb = block_view(ds, j0, j1, r0, r1)  # dS^T
-                np.matmul(v1[j0:j1], gs1[j0:j1, :, r0:r1], out=dsb)
-                dsb *= eb
-                np.matmul(kh[j0:j1].transpose(0, 2, 1), dsb, out=dq[j0:j1, :, r0:r1])
-                # dV and dK sum over query-row tiles: the first writes, the rest add
-                pv = np.matmul(eb, gs[r0:r1, j0:j1].transpose(1, 0, 2),
-                               out=dv[j0:j1] if r0 == 0 else None)
-                pk = np.matmul(dsb, qh[j0:j1, r0:r1], out=dk[j0:j1] if r0 == 0 else None)
-                if r0:
-                    dv[j0:j1] += pv
-                    dk[j0:j1] += pk
+        et, ds = np.empty(hb * tk * rows, dtype=dt), np.empty(hb * tk * rows, dtype=dt)
+        for j0, j1, r0, r1 in blocks:
+            eb = exp_block(j0, j1, r0, r1, et)
+            dsb = block_view(ds, j0, j1, r0, r1)  # dS^T
+            np.matmul(v1[j0:j1], gs1[j0:j1, :, r0:r1], out=dsb)
+            dsb *= eb
+            np.matmul(kh[j0:j1].transpose(0, 2, 1), dsb, out=dq[j0:j1, :, r0:r1])
+            # dV and dK sum over query-row tiles: the first writes, the rest add
+            pv = np.matmul(eb, gs[r0:r1, j0:j1].transpose(1, 0, 2),
+                           out=dv[j0:j1] if r0 == 0 else None)
+            pk = np.matmul(dsb, qh[j0:j1, r0:r1], out=dk[j0:j1] if r0 == 0 else None)
+            if r0:
+                dv[j0:j1] += pv
+                dk[j0:j1] += pk
         # dQ and dK take the scale as they merge their heads
         dq = np.multiply(dq.transpose(2, 0, 1), scale, out=np.empty((tq, heads, d), dtype=dt))
         dk = np.multiply(dk.transpose(1, 0, 2), scale, out=np.empty((tk, heads, d), dtype=dt))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 
 from . import tensor_core as tc
@@ -78,11 +79,17 @@ def save_weights(wts: DmffWeights, path):
             fh.write(payload)
 
 
-def _take(blob: bytes, start: int, n: int, what: str) -> bytes:
-    part = blob[start:start + n]
-    if len(part) != n:
-        raise TruncatedPayloadError(f"file ends inside {what}: wanted {n} bytes, got {len(part)}")
-    return part
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
+def _read(fh, n: int, what: str) -> bytes:
+    """The next `n` bytes of `fh`, read only once the file is known to hold
+    them, so a stated size past the file's end is never allocated."""
+    left = _bytes_left(fh)
+    if n > left:
+        raise TruncatedPayloadError(f"file ends inside {what}: wanted {n} bytes, got {left}")
+    return fh.read(n)
 
 
 def _config_from_meta(meta):
@@ -100,51 +107,57 @@ def _config_from_meta(meta):
 
 
 def load_weights(path) -> DmffWeights:
+    """An ICAF file's weights.  Reads the 12-byte prefix, then the manifest,
+    and checks every table entry and the payload's total size against the
+    bytes left in the file before it reads the payload, so a malformed file
+    costs no more than a valid one."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    magic = _take(blob, 0, 4, "magic")
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack("<I", _take(blob, 4, 4, "version"))
-    if version != VERSION:
-        raise VersionMismatchError(f"unsupported format version {version}")
-    (manifest_len,) = struct.unpack("<I", _take(blob, 8, 4, "manifest length"))
-    manifest_blob = _take(blob, 12, manifest_len, "manifest")
-    try:
-        manifest = json.loads(manifest_blob.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    payload = blob[12 + manifest_len:]  # a fresh bytes object, so tensor data stays aligned
-    try:
-        meta, entries = manifest["meta"], manifest["tensors"]
-    except (KeyError, TypeError) as exc:
-        raise ManifestError(f"manifest missing section: {exc}") from exc
-    if not isinstance(entries, list):
-        raise ManifestError("manifest tensors section is not a list")
-
-    tensors = {}
-    offset = 0
-    for entry in entries:
+        magic = _read(fh, 4, "magic")
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        (version,) = struct.unpack("<I", _read(fh, 4, "version"))
+        if version != VERSION:
+            raise VersionMismatchError(f"unsupported format version {version}")
+        (manifest_len,) = struct.unpack("<I", _read(fh, 4, "manifest length"))
+        manifest_blob = _read(fh, manifest_len, "manifest")
         try:
-            shape, dt, nbytes = tc.tensor_layout(entry, "tensor entry")
-        except tc.ConfigurationError as exc:
-            raise ManifestError(f"bad tensor entry {entry!r}: {exc}") from exc
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise ManifestError(f"tensor entry {entry!r} needs a string name")
-        if name in tensors:
-            raise ManifestError(f"duplicate tensor name {name!r}")
-        if offset + nbytes > len(payload):
-            raise TruncatedPayloadError(
-                f"payload ends inside tensor {name!r}: need {offset + nbytes} bytes, "
-                f"have {len(payload)}"
+            manifest = json.loads(manifest_blob.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+        try:
+            meta, entries = manifest["meta"], manifest["tensors"]
+        except (KeyError, TypeError) as exc:
+            raise ManifestError(f"manifest missing section: {exc}") from exc
+        if not isinstance(entries, list):
+            raise ManifestError("manifest tensors section is not a list")
+
+        left = _bytes_left(fh)
+        layouts = {}  # name -> (offset, shape, dtype) in the payload
+        offset = 0
+        for entry in entries:
+            try:
+                shape, dt, nbytes = tc.tensor_layout(entry, "tensor entry")
+            except tc.ConfigurationError as exc:
+                raise ManifestError(f"bad tensor entry {entry!r}: {exc}") from exc
+            name = entry.get("name")
+            if not isinstance(name, str):
+                raise ManifestError(f"tensor entry {entry!r} needs a string name")
+            if name in layouts:
+                raise ManifestError(f"duplicate tensor name {name!r}")
+            if offset + nbytes > left:
+                raise TruncatedPayloadError(
+                    f"payload ends inside tensor {name!r}: need {offset + nbytes} bytes, "
+                    f"have {left}"
+                )
+            layouts[name] = (offset, shape, dt)
+            offset += nbytes
+        if offset != left:
+            raise ManifestError(
+                f"manifest accounts for {offset} payload bytes but file has {left}"
             )
-        tensors[name] = tc.decode_tensor(payload, offset, shape, dt)
-        offset += nbytes
-    if offset != len(payload):
-        raise ManifestError(
-            f"manifest accounts for {offset} payload bytes but file has {len(payload)}"
-        )
+        # a fresh bytes object, so tensor data stays aligned
+        payload = _read(fh, offset, "payload")
+    tensors = {name: tc.decode_tensor(payload, *layout) for name, layout in layouts.items()}
     cfg, height, width, channels = _config_from_meta(meta)
     try:
         return assemble(cfg, height, width, channels, tensors)

@@ -116,6 +116,22 @@ def test_audit_cli_table_and_csv(capsys):
     assert capsys.readouterr().out.startswith("step,")
 
 
+@pytest.mark.parametrize("sizes", [
+    "--t 1000000000 --c 64 --h 1",  # attention multiplies, and tokens to allocate
+    "--t 200000 --c 8 --h 8",  # attention multiplies: minutes of work
+    "--t 4 --c 100000 --h 1",  # weight elements
+    "--t 40000 --c 1 --h 5000000",  # the FFN's hidden activation
+])
+def test_audit_past_its_bounds_is_clean_error(capsys, sizes):
+    rc = main(["audit", *sizes.split()])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    # the CSV is symbolic alone, so it runs no counted pass and takes any size
+    assert main(["audit", *sizes.split(), "--csv"]) == 0
+    assert capsys.readouterr().out.startswith("step,")
+
+
 def test_missing_file_is_clean_error(tmp_path, capsys):
     rc = main(["gen", "--spec", str(tmp_path / "nope.json"), "--out-prefix", "x"])
     assert rc == 2
@@ -172,6 +188,9 @@ CONFIG_PROBES = {
     # scenes that would take years to draw, a blob at a time
     "endless_scene_gen": ("gen", {"blob_count": 10**12}),
     "endless_scene_train": ("train-toy", {"synth": {"blob_count": 10**12}}),
+    # weight sets too large to allocate
+    "huge_ffn_train": ("train-toy", {"dmff": {"ffn_hidden": 1_000_000_000}}),
+    "huge_ffn_check": ("gradcheck", {"dmff": {"ffn_hidden": 1_000_000_000}}),
 }
 
 

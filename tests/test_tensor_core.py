@@ -976,15 +976,14 @@ def test_attention_weights_match_softmax_of_scaled_scores(rng):
     (1, None), (3, None), (4, None), (12, None), (16, None), (None, 1), (None, 5)])
 def test_attention_adjoint_matches_stored_e_reference(dtype, budget_heads, budget_rows,
                                                       rng, monkeypatch):
-    # The adjoint recomputes E, in head groups under a quarter of the
-    # budget, for every block but the last, whose E the forward left in its
-    # buffer.  Blocks of whole heads must give the stored-E adjoint's bytes:
-    # one head per block; three with a partial last block; all four, with
-    # groups of one, three (and a partial last group) or four heads.
-    # Query-row tiles (one row, or five with a partial last tile) sum dV and
-    # dK over tiles, so they, like the tiled forward, are only within
-    # tolerance.  A second sweep over the tape gives the same gradients.
-    # Even heads take the shifted path, odd heads do not.
+    # The adjoint recomputes every block's E in the forward's own blocks.
+    # Blocks of whole heads must give the stored-E adjoint's bytes: one
+    # head per block; three with a partial last block; all four, at budgets
+    # of four, twelve or sixteen heads.  Query-row tiles (one row, or five
+    # with a partial last tile) sum dV and dK over tiles, so they, like the
+    # tiled forward, are only within tolerance.  A second sweep over the
+    # tape gives the same gradients.  Even heads take the shifted path, odd
+    # heads do not.
     tq, tk, heads = 12, 10, 4
     arrays = [a.astype(dtype) for a in mixed_shift_operands(rng, dtype, tq, tk, heads)]
     g = rng.standard_normal((tq, 16)).astype(dtype)
@@ -1121,8 +1120,11 @@ def test_attention_non_finite_head_leaves_other_heads_finite(case, which, bad, w
         assert np.all(np.isfinite(a[:, others])), name
 
 
-def test_taped_attention_retains_one_score_block(rng):
-    # The former taped call kept all heads' scores: 8 x 1024^2 f32, 32 MiB.
+def test_taped_attention_retains_no_score_block(rng):
+    # An earlier taped call kept all heads' scores, 8 x 1024^2 f32 (32 MiB);
+    # a later one kept the last 256 KiB score block.  Now the tape holds
+    # only O(T C) bytes: [V | 1], the scaled Q^T, the products with their
+    # row sums, O per head and the output, ~5.3 T C in all.
     t, c, heads = 1024, 64, 8
     itemsize = np.dtype(np.float32).itemsize
     q, k, v = (tc.Tensor(rng.standard_normal((t, c)), dtype=np.float32) for _ in range(3))
@@ -1138,8 +1140,8 @@ def test_taped_attention_retains_one_score_block(rng):
     finally:
         tracemalloc.stop()
     block = tc._ATTENTION_BLOCK_ELEMENTS * itemsize
+    assert retained <= 6 * t * c * itemsize
     tokens = 12 * t * c * itemsize  # O(T C): operands, row sums, outputs, gradients
-    assert retained <= block + tokens
     # the adjoint adds a recomputed E and a dS, each at most a block, and
     # its O(T C) gradients
     assert backward_peak <= retained + 2 * block + tokens

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -119,6 +120,38 @@ def test_payload_longer_than_manifest_is_manifest_error(tmp_path, rng):
         fh.write(b"\x00" * 8)
     with pytest.raises(weights_io.ManifestError):
         weights_io.load_weights(path)
+
+
+def _traced_peak(fn):
+    """The exception `fn` raises and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(weights_io.WeightsFormatError) as info:
+            fn()
+        return info.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trailing_bytes_are_rejected_before_the_payload_is_read(tmp_path, rng):
+    cfg = DmffConfig(mode="d", heads=2, ffn_hidden=16)
+    path = tmp_path / "w.icaf"
+    weights_io.save_weights(dmff.init_dmff_weights(cfg, 8, 8, 16, rng), path)
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size + (64 << 20))  # 64 MiB of zeros, sparse
+    exc, peak = _traced_peak(lambda: weights_io.load_weights(path))
+    assert isinstance(exc, weights_io.ManifestError)
+    assert peak < 2 << 20
+
+
+def test_manifest_length_past_the_file_is_not_allocated(tmp_path, rng):
+    path = tmp_path / "w.icaf"
+    weights_io.save_weights(build_weights(rng), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:])
+    exc, peak = _traced_peak(lambda: weights_io.load_weights(path))
+    assert isinstance(exc, weights_io.TruncatedPayloadError)
+    assert peak < 2 << 20
 
 
 def test_manifest_with_missing_tensor_is_manifest_error(tmp_path, rng):
