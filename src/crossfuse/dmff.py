@@ -61,6 +61,10 @@ MAX_ITERATIONS = 64
 # A weight set past this many elements (64 MiB in f32) is a corrupt config:
 # ~70x fuse_d64's ~238k, the largest any workload or test builds.
 MAX_PARAM_ELEMENTS = 1 << 24
+# A fuse past this many attention multiplies is a corrupt config, not a
+# workload: 256x fuse_d64's 2^28, seconds of attention where a 2048x2048
+# scene at shrink window 1 would ask for 2^46, hours.
+MAX_ATTENTION_MULTIPLIES = 1 << 36
 # The config fields a run may set apart from the weights' own config; the
 # others are fixed when the weights are built.
 RUN_FIELDS = ("mode", "input_duplication", "sequential_update")
@@ -185,8 +189,11 @@ def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
     between the two directions (prefix ``cfe.``), mode d keeps one per
     branch (``cfe_r.``, ``cfe_t.``).  Raises ConfigurationError for extents
     the shrink window does not divide, for heads that do not divide the
-    channels of an attention mode and for a spec of more than
-    ``MAX_PARAM_ELEMENTS`` elements, before anything is allocated.
+    channels of an attention mode, for a spec of more than
+    ``MAX_PARAM_ELEMENTS`` elements and for a fuse of more than
+    ``MAX_ATTENTION_MULTIPLIES`` attention multiplies, before anything is
+    allocated.  Each attention over T = (h / s)(w / s) tokens of C channels
+    takes 2 T^2 C multiplies, once per iteration in each direction.
     """
     s, c = cfg.shrink_window, channels
     if min(height, width, channels) < 1 or height % s or width % s:
@@ -196,6 +203,12 @@ def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
     if cfg.mode in ATTENTION_MODES:
         if c % cfg.heads:
             raise ConfigurationError(f"channel width {c} not divisible by {cfg.heads} heads")
+        t = (height // s) * (width // s)
+        mults = (2 if cfg.mode in ("c", "d") else 1) * cfg.iterations * 2 * t * t * c
+        if mults > MAX_ATTENTION_MULTIPLIES:
+            raise ConfigurationError(
+                f"a fuse over {t} tokens of {c} channels would take {mults} attention "
+                f"multiplies, more than {MAX_ATTENTION_MULTIPLIES}")
         cfe = cfe_spec(c, cfg.ffn_hidden)
         parts += [(prefix, cfe) for prefix in
                   (("cfe_r.", "cfe_t.") if cfg.mode == "d" else ("cfe.",))]

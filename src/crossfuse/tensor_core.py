@@ -3,17 +3,17 @@
 Every operation the fusion stack needs lives here: matrix products, fused
 multi-head attention (its adjoint recomputes the cache-sized score blocks;
 see ``multi_head_attention``), 2-d pooling, bilinear resizing, the
-elementwise/reshape plumbing, and three composite ops, ``scaled_sum``,
-``feed_forward`` and ``sigmoid_blend``.  Each records one tape step for a
-composition of three to five elementary ops, keeps only what its adjoint
-reads, and computes in the composition's order, so its outputs and
-gradients are the composition's to the bit.  The module also holds the
-parameter init rule type, ``ParamSpec``, and ``init_tensors``, the one
-function that draws tensors from a spec.  Forward calls optionally record
-onto a :class:`Tape`; :func:`backward` replays the tape in reverse to
-produce a :class:`GradRecord` for all watched (named) tensors, running
-only the steps that lead back to a watched tensor and dropping each other
-gradient once it is consumed.
+elementwise/reshape plumbing, and four composite ops, ``scaled_sum``,
+``feed_forward``, ``sigmoid_blend`` and the loss ``mean_squared_error``.
+Each records one tape step for a composition of three to five elementary
+ops, keeps only what its adjoint reads, and computes in the composition's
+order, so its outputs and gradients are the composition's to the bit.  The
+module also holds the parameter init rule type, ``ParamSpec``, and
+``init_tensors``, the one function that draws tensors from a spec.  Forward
+calls optionally record onto a :class:`Tape`; :func:`backward` replays the
+tape in reverse to produce a :class:`GradRecord` for all watched (named)
+tensors, running only the steps that lead back to a watched tensor and
+dropping each other gradient once it is consumed.
 
 Most calls are on small tensors, where an op's fixed cost is comparable to
 its numpy work, so entry is kept cheap: the active tapes, multiply counters
@@ -572,6 +572,27 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     return _emit(Tensor._wrap(out), (x, w1, b1, w2, b2), bwd)
 
 
+def mean_squared_error(a: Tensor, b: Tensor) -> Tensor:
+    """mean((a - b)^2) over every element of same-shape a, b: one tape step
+    for ``sub``, ``mul`` and ``mean_all``.  It keeps no difference: the
+    adjoint recomputes a - b and adds (g / n)(a - b) to itself, as the tape
+    summed ``mul``'s two adjoints."""
+    ad, bd = a.data, b.data
+    if ad.dtype != bd.dtype:
+        _common_dtype(a, b)
+    if ad.shape != bd.shape:
+        raise DimensionError(f"mean_squared_error shapes differ: {ad.shape} vs {bd.shape}")
+    diff = ad - bd
+    out = Tensor._wrap(np.array([(diff * diff).mean()], dtype=ad.dtype))
+
+    def bwd(g):
+        da = (g.reshape(-1)[0] / ad.size) * (ad - bd)
+        da += da
+        return da, -da
+
+    return _emit(out, (a, b), bwd)
+
+
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.array([x.data.sum()], dtype=x.dtype))
 
@@ -694,9 +715,13 @@ def _overflow_limits(dt: np.dtype):
 
 
 def _head_max_sq_norm(x: np.ndarray, heads: int) -> np.ndarray:
-    """Per head, the largest squared row norm of its channel block of `x`."""
+    """Per head, the largest squared row norm of its channel block of `x`:
+    one (T heads, d) @ ones(d) product, whose rows never mix heads, so a
+    non-finite entry reaches only its own head's bound."""
     t, c = x.shape
-    return np.square(x).reshape(t, heads, c // heads).sum(axis=2).max(axis=0)
+    d = c // heads
+    norms = np.square(x).reshape(t * heads, d) @ np.ones(d, dtype=x.dtype)
+    return norms.reshape(t, heads).max(axis=0)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -737,9 +762,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     Score blocks hold at most ``_ATTENTION_BLOCK_ELEMENTS`` elements: as
     many whole heads as fit, or else query-row tiles of one head, all
     computed in one reused block buffer, taped or not.  A taped call keeps
-    no scores and no block: only Q, K, [V | 1], the row sums and the
-    output, O(T C) bytes.  Its adjoint is written out directly, with
-    P = E / s and gs = g / s:
+    no scores and no block: beside its operands, only its output and a copy
+    of the row sums, (C + heads) T_q elements.  Its adjoint rebuilds [V | 1]
+    and the exponent operand by the forward's own code, reads O as a view of
+    the output, and is written out directly, with P = E / s and gs = g / s:
 
         dS^T = ([V | 1] [gs | -rowsum(gs * O)]^T) * E^T,
         dQ^T = scale K^T dS^T,  dV = E^T gs,  dK = scale dS^T Q.
@@ -771,24 +797,27 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     scale = dt.type(1.0 / math.sqrt(d))
     log2e = dt.type(math.log2(math.e))
     kh = k.data.reshape(tk, heads, d).transpose(1, 0, 2)  # K_h, T_k x d: a view
-    v1 = np.ones((heads, tk, d + 1), dtype=dt)  # [V | 1] per head
-    v1[..., :d] = v.data.reshape(tk, heads, d).transpose(1, 0, 2)
 
     max_exponent, max_v_sum = _overflow_limits(dt)
     bound = scale * np.sqrt(_head_max_sq_norm(q.data, heads) * _head_max_sq_norm(k.data, heads))
-    vmax = np.maximum(np.abs(v1[..., :d]).max(axis=(1, 2)), 1.0)
+    vmax = np.maximum(np.abs(v.data).max(axis=0).reshape(heads, d).max(axis=1), 1.0)
     # NaN compares False, so non-finite input takes the shifted path
     shift_free = (bound <= max_exponent) & (tk * vmax <= max_v_sum)
     shifted = [j for j, ok in enumerate(shift_free.tolist()) if not ok]
-    # the exponent operand Q^T, d x T_q per head: a shifted head keeps
-    # natural units until its shift
-    qt = q.data.T.reshape(heads, d, tq)
-    qe = np.multiply(qt, scale * log2e, out=np.empty((heads, d, tq), dtype=dt))
-    for j in shifted:
-        np.multiply(qt[j], scale, out=qe[j])
+
+    def operands():
+        """[V | 1] per head, T_k x (d + 1), and the exponent operand Q^T per
+        head, d x T_q; a shifted head's Q^T keeps natural units until its
+        shift.  The adjoint rebuilds both by this code."""
+        v1 = np.ones((heads, tk, d + 1), dtype=dt)
+        v1[..., :d] = v.data.reshape(tk, heads, d).transpose(1, 0, 2)
+        qt = q.data.T.reshape(heads, d, tq)
+        qe = np.multiply(qt, scale * log2e, out=np.empty((heads, d, tq), dtype=dt))
+        for j in shifted:
+            np.multiply(qt[j], scale, out=qe[j])
+        return v1, qe
 
     hb, rows = _attention_blocks(heads, tq, tk)
-    e = np.empty(hb * tk * rows, dtype=dt)
     blocks = [(j0, min(j0 + hb, heads), r0, min(r0 + rows, tq))
               for j0 in range(0, heads, hb) for r0 in range(0, tq, rows)]
 
@@ -796,7 +825,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         """A contiguous (heads, T_k, rows) view of a flat block buffer."""
         return buf[: (j1 - j0) * tk * (r1 - r0)].reshape(j1 - j0, tk, r1 - r0)
 
-    def exp_block(j0, j1, r0, r1, buf):
+    def exp_block(qe, j0, j1, r0, r1, buf):
         """E^T for heads [j0, j1) and query rows [r0, r1) of one block, into
         `buf`.  The forward and the adjoint's recompute both run it on the
         same blocks, and each head's product is its own GEMM, so both see
@@ -809,29 +838,33 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                 eb[j - j0] *= log2e
         return np.exp2(eb, out=eb)
 
+    v1, qe = operands()
+    e = np.empty(hb * tk * rows, dtype=dt)
     av = np.empty((heads, d + 1, tq), dtype=dt)  # ([V | 1]^T E^T) per head
     probs = np.empty((heads, tq, tk), dtype=dt) if return_weights else None
     for j0, j1, r0, r1 in blocks:
-        eb = exp_block(j0, j1, r0, r1, e)
+        eb = exp_block(qe, j0, j1, r0, r1, e)
         np.matmul(v1[j0:j1].transpose(0, 2, 1), eb, out=av[j0:j1, :, r0:r1])
         if return_weights:
             np.divide(eb, av[j0:j1, d:, r0:r1], out=probs[j0:j1, r0:r1].transpose(0, 2, 1))
-    sums = av[:, d:]
-    oh = av[:, :d] / sums
-    out = Tensor._wrap(np.ascontiguousarray(oh.reshape(c, tq).T))
+    # O, T_q x d per head: a divide over T_q-long rows, then one transposing
+    # copy, is faster than dividing straight into the strided output
+    o = (av[:, :d] / av[:, d:]).transpose(2, 0, 1).copy()
+    sums = av[:, d].copy() if _recording() else None  # row sums, heads x T_q
 
     def bwd(g):
         # with P = E / s, the adjoint only needs E and gs = g / s
-        gs = np.divide(g.reshape(tq, heads, d), sums[:, 0].T[..., None])  # T_q x d per head
+        v1, qe = operands()
+        gs = np.divide(g.reshape(tq, heads, d), sums.T[..., None])  # T_q x d per head
         gs1 = np.empty((heads, d + 1, tq), dtype=dt)  # [gs | -rowsum(gs * O)]^T
         gs1[:, :d] = gs.transpose(1, 2, 0)
-        np.negative((gs1[:, :d] * oh).sum(axis=1), out=gs1[:, d])
+        np.negative((gs1[:, :d] * o.transpose(1, 2, 0)).sum(axis=1), out=gs1[:, d])
         qh = q.data.reshape(tq, heads, d).transpose(1, 0, 2)
         dq = np.empty((heads, d, tq), dtype=dt)  # dQ^T per head
         dk, dv = np.empty((heads, tk, d), dtype=dt), np.empty((heads, tk, d), dtype=dt)
         et, ds = np.empty(hb * tk * rows, dtype=dt), np.empty(hb * tk * rows, dtype=dt)
         for j0, j1, r0, r1 in blocks:
-            eb = exp_block(j0, j1, r0, r1, et)
+            eb = exp_block(qe, j0, j1, r0, r1, et)
             dsb = block_view(ds, j0, j1, r0, r1)  # dS^T
             np.matmul(v1[j0:j1], gs1[j0:j1, :, r0:r1], out=dsb)
             dsb *= eb
@@ -849,7 +882,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         dv = np.ascontiguousarray(dv.transpose(1, 0, 2))
         return dq.reshape(tq, c), dk.reshape(tk, c), dv.reshape(tk, c)
 
-    out = _emit(out, (q, k, v), bwd)
+    out = _emit(Tensor._wrap(o.reshape(tq, c)), (q, k, v), bwd)
     if return_weights:
         return out, [Tensor._wrap(p) for p in probs]
     return out

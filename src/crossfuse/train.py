@@ -72,9 +72,8 @@ def is_decay_exempt(name: str) -> bool:
     return name.startswith("pe_") or name.rsplit(".", 1)[-1] in DECAY_EXEMPT_LEAVES
 
 
-def squared_error_loss(prediction: Tensor, target: Tensor) -> Tensor:
-    diff = tc.sub(prediction, target)
-    return tc.mean_all(tc.mul(diff, diff))
+# the reconstruction loss, mean((prediction - target)^2), as one tape op
+squared_error_loss = tc.mean_squared_error
 
 
 def sgd_update(params: dict, velocity: dict, grads: tc.GradRecord, lr: float,

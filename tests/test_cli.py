@@ -191,6 +191,12 @@ CONFIG_PROBES = {
     # weight sets too large to allocate
     "huge_ffn_train": ("train-toy", {"dmff": {"ffn_hidden": 1_000_000_000}}),
     "huge_ffn_check": ("gradcheck", {"dmff": {"ffn_hidden": 1_000_000_000}}),
+    # a scene within the map bound whose attention at shrink window 1 runs
+    # over 4M tokens: 2^46 multiplies, refused before anything is allocated
+    "endless_attention_train": ("train-toy", {"synth": {"h": 2048, "w": 2048, "c": 1},
+                                              "dmff": {"heads": 1, "shrink_window": 1}}),
+    "endless_attention_check": ("gradcheck", {"synth": {"h": 2048, "w": 2048, "c": 1},
+                                              "dmff": {"heads": 1, "shrink_window": 1}}),
 }
 
 

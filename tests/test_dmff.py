@@ -726,6 +726,23 @@ def test_param_spec_rejects_bad_extents():
             dmff.param_spec(make_cfg(mode=mode, heads=3), 4, 8, 8)
 
 
+def test_param_spec_bounds_the_attention_multiplies():
+    # T = 128 x 256 tokens of 16 channels: 2 T^2 C = 2^35 per attention
+    t_cfg = dict(heads=1, shrink_window=1)
+    assert dmff.MAX_ATTENTION_MULTIPLIES == 2 * 2 * (128 * 256) ** 2 * 16
+    for mode, iterations in (("a", 2), ("b", 2), ("c", 1), ("d", 1)):
+        dmff.param_spec(make_cfg(mode=mode, iterations=iterations, **t_cfg), 128, 256, 16)
+    for mode, iterations in (("a", 3), ("c", 2), ("d", 2)):
+        with pytest.raises(tc.ConfigurationError, match="attention multiplies"):
+            dmff.param_spec(make_cfg(mode=mode, iterations=iterations, **t_cfg), 128, 256, 16)
+    # no attention, no bound
+    dmff.param_spec(make_cfg(mode="e", **t_cfg), 2048, 2048, 1)
+    # the defaults and the benchmark workloads' configs are admitted
+    dmff.param_spec(dmff.DmffConfig(), 8, 8, 16)
+    for hw, c, iterations in ((64, 64, 1), (32, 64, 3), (8, 16, 1)):
+        dmff.param_spec(dmff.DmffConfig(ffn_hidden=256, iterations=iterations), hw, hw, c)
+
+
 def test_assemble_round_trips_and_shares_by_mode(rng):
     for mode in ("a", "c", "d"):
         cfg = make_cfg(mode=mode)

@@ -617,7 +617,8 @@ def test_composed_graph_matches_finite_differences(rng):
 
 COMPOSITE_PARENTS = {"scaled_sum": ("a", "x", "b", "y"),
                      "feed_forward": ("x", "w1", "b1", "w2", "b2"),
-                     "sigmoid_blend": ("l", "avg", "max")}
+                     "sigmoid_blend": ("l", "avg", "max"),
+                     "mean_squared_error": ("a", "b")}
 
 
 def composite_args(op, rng, dtype):
@@ -628,6 +629,8 @@ def composite_args(op, rng, dtype):
         return (tc.scalar(0.7, dtype=dtype), t(4, 6), tc.scalar(-1.3, dtype=dtype), t(4, 6))
     if op == "feed_forward":
         return (t(4, 6), t(6, 5), t(5), t(5, 3), t(3))
+    if op == "mean_squared_error":
+        return (t(4, 6, 3), t(4, 6, 3))
     return (tc.scalar(-0.4, dtype=dtype), t(2, 3, 4), t(2, 3, 4))
 
 
@@ -638,7 +641,12 @@ COMPOSITIONS = {
     "feed_forward": lambda x, w1, b1, w2, b2: tc.add(
         tc.matmul(tc.relu(tc.add(tc.matmul(x, w1), b1)), w2), b2),
     "sigmoid_blend": lambda l, avg, mx: _blend_composition(tc.sigmoid(l), avg, mx),
+    "mean_squared_error": lambda a, b: _squared_error_composition(tc.sub(a, b)),
 }
+
+
+def _squared_error_composition(diff):
+    return tc.mean_all(tc.mul(diff, diff))
 
 
 def _blend_composition(lam, avg, mx):
@@ -674,6 +682,7 @@ def test_composite_op_is_byte_equal_to_its_composition(op, dtype, rng):
     ("scaled_sum", {0: (2,)}), ("scaled_sum", {3: (4, 5)}),
     ("feed_forward", {1: (5, 5)}), ("feed_forward", {2: (4,)}), ("feed_forward", {4: (1, 3)}),
     ("sigmoid_blend", {0: (2,)}), ("sigmoid_blend", {2: (2, 3, 5)}),
+    ("mean_squared_error", {1: (4, 6)}),
 ])
 def test_composite_op_rejects_nonconforming_operands(op, bad, rng):
     args = list(composite_args(op, rng, np.float64))
@@ -1122,9 +1131,10 @@ def test_attention_non_finite_head_leaves_other_heads_finite(case, which, bad, w
 
 def test_taped_attention_retains_no_score_block(rng):
     # An earlier taped call kept all heads' scores, 8 x 1024^2 f32 (32 MiB);
-    # a later one kept the last 256 KiB score block.  Now the tape holds
-    # only O(T C) bytes: [V | 1], the scaled Q^T, the products with their
-    # row sums, O per head and the output, ~5.3 T C in all.
+    # a later one kept the last 256 KiB score block, and then [V | 1], the
+    # scaled Q^T and the products, ~5.3 T C.  Now the tape holds the output
+    # and a copy of the row sums beside the operands it holds anyway; the
+    # adjoint rebuilds the rest.
     t, c, heads = 1024, 64, 8
     itemsize = np.dtype(np.float32).itemsize
     q, k, v = (tc.Tensor(rng.standard_normal((t, c)), dtype=np.float32) for _ in range(3))
@@ -1140,8 +1150,9 @@ def test_taped_attention_retains_no_score_block(rng):
     finally:
         tracemalloc.stop()
     block = tc._ATTENTION_BLOCK_ELEMENTS * itemsize
-    assert retained <= 6 * t * c * itemsize
-    tokens = 12 * t * c * itemsize  # O(T C): operands, row sums, outputs, gradients
+    bookkeeping = 1 << 15  # the closures and the list of 128 blocks
+    assert retained <= (t * c + heads * t) * itemsize + bookkeeping
+    tokens = 12 * t * c * itemsize  # O(T C): rebuilt operands, row sums, gradients
     # the adjoint adds a recomputed E and a dS, each at most a block, and
     # its O(T C) gradients
     assert backward_peak <= retained + 2 * block + tokens
