@@ -1,9 +1,9 @@
 """Finite-difference validation of the analytic gradients.
 
-Runs the full pipeline in wide precision on a seeded synthetic scene,
-takes the squared-error reconstruction loss, and compares the tape's
-gradients against central differences on a random sample of coordinates
-of every parameter tensor.
+Runs the full pipeline in wide precision on a seeded synthetic scene and
+compares the gradients of the training objective, ``train.loss_and_grads``,
+against central differences of its loss over untaped fuses, on a random
+sample of coordinates of every parameter tensor.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import tensor_core as tc
 from .dmff import DmffConfig, dmff_fuse, init_dmff_weights, replace_parameters
 from .synth import SyntheticPairSpec, gen_synthetic_pair
 from .tensor_core import Tensor
-from .train import squared_error_loss
+from .train import loss_and_grads, squared_error_loss
 
 REL_ERR_FLOOR = 1e-6
 
@@ -95,19 +95,12 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
     f_r, f_t, target = gen_synthetic_pair(synth, dtype=tc.WIDE)
 
     def loss_of(weights) -> float:
-        out = dmff_fuse(f_r, f_t, cfg, weights)
-        d = out.primary.data - target.data
-        return float((d * d).mean())
+        return squared_error_loss(dmff_fuse(f_r, f_t, cfg, weights).primary, target).item()
 
     params = dict(wts.named_tensors())
     if not params:
         raise tc.ConfigurationError(f"mode {cfg.mode!r} has no learnables to check")
-    tape = tc.Tape()
-    tape.watch_all(params.items())
-    with tc.record_on(tape):
-        out = dmff_fuse(f_r, f_t, cfg, wts)
-        loss = squared_error_loss(out.primary, target)
-    record = tc.backward(tc.scalar(1.0, dtype=tc.WIDE), tape, loss)
+    _, record = loss_and_grads(f_r, f_t, target, cfg, wts)
     if _grad_hook is not None:
         record = _grad_hook(record)
 

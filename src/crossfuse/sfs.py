@@ -20,10 +20,10 @@ from .tensor_core import DimensionError, ParamSpec, Tensor
 
 def shrink_spec(variant: str, s: int, channels: int) -> dict:
     """One branch's shrink learnables, name -> ParamSpec: for pool the raw
-    blend at 0 (lambda halfway between average and max), for conv the
-    projection uniform in +-1/sqrt(s*s*C) and a zero bias."""
+    blend at 0 (lambda halfway between average and max), never decayed; for
+    conv the projection uniform in +-1/sqrt(s*s*C) and a zero bias."""
     if variant == "pool":
-        return {"lambda_raw": ParamSpec((1,))}
+        return {"lambda_raw": ParamSpec((1,), decay=False)}
     fan_in = s * s * channels
     return {"w": ParamSpec((fan_in, channels), 1.0 / np.sqrt(fan_in)),
             "b": ParamSpec((channels,))}

@@ -127,11 +127,12 @@ def scalar(value, dtype=STANDARD) -> Tensor:
 
 
 class ParamSpec(NamedTuple):
-    """Shape and init rule of one learnable: uniform in +-bound, else fill."""
+    """One learnable: shape, init (uniform in +-bound, else fill), weight decay."""
 
     shape: tuple
     bound: float | None = None
     fill: float = 0.0
+    decay: bool = True
 
 
 def init_tensors(spec: dict, rng: np.random.Generator, dtype=STANDARD) -> dict:

@@ -17,8 +17,8 @@ from .tensor_core import DimensionError, ParamSpec, Tensor
 
 
 def pe_spec(tokens: int, channels: int) -> dict:
-    """The positional table, name -> ParamSpec: uniform in +-0.02."""
-    return {"table": ParamSpec((tokens, channels), 0.02)}
+    """The positional table, name -> ParamSpec: uniform in +-0.02, never decayed."""
+    return {"table": ParamSpec((tokens, channels), 0.02, decay=False)}
 
 
 def tokenize(fmap: Tensor, table: Tensor | None = None) -> Tensor:

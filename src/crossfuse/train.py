@@ -5,9 +5,11 @@ learning rate, matched at desk scale.  The task is reconstruction of the
 elementwise-max target from a fixed synthetic scene pair, which drives
 gradients through every fused pathway.
 
-Weight decay is skipped for the residual coefficients, the pooling blend,
-and the positional embeddings: decaying coefficients that are defined to
-start at 1 toward 0 would fight their role.
+``loss_and_grads`` is the one objective (taped fuse, squared-error loss,
+backward) for training and ``gradcheck``.  Weight decay skips what the
+stage specs declare exempt (``ParamSpec.decay``): the residual
+coefficients, the pooling blend and the positional embeddings, whose
+role a pull toward 0 would fight.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .dmff import DmffConfig, dmff_fuse, init_dmff_weights, replace_parameters
+from .dmff import DmffConfig, dmff_fuse, init_dmff_weights, param_spec, replace_parameters
 from .synth import SyntheticPairSpec, gen_synthetic_pair
 from .tensor_core import Tensor
-
-DECAY_EXEMPT_LEAVES = ("alpha", "beta", "gamma", "delta", "lambda_raw")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -45,13 +45,14 @@ class TrainConfig:
             raise tc.ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.seed < 0:
             raise tc.ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.lr_min <= self.lr0:
-            raise tc.ConfigurationError(f"learning rates must satisfy 0 <= lr_min <= lr0, "
+        if not 0 <= self.lr_min <= self.lr0 < math.inf:
+            raise tc.ConfigurationError(f"learning rates must satisfy 0 <= lr_min <= lr0 < inf, "
                                         f"got lr_min {self.lr_min}, lr0 {self.lr0}")
         if not 0 <= self.momentum < 1:
             raise tc.ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise tc.ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise tc.ConfigurationError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -68,20 +69,26 @@ def cosine_lr(step: int, total_steps: int, lr0: float, lr_min: float = 0.0) -> f
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def is_decay_exempt(name: str) -> bool:
-    return name.startswith("pe_") or name.rsplit(".", 1)[-1] in DECAY_EXEMPT_LEAVES
-
-
 # the reconstruction loss, mean((prediction - target)^2), as one tape op
 squared_error_loss = tc.mean_squared_error
 
 
+def loss_and_grads(f_r: Tensor, f_t: Tensor, target: Tensor, cfg: DmffConfig, wts):
+    """(loss, GradRecord) of one taped fuse of `wts` against `target`: the
+    reconstruction loss as a float and its gradient for every parameter."""
+    tape = tc.Tape()
+    tape.watch_all(wts.named_tensors())
+    with tc.record_on(tape):
+        loss = squared_error_loss(dmff_fuse(f_r, f_t, cfg, wts).primary, target)
+    return loss.item(), tc.backward(tc.scalar(1.0, dtype=loss.dtype), tape, loss)
+
+
 def sgd_update(params: dict, velocity: dict, grads: tc.GradRecord, lr: float,
-               momentum: float, weight_decay: float) -> dict:
+               momentum: float, weight_decay: float, decayed: set) -> dict:
     """One momentum-SGD step over named parameters; returns new tensors.
 
-    Decay enters the gradient (g += wd * p) before the velocity update,
-    except for decay-exempt parameters; parameters missing from `grads`
+    Decay enters the gradient (g += wd * p) before the velocity update, for
+    the parameters named in `decayed` only; parameters missing from `grads`
     contribute a zero gradient.  Velocity is updated in place.
     """
     wd = np.float32(weight_decay)
@@ -91,7 +98,7 @@ def sgd_update(params: dict, velocity: dict, grads: tc.GradRecord, lr: float,
     for name, p in params.items():
         g_t = grads.get(name)
         g = np.zeros(p.shape, dtype=p.dtype) if g_t is None else np.array(g_t.data)
-        if weight_decay and not is_decay_exempt(name):
+        if weight_decay and name in decayed:
             g = g + wd * p.data
         v = mu * velocity[name] + g
         velocity[name] = v
@@ -105,28 +112,23 @@ def train_toy(cfg: TrainConfig, step_callback=None) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     wts = init_dmff_weights(cfg.dmff, spec.h, spec.w, spec.c, rng, dtype=tc.STANDARD)
     f_r, f_t, target = gen_synthetic_pair(spec, dtype=tc.STANDARD)
+    decayed = {n for n, p in param_spec(cfg.dmff, spec.h, spec.w, spec.c).items() if p.decay}
     params = dict(wts.named_tensors())
     velocity = {name: np.zeros(t.shape, dtype=t.dtype) for name, t in params.items()}
     losses, lrs = [], []
     for step in range(cfg.steps):
         lr = cosine_lr(step, cfg.steps, cfg.lr0, cfg.lr_min)
-        tape = tc.Tape()
-        tape.watch_all(params.items())
-        with tc.record_on(tape):
-            out = dmff_fuse(f_r, f_t, cfg.dmff, wts)
-            loss = squared_error_loss(out.primary, target)
-        loss_value = loss.item()
+        loss_value, grads = loss_and_grads(f_r, f_t, target, cfg.dmff, wts)
         if not math.isfinite(loss_value):
             raise TrainingDivergedError(
                 f"loss became non-finite at step {step}: {loss_value}"
             )
         losses.append(loss_value)
         lrs.append(lr)
-        grads = tc.backward(tc.scalar(1.0, dtype=tc.STANDARD), tape, loss)
         bad = [n for n in params if n in grads and not np.isfinite(grads[n].data).all()]
         if bad:  # name the first in spec order
             raise TrainingDivergedError(f"gradient of {bad[0]!r} became non-finite at step {step}")
-        params = sgd_update(params, velocity, grads, lr, cfg.momentum, cfg.weight_decay)
+        params = sgd_update(params, velocity, grads, lr, cfg.momentum, cfg.weight_decay, decayed)
         wts = replace_parameters(wts, params)
         if step_callback is not None:
             step_callback(step, lr, loss_value)

@@ -5,9 +5,22 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from crossfuse import dmff
+from crossfuse import tensor_core as tc
 from crossfuse import train as tr
 from crossfuse.dmff import DmffConfig
-from crossfuse.synth import SyntheticPairSpec
+from crossfuse.icfe import stacked_spec
+from crossfuse.synth import SyntheticPairSpec, gen_synthetic_pair
+
+# every parameter the optimizer must not decay, in any mode, variant or
+# stack: the residual coefficients, the pooling blends and the positional
+# tables
+DECAY_EXEMPT = frozenset(
+    [f"{prefix}.{leaf}"
+     for prefix in ("cfe", "cfe_r", "cfe_t", "block0.cfe_r", "block0.cfe_t",
+                    "block1.cfe_r", "block1.cfe_t")
+     for leaf in ("alpha", "beta", "gamma", "delta")]
+    + ["sfs_r.lambda_raw", "sfs_t.lambda_raw", "pe_r.table", "pe_t.table"])
 
 
 def small_cfg(**kw):
@@ -50,34 +63,37 @@ def test_determinism_across_runs():
         npt.assert_array_equal(w1[name].data, w2[name].data)
 
 
-def test_decay_exemption_predicate():
-    assert tr.is_decay_exempt("cfe_r.alpha")
-    assert tr.is_decay_exempt("cfe.delta")
-    assert tr.is_decay_exempt("sfs_t.lambda_raw")
-    assert tr.is_decay_exempt("pe_r.table")
-    assert not tr.is_decay_exempt("cfe_r.w_q")
-    assert not tr.is_decay_exempt("nin.b")
+def test_specs_declare_exactly_the_decay_exempt_leaves():
+    specs = [dmff.param_spec(DmffConfig(mode=mode, heads=2, ffn_hidden=16, shrink_variant=v),
+                             4, 4, 8)
+             for mode in "abcde" for v in ("pool", "conv")]
+    specs.append(stacked_spec(8, 16, blocks=2))
+    seen = set()
+    for spec in specs:
+        exempt = {name for name, p in spec.items() if not p.decay}
+        assert exempt == DECAY_EXEMPT & set(spec)
+        seen |= exempt
+    assert seen == DECAY_EXEMPT
 
 
 def test_decay_shrinks_only_non_exempt_tensors():
     # zero gradients injected into the real update: with momentum off, a
     # decayed tensor shrinks by (1 - lr*wd) per step, exempt ones hold
-    from crossfuse import dmff as dmff_mod
-    from crossfuse import tensor_core as tc
-
     cfg = small_cfg()
     lr, wd = 0.5, 0.1
-    wts = dmff_mod.init_dmff_weights(cfg.dmff, 4, 4, 8, np.random.default_rng(3),
-                                     dtype=np.float32)
+    wts = dmff.init_dmff_weights(cfg.dmff, 4, 4, 8, np.random.default_rng(3),
+                                 dtype=np.float32)
+    decayed = {n for n, p in dmff.param_spec(cfg.dmff, 4, 4, 8).items() if p.decay}
     params = dict(wts.named_tensors())
+    assert 0 < len(DECAY_EXEMPT & set(params)) < len(params)
     velocity = {name: np.zeros(t.shape, dtype=t.dtype) for name, t in params.items()}
     empty = tc.GradRecord()
     for step in range(3):
         before = params
         params = tr.sgd_update(params, velocity, empty, lr=lr, momentum=0.0,
-                               weight_decay=wd)
+                               weight_decay=wd, decayed=decayed)
         for name in params:
-            if tr.is_decay_exempt(name):
+            if name in DECAY_EXEMPT:
                 npt.assert_array_equal(params[name].data, before[name].data)
             else:
                 npt.assert_allclose(
@@ -93,10 +109,41 @@ def test_divergence_aborts_with_diagnostic():
         tr.train_toy(small_cfg(lr0=1e6, steps=40))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("lr0", math.inf), ("lr0", math.nan), ("lr_min", math.inf), ("lr_min", math.nan),
+    ("weight_decay", math.inf), ("weight_decay", math.nan),
+])
+def test_non_finite_rates_are_rejected(name, value):
+    with pytest.raises(tc.ConfigurationError, match=name):
+        small_cfg(**{name: value})
+
+
+@pytest.mark.parametrize("mode", ["a", "d", "e"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_and_grads_is_the_taped_step(mode, dtype):
+    cfg = small_cfg(steps=1, dmff=DmffConfig(mode=mode, heads=2, ffn_hidden=16))
+    spec = cfg.synth
+    wts = dmff.init_dmff_weights(cfg.dmff, spec.h, spec.w, spec.c,
+                                 np.random.default_rng(cfg.seed), dtype=dtype)
+    f_r, f_t, target = gen_synthetic_pair(spec, dtype=dtype)
+    loss, record = tr.loss_and_grads(f_r, f_t, target, cfg.dmff, wts)
+
+    tape = tc.Tape()
+    tape.watch_all(wts.named_tensors())
+    with tc.record_on(tape):
+        by_hand = tr.squared_error_loss(dmff.dmff_fuse(f_r, f_t, cfg.dmff, wts).primary, target)
+    expected = tc.backward(tc.scalar(1.0, dtype=dtype), tape, by_hand)
+    assert loss == by_hand.item()
+    assert list(record.entries) == list(expected.entries)
+    for name, g in expected.entries.items():
+        assert record[name].dtype == dtype
+        assert record[name].data.tobytes() == g.data.tobytes()
+    if dtype == np.float32:  # train_toy's precision
+        assert tr.train_toy(cfg).losses == [loss]
+
+
 def test_non_finite_gradient_aborts_naming_the_first_parameter(monkeypatch):
     # a finite loss with a non-finite gradient: the step must not be taken
-    from crossfuse import tensor_core as tc
-
     real_backward = tc.backward
     calls = []
 
@@ -131,8 +178,6 @@ def test_trace_file_round_trips(tmp_path):
 
 
 def test_squared_error_loss_matches_numpy(rng):
-    from crossfuse import tensor_core as tc
-
     a = rng.standard_normal((3, 3, 2))
     b = rng.standard_normal((3, 3, 2))
     loss = tr.squared_error_loss(tc.Tensor(a, dtype=np.float64),
