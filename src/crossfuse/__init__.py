@@ -17,7 +17,7 @@ from .tensor_core import (
 from .token_codec import detokenize, tokenize
 from .sfs import shrink_conv, shrink_pool
 from .cfe import cfe_forward, cross_attention
-from .icfe import icfe_forward, stacked_forward
+from .icfe import icfe_forward
 from .dmff import (
     DmffConfig,
     DmffWeights,

@@ -13,9 +13,10 @@ FFN figures for ``ours`` are internally inconsistent (the per-row figure
 implies hidden width 2C, the total implies 4C); the audit reports both
 readings and flags the clash instead of resolving it.
 
-The runtime check is one counted enhancement pass per variant: the real
-``cfe_forward`` under one multiply counter, whose attention and FFN
-totals the ``measured_*`` functions and the report read.
+The runtime check is one counted enhancement pass per variant under one
+multiply counter, whose attention and FFN totals the ``measured_*``
+functions and the report read: one shared ``icfe_forward`` block (ours)
+or one ``cfe_forward`` call (cft).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from . import tensor_core as tc
 from .cfe import cfe_forward, cfe_spec
 from .dmff import MAX_PARAM_ELEMENTS, admit_spec
+from .icfe import icfe_forward
 from .tensor_core import ConfigurationError
 
 VARIANTS = ("ours", "cft")
@@ -165,13 +167,14 @@ def param_count(tensors) -> int:
 
 def _counted_run(variant: str, t: int, c: int, hidden: int,
                  heads: int | None) -> tc.MultiplyCounter:
-    """The multiplies of one enhancement pass: ``cfe_forward`` in both
-    directions over T tokens (ours), or once over their 2T concatenation
-    (cft).  Counts do not depend on the head count, which defaults to 1.
-    Raises ConfigurationError, before anything is allocated, when the
-    weights exceed ``dmff.MAX_PARAM_ELEMENTS``, when the cft pass's
-    attention exceeds ``MAX_AUDIT_MULTIPLIES`` or when its widest
-    activation, 2T tokens by max(C, hidden), exceeds the weights' bound."""
+    """The multiplies of one enhancement pass: one ``icfe_forward`` block
+    sharing one set between both directions over T tokens (ours), or
+    ``cfe_forward`` once over their 2T concatenation (cft).  Counts do not
+    depend on the head count, which defaults to 1.  Raises
+    ConfigurationError, before anything is allocated, when the weights
+    exceed ``dmff.MAX_PARAM_ELEMENTS``, when the cft pass's attention
+    exceeds ``MAX_AUDIT_MULTIPLIES`` or when its widest activation, 2T
+    tokens by max(C, hidden), exceeds the weights' bound."""
     _cft_factor(variant)
     heads = 1 if heads is None else heads
     spec = admit_spec(cfe_spec(c, hidden))
@@ -188,8 +191,7 @@ def _counted_run(variant: str, t: int, c: int, hidden: int,
     counter = tc.MultiplyCounter()
     with tc.count_multiplies(counter):
         if variant == "ours":
-            cfe_forward(a, b, p, heads)
-            cfe_forward(b, a, p, heads)
+            icfe_forward(a, b, [(p, p)], heads)
         else:
             cat = tc.Tensor(np.concatenate([a.data, b.data]), dtype=np.float64)
             cfe_forward(cat, cat, p, heads)

@@ -354,7 +354,7 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
         fmap = detokenize(main, *grid)
         return FusionOutput(primary=fmap if grid == (h, w) else tc.bilinear_resize(fmap, h, w))
 
-    t_r, t_t = icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
+    t_r, t_t = icfe_forward(t_r, t_t, [(cfe_r, cfe_t)] * cfg.iterations, cfg.heads,
                             sequential=cfg.sequential_update)
     return FusionOutput(primary=nin_fuse(t_r, t_t, grid, h, w, nin["w"], nin["b"]))
 

@@ -6,10 +6,11 @@ elementwise-max target from a fixed synthetic scene pair, which drives
 gradients through every fused pathway.
 
 ``loss_and_grads`` is the one objective (taped fuse, squared-error loss,
-backward) for training and ``gradcheck``.  Weight decay skips what the
-stage specs declare exempt (``ParamSpec.decay``): the residual
-coefficients, the pooling blend and the positional embeddings, whose
-role a pull toward 0 would fight.
+backward) for training and ``gradcheck``, and the one place that refuses
+a mode with no learnables.  Weight decay skips what the stage specs
+declare exempt (``ParamSpec.decay``): the residual coefficients, the
+pooling blend and the positional embeddings, whose role a pull toward 0
+would fight.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ squared_error_loss = tc.mean_squared_error
 
 def loss_and_grads(f_r: Tensor, f_t: Tensor, target: Tensor, cfg: DmffConfig, wts):
     """(loss, GradRecord) of one taped fuse of `wts` against `target`: the
-    reconstruction loss as a float and its gradient for every parameter."""
+    reconstruction loss as a float and its gradient for every parameter.
+    Raises ConfigurationError when `wts` holds no learnable."""
+    if not wts.tensors:
+        raise tc.ConfigurationError(f"mode {cfg.mode!r} has no learnables")
     tape = tc.Tape()
     tape.watch_all(wts.named_tensors())
     with tc.record_on(tape):

@@ -179,6 +179,8 @@ CONFIG_PROBES = {
     "list_config": ("train-toy", [1, 2]),
     "list_section": ("gradcheck", {"dmff": [1, 2]}),
     "nothing_to_check": ("gradcheck", {"dmff": {"mode": "f_rgb"}}),
+    "nothing_to_train": ("train-toy", {"steps": 3, "dmff": {"mode": "f_rgb"},
+                                       "synth": {"h": 8, "w": 8, "c": 16}}),
     "string_extent": ("gen", {"h": "4"}),
     "not_utf8": ("gen", b"\xff\xfe{"),
     # scenes too large to allocate: numpy would raise its own memory error

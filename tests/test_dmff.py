@@ -473,7 +473,7 @@ def _resize_then_fuse(f_r, f_t, cfg, wts):
     t_t = token_codec.tokenize(sfs.shrink(f_t, s, stage(wts, "sfs_t.")), t["pe_t.table"])
     cfe_r, cfe_t = ((stage(wts, "cfe_r."), stage(wts, "cfe_t.")) if cfg.mode == "d"
                     else (stage(wts, "cfe."),) * 2)
-    t_r, t_t = icfe.icfe_forward(t_r, t_t, cfe_r, cfe_t, cfg.heads, cfg.iterations,
+    t_r, t_t = icfe.icfe_forward(t_r, t_t, [(cfe_r, cfe_t)] * cfg.iterations, cfg.heads,
                                  sequential=cfg.sequential_update)
     grid = (h // s, w // s)
     return nin_maps(tc.bilinear_resize(token_codec.detokenize(t_r, *grid), h, w),

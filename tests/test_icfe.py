@@ -1,8 +1,9 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from crossfuse import icfe, tensor_core as tc
-from crossfuse.cfe import cfe_forward, cfe_spec
+from crossfuse.cfe import PARAM_NAMES, cfe_forward, cfe_spec
 from conftest import fd_gradient, rel_err
 
 
@@ -24,10 +25,20 @@ def prefixed(*parts):
     return {prefix + leaf: t for prefix, p in parts for leaf, t in p.items()}
 
 
+def stack_blocks(stack):
+    """The block list of a ``stacked_spec`` mapping, block0 first; a
+    missing leaf raises KeyError and a leftover name fails the count."""
+    depth = len({name.split(".", 1)[0] for name in stack})
+    blocks = [tuple({leaf: stack[f"block{i}.cfe_{b}.{leaf}"] for leaf in PARAM_NAMES}
+                    for b in "rt") for i in range(depth)]
+    assert 2 * depth * len(PARAM_NAMES) == len(stack)
+    return blocks
+
+
 def test_zero_iterations_is_identity(rng):
     p_r, p_t = make_pair(rng)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    out_r, out_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 0)
+    out_r, out_t = icfe.icfe_forward(t_r, t_t, [], 2)
     assert out_r is t_r
     assert out_t is t_t
 
@@ -35,7 +46,7 @@ def test_zero_iterations_is_identity(rng):
 def test_one_iteration_equals_single_dual_application(rng):
     p_r, p_t = make_pair(rng)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    out_r, out_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
+    out_r, out_t = icfe.icfe_forward(t_r, t_t, [(p_r, p_t)], 2)
     want_r = cfe_forward(t_r, t_t, p_r, 2)
     want_t = cfe_forward(t_t, t_r, p_t, 2)
     npt.assert_array_equal(out_r.data, want_r.data)
@@ -45,7 +56,7 @@ def test_one_iteration_equals_single_dual_application(rng):
 def test_two_iterations_match_manual_composition(rng):
     p_r, p_t = make_pair(rng)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    out_r, out_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 2)
+    out_r, out_t = icfe.icfe_forward(t_r, t_t, [(p_r, p_t)] * 2, 2)
     # manual synchronous composition with the same parameter tensors
     r1 = cfe_forward(t_r, t_t, p_r, 2)
     t1 = cfe_forward(t_t, t_r, p_t, 2)
@@ -58,8 +69,8 @@ def test_two_iterations_match_manual_composition(rng):
 def test_sequential_flag_changes_the_composition(rng):
     p_r, p_t = make_pair(rng)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    sync_r, sync_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
-    seq_r, seq_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1, sequential=True)
+    sync_r, sync_t = icfe.icfe_forward(t_r, t_t, [(p_r, p_t)], 2)
+    seq_r, seq_t = icfe.icfe_forward(t_r, t_t, [(p_r, p_t)], 2, sequential=True)
     npt.assert_array_equal(sync_r.data, seq_r.data)
     # thermal sees the updated rgb stream in sequential mode
     assert np.max(np.abs(sync_t.data - seq_t.data)) > 1e-9
@@ -71,8 +82,8 @@ def test_stacked_one_block_matches_icfe_one_iteration(rng):
     p_r, p_t = make_pair(rng)
     stack = prefixed(("block0.cfe_r.", p_r), ("block0.cfe_t.", p_t))
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    i_r, i_t = icfe.icfe_forward(t_r, t_t, p_r, p_t, 2, 1)
-    s_r, s_t = icfe.stacked_forward(t_r, t_t, stack, 2)
+    i_r, i_t = icfe.icfe_forward(t_r, t_t, [(p_r, p_t)], 2)
+    s_r, s_t = icfe.icfe_forward(t_r, t_t, stack_blocks(stack), 2)
     npt.assert_array_equal(i_r.data, s_r.data)
     npt.assert_array_equal(i_t.data, s_t.data)
 
@@ -87,8 +98,8 @@ def test_identity_second_block_is_a_no_op(rng):
     one = prefixed(*zip(("block0.cfe_r.", "block0.cfe_t."), first))
     two = dict(one, **prefixed(*zip(("block1.cfe_r.", "block1.cfe_t."), bypass)))
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    one_r, one_t = icfe.stacked_forward(t_r, t_t, one, 2)
-    two_r, two_t = icfe.stacked_forward(t_r, t_t, two, 2)
+    one_r, one_t = icfe.icfe_forward(t_r, t_t, stack_blocks(one), 2)
+    two_r, two_t = icfe.icfe_forward(t_r, t_t, stack_blocks(two), 2)
     npt.assert_array_equal(one_r.data, two_r.data)
     npt.assert_array_equal(one_t.data, two_t.data)
 
@@ -96,7 +107,7 @@ def test_identity_second_block_is_a_no_op(rng):
 def test_three_blocks_match_explicit_fold(rng):
     stack = tc.init_tensors(icfe.stacked_spec(4, 8, 3), rng, np.float64)
     t_r, t_t = seq(rng.standard_normal((4, 4))), seq(rng.standard_normal((4, 4)))
-    got_r, got_t = icfe.stacked_forward(t_r, t_t, stack, 2)
+    got_r, got_t = icfe.icfe_forward(t_r, t_t, stack_blocks(stack), 2)
     cur_r, cur_t = t_r, t_t
     for i in range(3):
         block_r, block_t = ({n.rsplit(".", 1)[1]: t for n, t in stack.items()
@@ -107,6 +118,40 @@ def test_three_blocks_match_explicit_fold(rng):
     npt.assert_array_equal(got_t.data, cur_t.data)
 
 
+@pytest.mark.parametrize("sequential", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
+def test_tied_stacked_blocks_equal_the_shared_refinement(rng, shared, sequential):
+    # parameter sharing is a stack whose blocks all hold one set: three
+    # blocks of copies give the shared refinement's outputs byte for byte,
+    # and their gradients, summed over blocks, the shared set's gradient
+    p_r, p_t = make_pair(rng, shared=shared)
+    shared_names = (("cfe.", p_r),) if shared else (("cfe_r.", p_r), ("cfe_t.", p_t))
+    stack = {f"block{i}.cfe_{b}.{leaf}": seq(np.array(t.data))
+             for i in range(3) for b, p in zip("rt", (p_r, p_t)) for leaf, t in p.items()}
+    r_arr = rng.standard_normal((3, 4)) * 0.5
+    t_arr = rng.standard_normal((3, 4)) * 0.5
+
+    def taped(blocks, watched):
+        tape = tc.Tape()
+        tape.watch_all(watched.items())
+        with tc.record_on(tape):
+            out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), blocks, 2,
+                                             sequential=sequential)
+            loss = tc.sum_all(tc.mul(out_r, out_t))
+        return out_r, out_t, tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+
+    want_r, want_t, want = taped([(p_r, p_t)] * 3, prefixed(*shared_names))
+    got_r, got_t, got = taped(stack_blocks(stack), stack)
+    assert got_r.data.tobytes() == want_r.data.tobytes()
+    assert got_t.data.tobytes() == want_t.data.tobytes()
+    for prefix, p in shared_names:
+        branches = "rt" if shared else prefix[-2]
+        for leaf in p:
+            total = sum(got[f"block{i}.cfe_{b}.{leaf}"].data
+                        for i in range(3) for b in branches)
+            assert rel_err(total, want[prefix + leaf].data) < 1e-12, prefix + leaf
+
+
 def test_shared_gradients_sum_over_iterations(rng):
     # with two iterations the shared weights are used four times; the tape
     # must accumulate every use, matching finite differences
@@ -115,13 +160,13 @@ def test_shared_gradients_sum_over_iterations(rng):
     t_arr = rng.standard_normal((3, 4)) * 0.5
 
     def loss_value(params):
-        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), params, params, 2, 2)
+        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), [(params, params)] * 2, 2)
         return float((out_r.data ** 2).sum() + (out_t.data ** 2).sum())
 
     tape = tc.Tape()
     tape.watch_all(prefixed(("cfe.", p)).items())
     with tc.record_on(tape):
-        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), p, p, 2, 2)
+        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), [(p, p)] * 2, 2)
         loss = tc.add(tc.sum_all(tc.mul(out_r, out_r)),
                       tc.sum_all(tc.mul(out_t, out_t)))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
@@ -142,12 +187,13 @@ def test_unshared_gradients_fd_validated(rng):
     tape = tc.Tape()
     tape.watch_all(prefixed(("cfe_r.", p_r), ("cfe_t.", p_t)).items())
     with tc.record_on(tape):
-        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), p_r, p_t, 2, 2)
+        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), [(p_r, p_t)] * 2, 2)
         loss = tc.sum_all(tc.mul(out_r, out_t))
     rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
 
     def loss_with_wq(t):
-        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), {**p_r, "w_q": t}, p_t, 2, 2)
+        blocks = [({**p_r, "w_q": t}, p_t)] * 2
+        out_r, out_t = icfe.icfe_forward(seq(r_arr), seq(t_arr), blocks, 2)
         return float((out_r.data * out_t.data).sum())
 
     fd = fd_gradient(loss_with_wq, p_r["w_q"])

@@ -9,6 +9,7 @@ from crossfuse import dmff
 from crossfuse import tensor_core as tc
 from crossfuse import train as tr
 from crossfuse.dmff import DmffConfig
+from crossfuse.gradcheck import grad_check
 from crossfuse.icfe import stacked_spec
 from crossfuse.synth import SyntheticPairSpec, gen_synthetic_pair
 
@@ -116,6 +117,19 @@ def test_divergence_aborts_with_diagnostic():
 def test_non_finite_rates_are_rejected(name, value):
     with pytest.raises(tc.ConfigurationError, match=name):
         small_cfg(**{name: value})
+
+
+@pytest.mark.parametrize("mode", ["f_rgb", "f_thermal"])
+def test_modes_without_learnables_are_refused(mode):
+    # the one objective refuses them, so training stops before its first
+    # step and the gradient check before its first perturbed fuse
+    cfg = small_cfg(dmff=DmffConfig(mode=mode))
+    steps = []
+    with pytest.raises(tc.ConfigurationError, match=f"mode '{mode}' has no learnables"):
+        tr.train_toy(cfg, step_callback=lambda *step: steps.append(step))
+    assert steps == []
+    with pytest.raises(tc.ConfigurationError, match=f"mode '{mode}' has no learnables"):
+        grad_check(cfg.dmff, synth=cfg.synth)
 
 
 @pytest.mark.parametrize("mode", ["a", "d", "e"])
