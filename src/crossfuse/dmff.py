@@ -39,6 +39,7 @@ config files and the ICAF meta alike.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -283,10 +284,17 @@ def nin_fuse(t_r: Tensor, t_t: Tensor, grid, h: int, w: int,
     return tc.add(mixed, nin_b)
 
 
+@functools.lru_cache(maxsize=None)
+def _names(prefix: str, leaves: tuple) -> tuple:
+    """(leaf, full name) pairs of one stage, joined once per prefix."""
+    return tuple((leaf, prefix + leaf) for leaf in leaves)
+
+
 def _stage(wts: DmffWeights, mode: str, prefix: str, leaves) -> dict:
     """The tensors under `prefix`, keyed by leaf: one stage's learnables."""
+    tensors = wts.tensors
     try:
-        return {leaf: wts.tensors[prefix + leaf] for leaf in leaves}
+        return {leaf: tensors[name] for leaf, name in _names(prefix, leaves)}
     except KeyError as exc:
         raise ConfigurationError(
             f"mode {mode!r} needs tensor {exc.args[0]!r}, which weights built for "
@@ -294,7 +302,31 @@ def _stage(wts: DmffWeights, mode: str, prefix: str, leaves) -> dict:
         ) from None
 
 
-def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> FusionOutput:
+def _branch_tokens(f: Tensor, s: int, sfs: dict, pe: Tensor, cache, branch: str) -> Tensor:
+    """``tokenize(shrink(f, s, sfs), pe)``, or the tokens `cache` holds for
+    `branch` when they came from these very tensors.
+
+    Tensors are immutable, so one map, one set of shrink learnables and one
+    table (by identity) give the same tokens; they fix `s` too, as the
+    table has (H / s)(W / s) rows.  The first untaped call with `cache`
+    fills the branch's entry, which keeps its tensors alive, so their ids
+    are never reused; no later call replaces it.  A taped call neither
+    reads nor fills `cache`: its tokens must be on the tape.
+    """
+    if cache is None or tc._recording():
+        return tokenize(shrink(f, s, sfs), pe)
+    inputs = (f, pe, *sfs.values())
+    key = tuple(map(id, inputs))
+    entry = cache.get(branch)
+    if entry is not None and entry[0] == key:
+        return entry[2]
+    tokens = tokenize(shrink(f, s, sfs), pe)
+    cache.setdefault(branch, (key, inputs, tokens))
+    return tokens
+
+
+def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights,
+              cache: dict | None = None) -> FusionOutput:
     """Run the configured pipeline on an rgb/thermal feature-map pair.
 
     Every setting comes from `cfg`.  It may differ from the weights' own
@@ -302,6 +334,14 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
     its mode needs (ConfigurationError).  Both maps must be H x W x C as
     the weights were sized, in the weights' dtype (DimensionError,
     ConfigurationError).
+
+    `cache` is an optional dict owned by the caller, for many untaped
+    fuses of one map pair under weights that differ in a few tensors, as
+    in ``gradcheck``.  It holds each branch's shrunk tokens from the first
+    untaped call, and a later call whose map, shrink learnables and
+    positional table are those same tensors reuses them; everything past
+    the tokens reruns.  Its output is byte-equal to an uncached call's.
+    Taped calls ignore it.
     """
     for name in BUILT_FIELDS:
         if getattr(cfg, name) != getattr(wts.cfg, name):
@@ -313,7 +353,7 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
     if f_r.shape != sized:
         raise DimensionError(f"input maps are {f_r.shape}, weights are sized for {sized}")
     param = next(iter(wts.tensors.values()), None)  # weights share one dtype
-    if param is not None and {f_r.dtype, f_t.dtype} != {param.dtype}:
+    if param is not None and not f_r.dtype == f_t.dtype == param.dtype:
         raise ConfigurationError(
             f"input maps are {f_r.dtype}/{f_t.dtype}, weights are {param.dtype}"
         )
@@ -343,8 +383,8 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights) -> Fu
                   for prefix in ("pe_r.", "pe_t."))
     s = cfg.shrink_window
     grid = (h // s, w // s)  # the token grid; only this function needs it
-    t_r = tokenize(shrink(f_r, s, sfs_r), pe_r)
-    t_t = tokenize(shrink(f_t, s, sfs_t), pe_t)
+    t_r = _branch_tokens(f_r, s, sfs_r, pe_r, cache, "r")
+    t_t = _branch_tokens(f_t, s, sfs_t, pe_t, cache, "t")
 
     if mode in ("a", "b"):
         # one-branch refinement: the other branch only ever supplies queries

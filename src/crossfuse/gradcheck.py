@@ -4,6 +4,12 @@ Runs the full pipeline in wide precision on a seeded synthetic scene and
 compares the gradients of the training objective, ``train.loss_and_grads``,
 against central differences of its loss over untaped fuses, on a random
 sample of coordinates of every parameter tensor.
+
+Each perturbed loss is one whole ``dmff_fuse``.  The fuses of one check
+share a ``dmff_fuse`` cache, so a branch whose map, shrink learnables and
+positional table a perturbation leaves alone reuses its unperturbed
+tokens, which is every branch but the perturbed one's when a shrink or
+table entry is bumped.  Attention and every later stage rerun on each fuse.
 """
 
 from __future__ import annotations
@@ -72,14 +78,16 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
     wide precision).  ``_grad_hook`` is a fault-injection point for the
     checker's own tests: it receives and may replace the analytic record.
     A NaN error at any coordinate fails that tensor's check.  Raises
-    ConfigurationError unless `eps` and `tol` are finite and positive,
-    `min_samples` is at least 1 and the mode has learnables.
+    ConfigurationError, before any fuse, unless `eps` and `tol` are finite
+    and positive, `seed` is an integer >= 0 and `min_samples` an integer
+    >= 1 (a bool is neither), and the mode has learnables.
     """
     for name, value in (("eps", eps), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise tc.ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
-    if min_samples < 1:
-        raise tc.ConfigurationError(f"min_samples must be >= 1, got {min_samples}")
+    for name, value, least in (("seed", seed, 0), ("min_samples", min_samples, 1)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+            raise tc.ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
     if synth is None:
         synth = SyntheticPairSpec(seed=seed)
     rng = np.random.default_rng(seed)
@@ -94,8 +102,11 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
                 )
     f_r, f_t, target = gen_synthetic_pair(synth, dtype=tc.WIDE)
 
+    cache = {}  # each branch's unperturbed tokens, reused by every loss_of
+
     def loss_of(weights) -> float:
-        return squared_error_loss(dmff_fuse(f_r, f_t, cfg, weights).primary, target).item()
+        return squared_error_loss(dmff_fuse(f_r, f_t, cfg, weights, cache).primary,
+                                  target).item()
 
     params = dict(wts.named_tensors())
     _, record = loss_and_grads(f_r, f_t, target, cfg, wts)

@@ -708,21 +708,13 @@ def _attention_blocks(heads: int, tq: int, tk: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _overflow_limits(dt: np.dtype):
-    """(ln(M) / 4, M^(3/4)) for the dtype's largest finite value M: the
-    attention guard's bounds on the scaled scores and on T_k max(1, |v|)."""
-    big = np.finfo(dt).max
-    return np.log(big) / 4, big ** 0.75
-
-
-def _head_max_sq_norm(x: np.ndarray, heads: int) -> np.ndarray:
-    """Per head, the largest squared row norm of its channel block of `x`:
-    one (T heads, d) @ ones(d) product, whose rows never mix heads, so a
-    non-finite entry reaches only its own head's bound."""
-    t, c = x.shape
-    d = c // heads
-    norms = np.square(x).reshape(t * heads, d) @ np.ones(d, dtype=x.dtype)
-    return norms.reshape(t, heads).max(axis=0)
+def _overflow_limits(dt: np.dtype, d: int):
+    """(ln(M) / 4, M^(3/4), ones(d)) for the dtype's largest finite value M:
+    the attention guard's bounds on the scaled scores and on T_k max(1, |v|),
+    and a read-only ones(d) that sums a head's squares, made once per (dtype, d)."""
+    big, ones = np.finfo(dt).max, np.ones(d, dtype=dt)
+    ones.setflags(write=False)
+    return np.log(big) / 4, big ** 0.75, ones
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -784,9 +776,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     for t, what in ((q, "queries"), (k, "keys"), (v, "values")):
         _require_rank(t, 2, f"attention {what}")
     dt = _common_dtype(q, k, v)
-    tq, c = q.shape
-    tk = k.shape[0]
-    if k.shape != v.shape or k.shape[1] != c:
+    qd, kd, vd = q.data, k.data, v.data
+    (tq, c), tk = qd.shape, kd.shape[0]
+    if kd.shape != vd.shape or kd.shape[1] != c:
         raise DimensionError(
             f"attention operands do not conform: q {q.shape}, k {k.shape}, v {v.shape}"
         )
@@ -797,11 +789,16 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     _note_matmul(heads * tq, tk, d, stage="attention_av")
     scale = dt.type(1.0 / math.sqrt(d))
     log2e = dt.type(math.log2(math.e))
-    kh = k.data.reshape(tk, heads, d).transpose(1, 0, 2)  # K_h, T_k x d: a view
+    kh = kd.reshape(tk, heads, d).transpose(1, 0, 2)  # K_h, T_k x d: a view
 
-    max_exponent, max_v_sum = _overflow_limits(dt)
-    bound = scale * np.sqrt(_head_max_sq_norm(q.data, heads) * _head_max_sq_norm(k.data, heads))
-    vmax = np.maximum(np.abs(v.data).max(axis=0).reshape(heads, d).max(axis=1), 1.0)
+    max_exponent, max_v_sum, ones = _overflow_limits(dt, d)
+    # squared row norms per head, as (T heads, d) @ ones(d) products: rows never
+    # mix heads, so a non-finite entry reaches only its own head's bound
+    qn = np.square(qd).reshape(-1, d) @ ones
+    kn = np.square(kd).reshape(-1, d) @ ones
+    bound = scale * np.sqrt(np.maximum.reduce(qn.reshape(tq, heads))
+                            * np.maximum.reduce(kn.reshape(tk, heads)))
+    vmax = np.maximum.reduce(np.maximum.reduce(np.abs(vd)).reshape(heads, d), axis=1, initial=1.0)
     # NaN compares False, so non-finite input takes the shifted path
     shift_free = (bound <= max_exponent) & (tk * vmax <= max_v_sum)
     shifted = [j for j, ok in enumerate(shift_free.tolist()) if not ok]
@@ -810,9 +807,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         """[V | 1] per head, T_k x (d + 1), and the exponent operand Q^T per
         head, d x T_q; a shifted head's Q^T keeps natural units until its
         shift.  The adjoint rebuilds both by this code."""
-        v1 = np.ones((heads, tk, d + 1), dtype=dt)
-        v1[..., :d] = v.data.reshape(tk, heads, d).transpose(1, 0, 2)
-        qt = q.data.T.reshape(heads, d, tq)
+        v1 = np.empty((heads, tk, d + 1), dtype=dt)
+        v1[..., :d], v1[..., d] = vd.reshape(tk, heads, d).transpose(1, 0, 2), 1
+        qt = qd.T.reshape(heads, d, tq)
         qe = np.multiply(qt, scale * log2e, out=np.empty((heads, d, tq), dtype=dt))
         for j in shifted:
             np.multiply(qt[j], scale, out=qe[j])
@@ -860,7 +857,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         gs1 = np.empty((heads, d + 1, tq), dtype=dt)  # [gs | -rowsum(gs * O)]^T
         gs1[:, :d] = gs.transpose(1, 2, 0)
         np.negative((gs1[:, :d] * o.transpose(1, 2, 0)).sum(axis=1), out=gs1[:, d])
-        qh = q.data.reshape(tq, heads, d).transpose(1, 0, 2)
+        qh = qd.reshape(tq, heads, d).transpose(1, 0, 2)
         dq = np.empty((heads, d, tq), dtype=dt)  # dQ^T per head
         dk, dv = np.empty((heads, tk, d), dtype=dt), np.empty((heads, tk, d), dtype=dt)
         et, ds = np.empty(hb * tk * rows, dtype=dt), np.empty(hb * tk * rows, dtype=dt)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -340,6 +342,79 @@ def test_window_one_output_and_gradients_match_their_pins(mode, variant, iterati
     cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations,
                    shrink_window=1)
     assert _digests(cfg) == WINDOW_ONE_GRID[mode, variant, iterations]
+
+
+# --- the untaped branch-token cache ---------------------------------------------
+
+
+@pytest.mark.parametrize("mode, variant, iterations, sequential", list(GRAD_GRID))
+def test_a_cached_fuse_equals_an_uncached_one_under_every_bump(mode, variant, iterations,
+                                                              sequential):
+    # the first cached call fills the cache from the unbumped weights; every
+    # later call bumps one tensor, so a stale hit on a bumped shrink or table
+    # tensor would return other bytes than the uncached fuse
+    cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations,
+                   sequential_update=sequential)
+    wts = build(cfg, np.random.default_rng(31))
+    f_r, f_t = make_inputs(np.random.default_rng(32))
+    cache = {}
+    base = dmff.dmff_fuse(f_r, f_t, cfg, wts, cache).primary.data
+    assert base.tobytes() == dmff.dmff_fuse(f_r, f_t, cfg, wts).primary.data.tobytes()
+    assert set(cache) == ({"r", "t"} if mode != "e" else set())
+    first = dict(cache)
+    for name, t in wts.named_tensors():
+        bumped = dmff.replace_parameters(wts, {name: tc.Tensor(t.data + 0.125, np.float64)})
+        got = dmff.dmff_fuse(f_r, f_t, cfg, bumped, cache).primary.data
+        want = dmff.dmff_fuse(f_r, f_t, cfg, bumped).primary.data
+        assert got.tobytes() == want.tobytes(), name
+        assert got.tobytes() != base.tobytes(), name  # the bump reaches the output
+    assert cache == first  # only the first call's entries are kept
+    # other maps miss the cache too, and the swapped pair fuses as uncached
+    got = dmff.dmff_fuse(f_t, f_r, cfg, wts, cache).primary.data
+    assert got.tobytes() == dmff.dmff_fuse(f_t, f_r, cfg, wts).primary.data.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["a", "d"])
+def test_a_taped_fuse_neither_reads_nor_fills_the_cache(mode):
+    cfg = make_cfg(mode=mode)
+    wts = build(cfg, np.random.default_rng(33))
+    f_r, f_t = make_inputs(np.random.default_rng(34))
+
+    def taped(cache):
+        tape = tc.Tape()
+        tape.watch_all(wts.named_tensors())
+        with tc.record_on(tape):
+            out = dmff.dmff_fuse(f_r, f_t, cfg, wts, cache).primary
+            loss = tc.mean_squared_error(out, f_r)
+        rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+        return tape.num_steps, {n: rec[n].data.tobytes() for n in rec.names()}
+
+    empty = {}
+    assert taped(empty) == taped(None) and empty == {}
+    filled = {}
+    dmff.dmff_fuse(f_r, f_t, cfg, wts, filled)
+    entries = dict(filled)
+    steps, grads = taped(filled)
+    assert (steps, grads) == taped(None)
+    assert {"sfs_r.lambda_raw", "pe_t.table"} <= set(grads)
+    assert filled == entries
+
+
+def test_the_cache_keeps_its_key_tensors_alive():
+    # an entry is keyed by ids, so it must hold its tensors: a freed map's
+    # id could otherwise be reused by a new map and hit stale tokens
+    cfg = make_cfg(mode="d")
+    wts = build(cfg, np.random.default_rng(35))
+    f_r, f_t = make_inputs(np.random.default_rng(36))
+    alive = weakref.ref(f_r.data)  # a Tensor has no weakref slot; its array does
+    cache = {}
+    dmff.dmff_fuse(f_r, f_t, cfg, wts, cache)
+    del f_r
+    gc.collect()
+    assert alive() is not None
+    cache.clear()
+    gc.collect()
+    assert alive() is None
 
 
 @pytest.mark.parametrize("mode, window", [("e", 2), ("c", 1), ("d", 1), ("a", 1), ("b", 1)])

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from crossfuse import tensor_core as tc
+from crossfuse import dmff, gradcheck, tensor_core as tc
 from crossfuse.dmff import DmffConfig
 from crossfuse.gradcheck import grad_check
 from crossfuse.synth import SyntheticPairSpec
+from test_dmff import GRAD_GRID, make_cfg
 
 SMALL = SyntheticPairSpec(h=4, w=4, c=8, blob_count=4, seed=11)
 
@@ -94,10 +95,30 @@ def test_nan_gradient_fails_every_check():
 
 @pytest.mark.parametrize("name, value", [
     ("eps", 0.0), ("eps", -1e-5), ("eps", math.nan), ("eps", math.inf),
-    ("tol", 0.0), ("tol", math.nan), ("min_samples", 0)])
+    ("tol", 0.0), ("tol", math.nan), ("min_samples", 0), ("min_samples", 1.5),
+    ("min_samples", True), ("seed", -1), ("seed", 1.5), ("seed", True)])
 def test_meaningless_settings_are_rejected(name, value):
+    taped = []
     with pytest.raises(tc.ConfigurationError, match=name):
-        grad_check(small_cfg(mode="e"), synth=SMALL, **{name: value})
+        grad_check(small_cfg(mode="e"), synth=SMALL, _grad_hook=taped.append, **{name: value})
+    assert taped == []  # refused on entry, before the taped pass
+
+
+@pytest.mark.parametrize("mode, variant, iterations, sequential", list(GRAD_GRID))
+def test_reports_are_those_of_uncached_fuses(mode, variant, iterations, sequential, monkeypatch):
+    # every max_rel_err to the bit over 20 seeds, against grad_check with a
+    # fuse that drops the cache
+    cfg = make_cfg(mode=mode, shrink_variant=variant, iterations=iterations,
+                   sequential_update=sequential)
+
+    def errors():
+        return [np.float64(c.max_rel_err).tobytes() for seed in range(20)
+                for c in grad_check(cfg, synth=SMALL, seed=seed, min_samples=1).checks]
+
+    cached = errors()
+    monkeypatch.setattr(gradcheck, "dmff_fuse", lambda f_r, f_t, cfg, wts, cache:
+                        dmff.dmff_fuse(f_r, f_t, cfg, wts))
+    assert cached == errors()
 
 
 def test_report_format_mentions_every_tensor():
