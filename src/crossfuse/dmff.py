@@ -10,27 +10,18 @@ projection, and each interpolation row sums to one, so the fusion bias is
 added after the resize unchanged.  That resizes one C-channel map instead
 of two and projects s^2 times fewer pixels.  Mode e fuses the raw maps'
 tokens on the H x W grid, where nothing is resized.  Modes a and b
-detokenize their one enhanced branch and resize it.  The tokens are plain
-T x C tensors; ``dmff_fuse`` is the one place that knows their
-(H/s) x (W/s) grid, and passes it to ``detokenize`` and the fusion.
+refine one branch through the same loop as c and d, then detokenize it
+and resize it.  The tokens are plain T x C tensors; ``dmff_fuse`` is the
+one place that knows their (H/s) x (W/s) grid.
 
-Fusion modes select which stages run and what is emitted:
-
-    a          enhance rgb only (queries from thermal), emit the rgb map
-    b          enhance thermal only, emit the thermal map
-    c          dual enhancement with one shared parameter set, then fuse
-    d          dual enhancement with independent parameter sets, then fuse
-    e          concat + 1x1 fusion of the raw inputs, no attention
-    f_rgb      raw rgb pass-through
-    f_thermal  raw thermal pass-through
-
-Modes a/b/f carry no fusion weights; mode e carries only fusion weights.
-``param_spec`` is the one list of what each mode carries.  It prefixes the
-leaf specs that each stage declares once in its own module
-(``cfe.cfe_spec``, ``sfs.shrink_spec``, ``token_codec.pe_spec``) and adds
-the fusion projection, which only this module uses.  ``DmffWeights`` holds
-one tensor per ``param_spec`` name, in its order, and ``dmff_fuse`` hands
-each stage the entries under its prefix as a leaf -> Tensor mapping.
+A fusion mode is one ``MODE_TABLE`` row, which ``param_spec`` and
+``dmff_fuse`` read.  ``param_spec`` is the one list of what each mode
+carries.  It prefixes the leaf specs that each stage declares once in its
+own module (``cfe.cfe_spec``, ``sfs.shrink_spec``,
+``token_codec.pe_spec``) and adds the fusion projection, which only this
+module uses.  ``DmffWeights`` holds one tensor per ``param_spec`` name, in
+its order, and ``dmff_fuse`` hands each stage the entries under its prefix
+as a leaf -> Tensor mapping.
 
 ``config_from_json`` is the one strict reader of JSON configs, for the CLI
 config files and the ICAF meta alike.
@@ -41,21 +32,35 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor_core as tc
-from .cfe import PARAM_NAMES as CFE_LEAVES, cfe_forward, cfe_spec
+from .cfe import PARAM_NAMES as CFE_LEAVES, cfe_spec
 from .icfe import icfe_forward
 from .sfs import shrink, shrink_spec
 from .tensor_core import ConfigurationError, DimensionError, ParamSpec, Tensor
 from .token_codec import pe_spec, tokenize, detokenize
 
-MODES = ("a", "b", "c", "d", "e", "f_rgb", "f_thermal")
+# Each mode's row: the directions it enhances (rgb "r" queries thermal,
+# thermal "t" queries rgb), with both branches' shrink and positional
+# learnables; the enhancement sets it carries (rgb runs the first, thermal
+# the last); and what it emits: branch "r" or "t", enhanced if it runs, or
+# both "fused" by ``nin.``.  Modes a and b run the sets the weights carry.
+Mode = namedtuple("Mode", "enhances sets emits")
+MODE_TABLE = {
+    "a": Mode("r", ("cfe.",), "r"),                  # enhance rgb only, emit it
+    "b": Mode("t", ("cfe.",), "t"),                  # enhance thermal only, emit it
+    "c": Mode("rt", ("cfe.",), "fused"),             # dual, one shared set, then fuse
+    "d": Mode("rt", ("cfe_r.", "cfe_t."), "fused"),  # dual, one set per branch, then fuse
+    "e": Mode("", (), "fused"),                      # 1x1 fusion of the raw inputs
+    "f_rgb": Mode("", (), "r"),                      # raw rgb pass-through
+    "f_thermal": Mode("", (), "t"),                  # raw thermal pass-through
+}
+MODES = tuple(MODE_TABLE)
 DUPLICATIONS = ("none", "rgb_both", "thermal_both")
-ATTENTION_MODES = ("a", "b", "c", "d")
-NIN_MODES = ("c", "d", "e")
 # The paper refines with a few weight-shared iterations; a count far past
 # this is a corrupt config, not a deeper model.
 MAX_ITERATIONS = 64
@@ -185,38 +190,37 @@ def param_spec(cfg: DmffConfig, height: int, width: int, channels: int) -> dict:
     """Every learnable of the configured pipeline: name -> ParamSpec, in
     ``DmffWeights.tensors`` order, which is also the init draw order.
 
-    The stage modules declare their own leaves; this prefixes them.  One
-    enhancement set serves every iteration; modes a, b and c also share it
-    between the two directions (prefix ``cfe.``), mode d keeps one per
-    branch (``cfe_r.``, ``cfe_t.``).  Raises ConfigurationError for extents
-    the shrink window does not divide, for heads that do not divide the
-    channels of an attention mode, for a spec of more than
+    The stage modules declare their own leaves; this prefixes them as the
+    mode's ``MODE_TABLE`` row says.  One enhancement set serves every
+    iteration.  Raises ConfigurationError for extents the shrink window
+    does not divide, for heads that do not divide the channels of a mode
+    that enhances, for a spec of more than
     ``MAX_PARAM_ELEMENTS`` elements and for a fuse of more than
     ``MAX_ATTENTION_MULTIPLIES`` attention multiplies, before anything is
     allocated.  Each attention over T = (h / s)(w / s) tokens of C channels
-    takes 2 T^2 C multiplies, once per iteration in each direction.
+    takes 2 T^2 C multiplies, once per iteration in each enhanced direction.
     """
+    row = MODE_TABLE[cfg.mode]
     s, c = cfg.shrink_window, channels
     if min(height, width, channels) < 1 or height % s or width % s:
         raise ConfigurationError(f"input extents {height}x{width}x{channels} must be "
                                  f">= 1 and divisible by the shrink window {s}")
     parts = []
-    if cfg.mode in ATTENTION_MODES:
+    if row.enhances:
         if c % cfg.heads:
             raise ConfigurationError(f"channel width {c} not divisible by {cfg.heads} heads")
         t = (height // s) * (width // s)
-        mults = (2 if cfg.mode in ("c", "d") else 1) * cfg.iterations * 2 * t * t * c
+        mults = len(row.enhances) * cfg.iterations * 2 * t * t * c
         if mults > MAX_ATTENTION_MULTIPLIES:
             raise ConfigurationError(
                 f"a fuse over {t} tokens of {c} channels would take {mults} attention "
                 f"multiplies, more than {MAX_ATTENTION_MULTIPLIES}")
         cfe = cfe_spec(c, cfg.ffn_hidden)
-        parts += [(prefix, cfe) for prefix in
-                  (("cfe_r.", "cfe_t.") if cfg.mode == "d" else ("cfe.",))]
+        parts += [(prefix, cfe) for prefix in row.sets]
         pe = pe_spec((height // s) * (width // s), c)
         shrunk = shrink_spec(cfg.shrink_variant, s, c)
         parts += [("pe_r.", pe), ("pe_t.", pe), ("sfs_r.", shrunk), ("sfs_t.", shrunk)]
-    if cfg.mode in NIN_MODES:
+    if row.emits == "fused":
         parts.append(("nin.", _nin_spec(c)))
     return admit_spec({prefix + leaf: p for prefix, leaves in parts for leaf, p in leaves.items()})
 
@@ -361,42 +365,31 @@ def dmff_fuse(f_r: Tensor, f_t: Tensor, cfg: DmffConfig, wts: DmffWeights,
         f_t = f_r
     elif cfg.input_duplication == "thermal_both":
         f_r = f_t
-    mode = cfg.mode
-    if mode == "f_rgb":
-        return FusionOutput(primary=f_r)
-    if mode == "f_thermal":
-        return FusionOutput(primary=f_t)
+    mode, row = cfg.mode, MODE_TABLE[cfg.mode]
     h, w, _ = f_r.shape
-    nin = _stage(wts, mode, "nin.", _LEAVES["nin"]) if mode in NIN_MODES else None
-    if mode == "e":
-        return FusionOutput(primary=nin_fuse(tokenize(f_r), tokenize(f_t), (h, w), h, w,
-                                             nin["w"], nin["b"]))
-
-    # modes a and b run whichever enhancement layout the weights carry;
-    # mode c needs the one shared set, mode d one set per branch
-    layout = wts.cfg.mode if mode in ("a", "b") else mode
-    cfe_r, cfe_t = (_stage(wts, mode, prefix, CFE_LEAVES)
-                    for prefix in (("cfe_r.", "cfe_t.") if layout == "d" else ("cfe.", "cfe.")))
-    sfs_r, sfs_t = (_stage(wts, mode, prefix, _LEAVES[cfg.shrink_variant])
-                    for prefix in ("sfs_r.", "sfs_t."))
-    pe_r, pe_t = (_stage(wts, mode, prefix, _LEAVES["pe"])["table"]
-                  for prefix in ("pe_r.", "pe_t."))
-    s = cfg.shrink_window
-    grid = (h // s, w // s)  # the token grid; only this function needs it
-    t_r = _branch_tokens(f_r, s, sfs_r, pe_r, cache, "r")
-    t_t = _branch_tokens(f_t, s, sfs_t, pe_t, cache, "t")
-
-    if mode in ("a", "b"):
-        # one-branch refinement: the other branch only ever supplies queries
-        main, other, p = (t_r, t_t, cfe_r) if mode == "a" else (t_t, t_r, cfe_t)
-        for _ in range(cfg.iterations):
-            main = cfe_forward(main, other, p, cfg.heads)
-        fmap = detokenize(main, *grid)
-        return FusionOutput(primary=fmap if grid == (h, w) else tc.bilinear_resize(fmap, h, w))
-
-    t_r, t_t = icfe_forward(t_r, t_t, [(cfe_r, cfe_t)] * cfg.iterations, cfg.heads,
-                            sequential=cfg.sequential_update)
-    return FusionOutput(primary=nin_fuse(t_r, t_t, grid, h, w, nin["w"], nin["b"]))
+    nin = _stage(wts, mode, "nin.", _LEAVES["nin"]) if row.emits == "fused" else None
+    if row.enhances:
+        # weights with no sets (modes e, f_*) fail on the mode's own instead
+        sets = (len(row.enhances) == 1 and MODE_TABLE[wts.cfg.mode].sets) or row.sets
+        block = tuple(_stage(wts, mode, prefix, CFE_LEAVES) if b in row.enhances else None
+                      for b, prefix in zip("rt", (sets[0], sets[-1])))
+        sfs_r, sfs_t = (_stage(wts, mode, prefix, _LEAVES[cfg.shrink_variant])
+                        for prefix in ("sfs_r.", "sfs_t."))
+        pe_r, pe_t = (_stage(wts, mode, prefix, _LEAVES["pe"])["table"]
+                      for prefix in ("pe_r.", "pe_t."))
+        s = cfg.shrink_window
+        grid = (h // s, w // s)  # the token grid; only this function needs it
+        t_r = _branch_tokens(f_r, s, sfs_r, pe_r, cache, "r")
+        t_t = _branch_tokens(f_t, s, sfs_t, pe_t, cache, "t")
+        t_r, t_t = icfe_forward(t_r, t_t, [block] * cfg.iterations, cfg.heads,
+                                sequential=cfg.sequential_update)
+    else:  # the raw maps' tokens on their own grid (modes e, f_*)
+        grid = (h, w)
+        t_r, t_t = tokenize(f_r), tokenize(f_t)
+    if nin is not None:
+        return FusionOutput(primary=nin_fuse(t_r, t_t, grid, h, w, nin["w"], nin["b"]))
+    fmap = detokenize(t_r if row.emits == "r" else t_t, *grid)
+    return FusionOutput(primary=fmap if grid == (h, w) else tc.bilinear_resize(fmap, h, w))
 
 
 # ---------------------------------------------------------------------------

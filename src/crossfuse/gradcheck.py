@@ -79,12 +79,13 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
     checker's own tests: it receives and may replace the analytic record.
     A NaN error at any coordinate fails that tensor's check.  Raises
     ConfigurationError, before any fuse, unless `eps` and `tol` are finite
-    and positive, `seed` is an integer >= 0 and `min_samples` an integer
-    >= 1 (a bool is neither), and the mode has learnables.
+    floats or integers > 0, `seed` is an integer >= 0 and `min_samples` an
+    integer >= 1 (a bool is none of these), and the mode has learnables.
     """
     for name, value in (("eps", eps), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise tc.ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+                or not (math.isfinite(value) and value > 0)):
+            raise tc.ConfigurationError(f"{name} must be a finite number > 0, got {value!r}")
     for name, value, least in (("seed", seed, 0), ("min_samples", min_samples, 1)):
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
             raise tc.ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")

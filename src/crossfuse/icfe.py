@@ -7,8 +7,9 @@ block object listed k times, so the parameter count is independent of the
 iteration count; passing one mapping for both directions shares it
 between them too, and the tape then sums every use into that one set.
 The stacked baseline is k distinct blocks, whose learnables
-``stacked_spec`` lays out (parameters grow linearly with depth).  Each
-branch is a plain T x C token tensor.
+``stacked_spec`` lays out (parameters grow linearly with depth).  A
+``None`` mapping skips that direction, whose branch then only supplies
+queries.  Each branch is a plain T x C token tensor.
 
 Updates are synchronous by default: both branches of block k read the
 pair produced by block k-1.  The sequential alternative (thermal sees the
@@ -38,9 +39,12 @@ def icfe_forward(t_r: Tensor, t_t: Tensor, blocks, heads: int, sequential: bool 
     `p_r` enhances the rgb branch (queries from thermal), `p_t` the thermal
     branch; the same mapping for both shares one set between the
     directions, and the same block listed k times shares it between the
-    iterations.  An empty list returns the inputs untouched.
+    iterations.  A ``None`` mapping skips its direction and an empty list
+    every block; a skipped branch comes back as the same tensor object.
     """
     for p_r, p_t in blocks:
-        new_r = cfe_forward(t_r, t_t, p_r, heads)
-        t_r, t_t = new_r, cfe_forward(t_t, new_r if sequential else t_r, p_t, heads)
+        new_r = t_r if p_r is None else cfe_forward(t_r, t_t, p_r, heads)
+        if p_t is not None:
+            t_t = cfe_forward(t_t, new_r if sequential else t_r, p_t, heads)
+        t_r = new_r
     return t_r, t_t

@@ -427,7 +427,8 @@ def test_fusion_on_the_input_grid_does_not_resize(mode, window, rng):
         dmff.dmff_fuse(f_r, f_t, cfg, wts)
     assert counter.total("resize") == 0
     # modes a and b emit one enhanced branch and fuse nothing
-    assert counter.total("nin") == (4 * 4 * 16 * 8 if mode in dmff.NIN_MODES else 0)
+    assert counter.total("nin") == (4 * 4 * 16 * 8 if dmff.MODE_TABLE[mode].emits == "fused"
+                                    else 0)
 
 
 @pytest.mark.parametrize("iterations, most", [(1, 34), (3, 66)])
@@ -796,7 +797,8 @@ def test_param_spec_rejects_bad_extents():
         dmff.param_spec(make_cfg(shrink_window=3), 4, 8, 8)
     with pytest.raises(tc.ConfigurationError):
         dmff.param_spec(make_cfg(mode="e"), 4, 8, 0)
-    for mode in dmff.ATTENTION_MODES:  # heads must divide the channels
+    # heads must divide the channels of every mode that enhances
+    for mode in (m for m, row in dmff.MODE_TABLE.items() if row.enhances):
         with pytest.raises(tc.ConfigurationError, match="heads"):
             dmff.param_spec(make_cfg(mode=mode, heads=3), 4, 8, 8)
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,8 +95,9 @@ def test_nan_gradient_fails_every_check():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("eps", 0.0), ("eps", -1e-5), ("eps", math.nan), ("eps", math.inf),
-    ("tol", 0.0), ("tol", math.nan), ("min_samples", 0), ("min_samples", 1.5),
+    ("eps", 0.0), ("eps", -1e-5), ("eps", math.nan), ("eps", math.inf), ("eps", True),
+    ("eps", "1e-5"), ("eps", Fraction(1, 10**5)), ("tol", 0.0), ("tol", math.nan),
+    ("tol", True), ("tol", "1e-4"), ("min_samples", 0), ("min_samples", 1.5),
     ("min_samples", True), ("seed", -1), ("seed", 1.5), ("seed", True)])
 def test_meaningless_settings_are_rejected(name, value):
     taped = []

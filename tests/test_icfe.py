@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from crossfuse import icfe, tensor_core as tc
+from crossfuse import dmff, icfe, tensor_core as tc
 from crossfuse.cfe import PARAM_NAMES, cfe_forward, cfe_spec
 from conftest import fd_gradient, rel_err
 
@@ -76,6 +76,43 @@ def test_sequential_flag_changes_the_composition(rng):
     assert np.max(np.abs(sync_t.data - seq_t.data)) > 1e-9
     want_t = cfe_forward(t_t, seq_r, p_t, 2)
     npt.assert_array_equal(seq_t.data, want_t.data)
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+@pytest.mark.parametrize("enhanced", ["r", "t"])
+def test_a_none_mapping_skips_its_direction(rng, enhanced, sequential):
+    # one branch refined k times against the other's fixed tokens, which
+    # come back as the very tensor passed in
+    p = make_set(rng)
+    given = {b: seq(rng.standard_normal((4, 4))) for b in "rt"}
+    block = tuple(p if b == enhanced else None for b in "rt")
+    out = dict(zip("rt", icfe.icfe_forward(given["r"], given["t"], [block] * 3, 2,
+                                           sequential=sequential)))
+    other = "t" if enhanced == "r" else "r"
+    want = given[enhanced]
+    for _ in range(3):
+        want = cfe_forward(want, given[other], p, 2)
+    assert out[enhanced].data.tobytes() == want.data.tobytes()
+    assert out[other] is given[other]
+
+
+# Tape steps of a taped mode a or b fuse at 4x4x8, pinned while the two
+# modes still ran a loop of their own in dmff_fuse: eight per iteration.
+ONE_BRANCH_TAPE_STEPS = {("pool", 1): 20, ("pool", 3): 36, ("conv", 1): 24, ("conv", 3): 40}
+
+
+@pytest.mark.parametrize("mode", ["a", "b"])
+@pytest.mark.parametrize("variant, iterations", list(ONE_BRANCH_TAPE_STEPS))
+def test_one_branch_fuse_records_its_pinned_tape_steps(rng, mode, variant, iterations):
+    cfg = dmff.DmffConfig(mode=mode, shrink_variant=variant, iterations=iterations,
+                          heads=2, ffn_hidden=16)
+    wts = dmff.init_dmff_weights(cfg, 4, 4, 8, rng, dtype=np.float64)
+    f_r, f_t = (tc.Tensor(rng.standard_normal((4, 4, 8)), dtype=np.float64) for _ in "rt")
+    tape = tc.Tape()
+    tape.watch_all(wts.named_tensors())
+    with tc.record_on(tape):
+        dmff.dmff_fuse(f_r, f_t, cfg, wts)
+    assert tape.num_steps == ONE_BRANCH_TAPE_STEPS[variant, iterations]
 
 
 def test_stacked_one_block_matches_icfe_one_iteration(rng):
