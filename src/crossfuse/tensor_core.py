@@ -454,36 +454,42 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), bwd)
 
 
-def _scaled(a: Tensor, x: Tensor, av):
-    """av * x for the one-element `a`, with av its value or computed from
-    it, and the adjoint, which returns da and dx."""
-    ad, xd = a.data, x.data
-    if ad.size != 1:
-        raise DimensionError(f"coefficient must be one element, got {ad.shape}")
-    if ad.dtype != xd.dtype:
-        _common_dtype(a, x)
+def _require_coefficient(a: Tensor, x: Tensor):
+    """Raise unless `a` is one element of `x`'s dtype."""
+    if a.data.size != 1:
+        raise DimensionError(f"coefficient must be one element, got {a.shape}")
+    _common_dtype(a, x)
 
-    def bwd(g):
-        return np.array([np.sum(g * xd)], dtype=g.dtype), av * g
 
-    return av * xd, bwd
+def _scaled_adjoint(g, xd, av):
+    """da and dx of av * x, for the adjoint `g` of the product."""
+    return np.array([np.sum(g * xd)], dtype=g.dtype), av * g
 
 
 def scalar_mul(s: Tensor, x: Tensor) -> Tensor:
     """Scale `x` by the single-element learnable `s`."""
-    out, bwd = _scaled(s, x, s.data.reshape(-1)[0])
-    return _emit(Tensor._wrap(out), (s, x), bwd)
+    sd, xd = s.data, x.data
+    if sd.size != 1 or sd.dtype != xd.dtype:
+        _require_coefficient(s, x)
+    sv = sd.reshape(-1)[0]
+    return _emit(Tensor._wrap(sv * xd), (s, x), lambda g: _scaled_adjoint(g, xd, sv))
 
 
 def _scaled_pair(a: Tensor, x: Tensor, b: Tensor, y: Tensor, av, bv):
-    """av * x + bv * y for same-shape x, y (see ``_scaled``), and the
+    """av * x + bv * y for same-shape x, y and one-element a, b of their
+    dtype, with av and bv their values or computed from them, and the
     adjoint, which returns da, dx, db and dy."""
-    if x.data.shape != y.data.shape or x.data.dtype != y.data.dtype:
-        _common_dtype(x, y)
-        raise DimensionError(f"scaled terms differ in shape: {x.shape} vs {y.shape}")
-    (out, x_bwd), (out_y, y_bwd) = _scaled(a, x, av), _scaled(b, y, bv)
-    out += out_y
-    return Tensor._wrap(out), lambda g: (*x_bwd(g), *y_bwd(g))
+    ad, xd, bd, yd = a.data, x.data, b.data, y.data
+    if (xd.shape != yd.shape or ad.size != 1 or bd.size != 1
+            or not ad.dtype == xd.dtype == bd.dtype == yd.dtype):
+        if xd.shape != yd.shape or xd.dtype != yd.dtype:
+            _common_dtype(x, y)
+            raise DimensionError(f"scaled terms differ in shape: {x.shape} vs {y.shape}")
+        _require_coefficient(a, x)
+        _require_coefficient(b, y)
+    out = av * xd
+    out += bv * yd
+    return Tensor._wrap(out), lambda g: (*_scaled_adjoint(g, xd, av), *_scaled_adjoint(g, yd, bv))
 
 
 def scaled_sum(a: Tensor, x: Tensor, b: Tensor, y: Tensor) -> Tensor:
@@ -584,7 +590,11 @@ def mean_squared_error(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape != bd.shape:
         raise DimensionError(f"mean_squared_error shapes differ: {ad.shape} vs {bd.shape}")
     diff = ad - bd
-    out = Tensor._wrap(np.array([(diff * diff).mean()], dtype=ad.dtype))
+    diff *= diff
+    # ndarray.mean's sum and divide, without its wrapper: by an intp count, so
+    # f32 divides in f64, as a Python int past 2^24 would not
+    out = Tensor._wrap(np.array([np.add.reduce(diff, axis=None) / np.intp(diff.size)],
+                                dtype=ad.dtype))
 
     def bwd(g):
         da = (g.reshape(-1)[0] / ad.size) * (ad - bd)
@@ -645,19 +655,19 @@ def col_slice(x: Tensor, j0: int, j1: int) -> Tensor:
 
 def concat_cols(parts) -> Tensor:
     """Concatenate 2-d tensors with equal row counts along columns."""
-    parts = list(parts)
-    if not parts:
+    parts = tuple(parts)
+    arrays = [p.data for p in parts]
+    if not arrays:
         raise DimensionError("concat_cols needs at least one part")
-    rows = parts[0].shape[0]
-    for p in parts:
-        _require_rank(p, 2, "concat_cols part")
-        if p.shape[0] != rows:
-            raise DimensionError(
-                f"concat_cols row mismatch: {p.shape} vs {parts[0].shape}"
-            )
-    _common_dtype(*parts)
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
+    rows, dt = arrays[0].shape[0], arrays[0].dtype
+    if any(a.ndim != 2 or a.shape[0] != rows or a.dtype != dt for a in arrays):
+        for p in parts:
+            _require_rank(p, 2, "concat_cols part")
+            if p.shape[0] != rows:
+                raise DimensionError(f"concat_cols row mismatch: {p.shape} vs {parts[0].shape}")
+        _common_dtype(*parts)
+    out = Tensor._wrap(np.concatenate(arrays, axis=1))
+    widths = [a.shape[1] for a in arrays]
 
     def bwd(g):
         grads, j = [], 0
@@ -666,7 +676,7 @@ def concat_cols(parts) -> Tensor:
             j += w
         return grads
 
-    return _emit(out, tuple(parts), bwd)
+    return _emit(out, parts, bwd)
 
 
 def softmax_rows(m: Tensor) -> Tensor:
@@ -709,12 +719,15 @@ def _attention_blocks(heads: int, tq: int, tk: int):
 
 @functools.lru_cache(maxsize=None)
 def _overflow_limits(dt: np.dtype, d: int):
-    """(ln(M) / 4, M^(3/4), ones(d)) for the dtype's largest finite value M:
-    the attention guard's bounds on the scaled scores and on T_k max(1, |v|),
-    and a read-only ones(d) that sums a head's squares, made once per (dtype, d)."""
+    """(1 / sqrt(d), log2(e), ln(M) / 4, M^(3/4), sqrt(M / d) / 2, ones(d)) in
+    the dtype, whose largest finite value is M, made once per (dtype, d): the
+    attention scale and base change, the guard's bounds on the scaled scores,
+    on T_k max(1, |v|) and on max|q| + max|k|, and a read-only ones(d) that
+    sums a head's squares."""
     big, ones = np.finfo(dt).max, np.ones(d, dtype=dt)
     ones.setflags(write=False)
-    return np.log(big) / 4, big ** 0.75, ones
+    return (dt.type(1.0 / math.sqrt(d)), dt.type(math.log2(math.e)), np.log(big) / 4,
+            big ** 0.75, np.sqrt(big / d) / 2, ones)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -752,6 +765,16 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     are scaled by log2(e), since folding before the shift would round large
     exponents at their own ulp.  b costs O(T d) per head.
 
+    The per-head test runs only when a whole-tensor pre-test fails.  Every
+    row has |q_i|^2 <= d max|q|^2, so b <= scale d max|q| max|k| in every
+    head, and max(1, max|v|) in a head is at most its value over all heads.
+    The pre-test asks 2 scale d max|q| max|k| <= L, where the factor 2
+    covers the rounding of b, T_k max(1, max|v|) <= M^(3/4), and
+    max|q| + max|k| <= sqrt(M / d) / 2, so that no squared row norm
+    overflows and no head's b is inf * 0.  Passing it implies passing every
+    head's test, so no head's decision changes; NaN and inf fail it, and
+    the per-head test then confines them to their own heads.
+
     Score blocks hold at most ``_ATTENTION_BLOCK_ELEMENTS`` elements: as
     many whole heads as fit, or else query-row tiles of one head, all
     computed in one reused block buffer, taped or not.  A taped call keeps
@@ -773,10 +796,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     With ``return_weights`` also returns the per-head probability matrices
     (not recorded on the tape).
     """
-    for t, what in ((q, "queries"), (k, "keys"), (v, "values")):
-        _require_rank(t, 2, f"attention {what}")
-    dt = _common_dtype(q, k, v)
     qd, kd, vd = q.data, k.data, v.data
+    dt = qd.dtype
+    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2 or not dt == kd.dtype == vd.dtype:
+        for t, what in ((q, "queries"), (k, "keys"), (v, "values")):
+            _require_rank(t, 2, f"attention {what}")
+        _common_dtype(q, k, v)
     (tq, c), tk = qd.shape, kd.shape[0]
     if kd.shape != vd.shape or kd.shape[1] != c:
         raise DimensionError(
@@ -787,21 +812,27 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     d = c // heads
     _note_matmul(heads * tq, d, tk, stage="attention_qk")
     _note_matmul(heads * tq, tk, d, stage="attention_av")
-    scale = dt.type(1.0 / math.sqrt(d))
-    log2e = dt.type(math.log2(math.e))
     kh = kd.reshape(tk, heads, d).transpose(1, 0, 2)  # K_h, T_k x d: a view
 
-    max_exponent, max_v_sum, ones = _overflow_limits(dt, d)
-    # squared row norms per head, as (T heads, d) @ ones(d) products: rows never
-    # mix heads, so a non-finite entry reaches only its own head's bound
-    qn = np.square(qd).reshape(-1, d) @ ones
-    kn = np.square(kd).reshape(-1, d) @ ones
-    bound = scale * np.sqrt(np.maximum.reduce(qn.reshape(tq, heads))
-                            * np.maximum.reduce(kn.reshape(tk, heads)))
-    vmax = np.maximum.reduce(np.maximum.reduce(np.abs(vd)).reshape(heads, d), axis=1, initial=1.0)
-    # NaN compares False, so non-finite input takes the shifted path
-    shift_free = (bound <= max_exponent) & (tk * vmax <= max_v_sum)
-    shifted = [j for j, ok in enumerate(shift_free.tolist()) if not ok]
+    scale, log2e, max_exponent, max_v_sum, max_operand, ones = _overflow_limits(dt, d)
+    # NaN compares False, so non-finite input fails the pre-test and the
+    # per-head test alike; np.maximum propagates NaN
+    aq = np.maximum.reduce(np.abs(qd), axis=None)
+    ak = np.maximum.reduce(np.abs(kd), axis=None)
+    if (2 * d * scale * aq * ak <= max_exponent and aq + ak <= max_operand
+            and tk * np.maximum.reduce(np.abs(vd), axis=None, initial=1.0) <= max_v_sum):
+        shifted = []
+    else:
+        # squared row norms per head, as (T heads, d) @ ones(d) products: rows
+        # never mix heads, so a non-finite entry reaches only its own head's bound
+        qn = np.square(qd).reshape(-1, d) @ ones
+        kn = np.square(kd).reshape(-1, d) @ ones
+        bound = scale * np.sqrt(np.maximum.reduce(qn.reshape(tq, heads))
+                                * np.maximum.reduce(kn.reshape(tk, heads)))
+        vmax = np.maximum.reduce(np.maximum.reduce(np.abs(vd)).reshape(heads, d), axis=1,
+                                 initial=1.0)
+        shift_free = (bound <= max_exponent) & (tk * vmax <= max_v_sum)
+        shifted = [j for j, ok in enumerate(shift_free.tolist()) if not ok]
 
     def operands():
         """[V | 1] per head, T_k x (d + 1), and the exponent operand Q^T per

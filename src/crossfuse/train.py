@@ -26,6 +26,11 @@ from .synth import SyntheticPairSpec, gen_synthetic_pair
 from .tensor_core import Tensor
 
 
+# 5,000x the default 200 steps: past it a config is corrupt, not a long run
+# (10**12 steps would train for centuries, keeping every step's loss)
+MAX_STEPS = 1 << 20
+
+
 class TrainingDivergedError(RuntimeError):
     pass
 
@@ -42,8 +47,8 @@ class TrainConfig:
     synth: SyntheticPairSpec = field(default_factory=SyntheticPairSpec)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise tc.ConfigurationError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise tc.ConfigurationError(f"steps must be in [1, {MAX_STEPS}], got {self.steps}")
         if self.seed < 0:
             raise tc.ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.lr_min <= self.lr0 < math.inf:

@@ -166,6 +166,8 @@ CONFIG_PROBES = {
     "string_check_seed": ("gradcheck", {"seed": "x"}),
     "boolean_steps": ("train-toy", {"steps": True}),
     "zero_steps": ("train-toy", {"steps": 0}),
+    # a run for centuries, its loss list growing every step
+    "endless_training": ("train-toy", {"steps": 10**12}),
     "negative_seed": ("gradcheck", {"seed": -1, "synth": {"seed": 1}}),
     "string_flag": ("gradcheck", {"dmff": {"sequential_update": "false"}}),
     "infinite_rate": ("train-toy", {"lr0": 1e999}),

@@ -683,17 +683,43 @@ def test_composite_op_is_byte_equal_to_its_composition(op, dtype, rng):
     ("feed_forward", {1: (5, 5)}), ("feed_forward", {2: (4,)}), ("feed_forward", {4: (1, 3)}),
     ("sigmoid_blend", {0: (2,)}), ("sigmoid_blend", {2: (2, 3, 5)}),
     ("mean_squared_error", {1: (4, 6)}),
+    # a second coefficient, and an operand of the wrong rank
+    ("scaled_sum", {2: (2,)}), ("scaled_sum", {1: (4, 6, 1)}), ("feed_forward", {0: (4, 6, 1)}),
+    ("sigmoid_blend", {1: (6, 4)}), ("mean_squared_error", {0: (72,)}),
 ])
 def test_composite_op_rejects_nonconforming_operands(op, bad, rng):
+    # the ops test their operands in one condition and call the helpers
+    # that name the error only on a mismatch: a wrong extent or rank is a
+    # DimensionError, and a mixed precision in any operand a
+    # ConfigurationError, whichever operand it is
     args = list(composite_args(op, rng, np.float64))
     for i, shape in bad.items():
         args[i] = tc.Tensor(np.ones(shape), dtype=np.float64)
     with pytest.raises(tc.DimensionError):
         getattr(tc, op)(*args)
-    args = list(composite_args(op, rng, np.float64))
-    args[-1] = tc.Tensor(args[-1].data, dtype=np.float32)
+    for i in range(len(args)):
+        args = list(composite_args(op, rng, np.float64))
+        args[i] = tc.Tensor(args[i].data, dtype=np.float32)
+        with pytest.raises(tc.ConfigurationError):
+            getattr(tc, op)(*args)
+
+
+def test_scalar_mul_and_concat_cols_reject_nonconforming_operands():
+    wide, narrow = np.float64, np.float32
+    x = tc.Tensor(np.ones((3, 2)), dtype=wide)
+    with pytest.raises(tc.DimensionError):
+        tc.scalar_mul(tc.Tensor(np.ones(2), dtype=wide), x)
     with pytest.raises(tc.ConfigurationError):
-        getattr(tc, op)(*args)
+        tc.scalar_mul(tc.scalar(0.5, dtype=narrow), x)
+    for parts in ([], [x, tc.Tensor(np.ones((3, 2, 1)), dtype=wide)],
+                  [tc.Tensor(np.ones(3), dtype=wide), x],
+                  [x, tc.Tensor(np.ones((4, 2)), dtype=wide)],
+                  # a rank is tested before any precision, as the parts come
+                  [x, tc.Tensor(np.ones((3, 2)), dtype=narrow), tc.Tensor(np.ones(3), dtype=wide)]):
+        with pytest.raises(tc.DimensionError):
+            tc.concat_cols(parts)
+    with pytest.raises(tc.ConfigurationError):
+        tc.concat_cols([x, tc.Tensor(np.ones((3, 1)), dtype=narrow), x])
 
 
 def test_untaped_feed_forward_allocates_no_rectified_copy(rng):
@@ -1129,6 +1155,101 @@ def test_attention_non_finite_head_leaves_other_heads_finite(case, which, bad, w
         assert np.all(np.isfinite(a[:, others])), name
 
 
+class _SquareCounter:
+    """numpy, with its ``square`` calls counted: the overflow guard's
+    per-head test makes two per attention call, its whole-tensor pre-test
+    none."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def square(self, *args, **kwargs):
+        self.calls += 1
+        return np.square(*args, **kwargs)
+
+
+# a reach per seed, as a multiple of the limit it is measured against: two
+# below it and two above
+GUARD_REACH = [0.9, 0.99, 1.01, 1.1]
+# the operand and the value that a seed makes non-finite; max(1, NaN) is
+# NaN to the guard, where Python's max gives 1
+GUARD_NON_FINITE = [("q", np.nan), ("k", np.inf), ("v", np.nan), ("q", -np.inf),
+                    ("k", np.nan), ("v", np.inf)]
+
+
+def guard_operands(kind: str, dtype, seed: int):
+    """q, k, v and an adjoint seed in 4 heads of 4 channels (T_q 12, T_k 10),
+    and whether the guard must run its per-head test:
+
+    - head_reach: head j's score bound is a GUARD_REACH multiple of ln(M) / 4,
+      so the per-head test decides, shifting the heads above 1;
+    - pre_test_reach: 2 scale d max|q| max|k| is a GUARD_REACH multiple of
+      ln(M) / 4, so every head is far inside its own bound and the pre-test
+      decides alone below 1;
+    - split_reach: large q in head 0 and large k in head 1 (a power-of-two
+      rescale, which leaves every score and head bound exact) fail the
+      pre-test while every head passes its own test;
+    - non_finite: a NaN or an inf in one head of q, k or v, whose finite
+      entries alone would pass the pre-test;
+    - square_overflow: q so large in head 0 that its squared norms overflow
+      while k is so small that its squared norms vanish, so that head's
+      bound is inf * 0 = NaN although max|q| max|k| is tiny."""
+    case = (4, 4, 12, 10, dtype, seed)
+    reach = GUARD_REACH[seed % 4]
+    if kind == "head_reach":
+        return attention_operands(case, np.roll(GUARD_REACH, seed), False), True
+    q, k, v, g = attention_operands(case, [0.05] if kind == "non_finite" else [0.5, 0.9, 0.3, 0.7],
+                                    False)
+    if kind == "pre_test_reach":
+        pre_test = 2 * 4 * 0.5 * np.abs(q).max() * np.abs(k).max()  # 2 d scale, d = 4
+        t = np.sqrt(reach * np.log(np.finfo(dtype).max) / 4 / pre_test)
+        return [(q * t).astype(dtype), (k * t).astype(dtype), v, g], reach > 1
+    if kind == "split_reach":
+        q[:, :4] *= 64
+        k[:, :4] /= 64
+        q[:, 4:8] /= 64
+        k[:, 4:8] *= 64
+    elif kind == "non_finite":
+        which, bad = GUARD_NON_FINITE[seed]
+        (q, k, v)["qkv".index(which)][seed % 7, 4 * (seed % 4) + 1] = bad
+    else:
+        half = np.finfo(dtype).maxexp // 2  # max|q| 2^half: q^2 overflows
+        q[:, :4] *= 2.0 ** half
+        k *= 2.0 ** -(half + 30)  # k^2 is below the smallest subnormal
+    return [q, k, v, g], True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite and overflowing norms
+@pytest.mark.parametrize("seed", range(len(GUARD_NON_FINITE)))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["head_reach", "pre_test_reach", "split_reach",
+                                  "non_finite", "square_overflow"])
+def test_attention_guard_decides_as_the_per_head_reference(kind, dtype, seed, monkeypatch):
+    # Whichever test decides, the whole-tensor pre-test or the per-head one,
+    # every head must take the path that the stored-E reference's per-head
+    # test gives it: output and gradients are its bytes (NaN where it has
+    # NaN).  Blocks hold whole heads, in which the two agree to the bit.
+    arrays, per_head = guard_operands(kind, dtype, seed)
+    assert all(a.dtype == np.dtype(dtype) for a in arrays)
+    counter = _SquareCounter()
+    monkeypatch.setattr(tc, "np", counter)
+    if kind == "non_finite":  # the non-finite entry alone fails the pre-test
+        tc.multi_head_attention(*(tc.Tensor(np.nan_to_num(a, posinf=0, neginf=0), dtype=dtype)
+                                  for a in arrays[:3]), 4)
+        assert counter.calls == 0
+    got = taped_attention(arrays, 4, None)
+    monkeypatch.undo()
+    assert counter.calls == (2 if per_head else 0)
+    refs = stored_e_attention(*arrays[:3], 4, arrays[3])
+    for name, a, ref in zip(("out", "q", "k", "v"), got, refs):
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(a), nan), name
+        assert a[~nan].tobytes() == ref[~nan].tobytes(), name
+
+
 def test_taped_attention_retains_no_score_block(rng):
     # An earlier taped call kept all heads' scores, 8 x 1024^2 f32 (32 MiB);
     # a later one kept the last 256 KiB score block, and then [V | 1], the
@@ -1169,6 +1290,18 @@ def test_attention_rejects_nonconforming_operands():
         tc.multi_head_attention(q, kv, kv, 3)
     with pytest.raises(tc.ConfigurationError):
         tc.multi_head_attention(q, kv, tc.Tensor(np.zeros((5, 4)), dtype=np.float32), 2)
+    # one condition tests every rank and precision; the helpers that name the
+    # error run on a mismatch, ranks first, as the operands come
+    deep = tc.Tensor(np.zeros((5, 4, 1)), dtype=np.float64)
+    narrow = tc.Tensor(np.zeros((5, 4)), dtype=np.float32)
+    for args in ((deep, kv, kv), (q, deep, kv), (q, kv, deep),
+                 (q, kv, tc.Tensor(np.zeros(5), dtype=np.float64)),
+                 (q, narrow, tc.Tensor(np.zeros((5, 4, 1)), dtype=np.float32))):
+        with pytest.raises(tc.DimensionError, match="rank 2"):
+            tc.multi_head_attention(*args, 2)
+    for args in ((tc.Tensor(q.data, dtype=np.float32), kv, kv), (q, narrow, kv), (q, kv, narrow)):
+        with pytest.raises(tc.ConfigurationError, match="mixed precisions"):
+            tc.multi_head_attention(*args, 2)
 
 
 # --- elementwise / shape ops ---------------------------------------------------

@@ -119,6 +119,13 @@ def test_non_finite_rates_are_rejected(name, value):
         small_cfg(**{name: value})
 
 
+def test_steps_are_bounded():
+    assert small_cfg(steps=tr.MAX_STEPS).steps == tr.MAX_STEPS
+    for bad in (0, tr.MAX_STEPS + 1, 10 ** 12):
+        with pytest.raises(tc.ConfigurationError, match="steps"):
+            small_cfg(steps=bad)
+
+
 @pytest.mark.parametrize("mode", ["f_rgb", "f_thermal"])
 def test_modes_without_learnables_are_refused(mode):
     # the one objective refuses them, so training stops before its first
