@@ -10,6 +10,8 @@ two-layer feed-forward network:
     t' = alpha * (z @ w_o) + beta * target
     out = gamma * t' + delta * ffn(t')
 
+The target is the only key/value source, and z does not depend on the
+order of its rows; the attention returns z alone, never its probabilities.
 Tokens in and out are plain T x C tensors; this module never needs the
 spatial grid they were flattened from.
 
@@ -49,21 +51,19 @@ def cfe_spec(channels: int, ffn_hidden: int, coefficients=COEFFICIENTS) -> dict:
 PARAM_NAMES = tuple(cfe_spec(1, 1))
 
 
-def cross_attention(q_tokens: Tensor, kv_tokens: Tensor, p, heads: int,
-                    return_weights: bool = False):
+def cross_attention(q_tokens: Tensor, kv_tokens: Tensor, p, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention across two T x C token
-    matrices.
+    matrices: queries from `q_tokens`, keys and values from `kv_tokens`.
 
     Returns the concatenated head outputs (T_q x C), before the output
-    projection.  With ``return_weights`` also returns the per-head
-    attention probability matrices.  Token channels that differ from the
-    projections' raise DimensionError (from ``matmul``).
+    projection.  Token channels that differ from the projections' raise
+    DimensionError (from ``matmul``).
     """
     with tc.op_stage("proj"):
         q = tc.matmul(q_tokens, p["w_q"])
         k = tc.matmul(kv_tokens, p["w_k"])
         v = tc.matmul(kv_tokens, p["w_v"])
-    return tc.multi_head_attention(q, k, v, heads, return_weights=return_weights)
+    return tc.multi_head_attention(q, k, v, heads)
 
 
 def ffn(x: Tensor, p) -> Tensor:
@@ -72,15 +72,10 @@ def ffn(x: Tensor, p) -> Tensor:
         return tc.feed_forward(x, p["ffn_w1"], p["ffn_b1"], p["ffn_w2"], p["ffn_b2"])
 
 
-def cfe_forward(t_target: Tensor, t_aux: Tensor, p, heads: int,
-                attention_kv: Tensor | None = None) -> Tensor:
-    """Enhance `t_target` with information queried from `t_aux`.
-
-    `attention_kv` overrides the key/value source (defaults to the target
-    itself); the residual path always keeps the target's own row order.
-    """
-    kv = t_target if attention_kv is None else attention_kv
-    z = cross_attention(t_aux, kv, p, heads)
+def cfe_forward(t_target: Tensor, t_aux: Tensor, p, heads: int) -> Tensor:
+    """Enhance `t_target` with information queried from `t_aux`: the target
+    supplies the attention's keys and values and the residual path."""
+    z = cross_attention(t_aux, t_target, p, heads)
     with tc.op_stage("proj"):
         z_proj = tc.matmul(z, p["w_o"])
     t_prime = tc.scaled_sum(p["alpha"], z_proj, p["beta"], t_target)

@@ -180,10 +180,10 @@ class Tape:
 
     def __init__(self):
         self._steps = []  # (out, parents, backward_fn) in execution order
-        self._watched = {}  # id(tensor) -> (name, tensor)
+        self._watched = {}  # name -> tensor; one tensor may have several names
 
     def watch(self, tensor: Tensor, name: str):
-        self._watched[id(tensor)] = (name, tensor)
+        self._watched[name] = tensor
 
     def watch_all(self, named_tensors):
         for name, t in named_tensors:
@@ -237,14 +237,15 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
     `output` defaults to the tape's final recorded result; any other must
     be the result of a step on this tape (TapeStateError), and
     `output_grad` must match its shape and dtype.  Returns the gradient of
-    every watched tensor that is reachable from the output; unreachable
-    parameters are simply absent from the record.  Only tensors that are
-    watched or computed from a watched tensor get a gradient: one pass
-    over the tape marks them, and the sweep skips every step whose output
-    is unmarked and drops the parent gradients of unmarked parents (such
-    as the input maps).  A gradient that is not watched is dropped as soon
-    as the step that produced the tensor has run, so the sweep holds only
-    the gradients still to be consumed.
+    every watched tensor that is reachable from the output, under each name
+    it is watched by; unreachable parameters are simply absent from the
+    record.  Only tensors that are watched or computed from a watched
+    tensor get a gradient: one pass over the tape marks them, and the sweep
+    skips every step whose output is unmarked and drops the parent
+    gradients of unmarked parents (such as the input maps).  A gradient
+    that is not watched is dropped as soon as the step that produced the
+    tensor has run, so the sweep holds only the gradients still to be
+    consumed.
     """
     if not tape._steps:
         raise TapeStateError("backward before forward: tape has no recorded operations")
@@ -260,7 +261,7 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
         raise ConfigurationError(
             f"output_grad dtype {output_grad.dtype} != output dtype {output.dtype}"
         )
-    watched = tape._watched
+    watched = {id(t) for t in tape._watched.values()}
     # every consumer of a marked tensor is marked, so a marked tensor's
     # gradient still sums every contribution, in the same order
     marked = set(watched)
@@ -282,8 +283,8 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
     entries = {}
-    for tid, (name, tensor) in watched.items():
-        g = grads.get(tid)
+    for name, tensor in tape._watched.items():
+        g = grads.get(id(tensor))
         if g is not None:
             entries[name] = Tensor._wrap(np.ascontiguousarray(g))
     return GradRecord(entries)
@@ -730,8 +731,7 @@ def _overflow_limits(dt: np.dtype, d: int):
             big ** 0.75, np.sqrt(big / d) / 2, ones)
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                         return_weights: bool = False):
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Concatenated head outputs softmax(Q_j K_j^T / sqrt(d)) V_j, T_q x C.
 
     Head j owns channels [j*d, (j+1)*d), d = C / heads.  The scale is folded
@@ -777,9 +777,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     Score blocks hold at most ``_ATTENTION_BLOCK_ELEMENTS`` elements: as
     many whole heads as fit, or else query-row tiles of one head, all
-    computed in one reused block buffer, taped or not.  A taped call keeps
-    no scores and no block: beside its operands, only its output and a copy
-    of the row sums, (C + heads) T_q elements.  Its adjoint rebuilds [V | 1]
+    computed in one reused block buffer, taped or not.  Every other buffer
+    is O(T C), so the op never holds a whole heads x T_q x T_k matrix.  A
+    taped call keeps no scores and no block: beside its operands, only its
+    output and a copy of the row sums, (C + heads) T_q elements.  Its adjoint rebuilds [V | 1]
     and the exponent operand by the forward's own code, reads O as a view of
     the output, and is written out directly, with P = E / s and gs = g / s:
 
@@ -792,9 +793,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     code into a block buffer of its own, so E is the same to the bit
     (recompute as in memory-efficient attention, arXiv 2112.05682, and
     FlashAttention-2, arXiv 2307.08691).
-
-    With ``return_weights`` also returns the per-head probability matrices
-    (not recorded on the tape).
     """
     qd, kd, vd = q.data, k.data, v.data
     dt = qd.dtype
@@ -824,11 +822,14 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         shifted = []
     else:
         # squared row norms per head, as (T heads, d) @ ones(d) products: rows
-        # never mix heads, so a non-finite entry reaches only its own head's bound
-        qn = np.square(qd).reshape(-1, d) @ ones
-        kn = np.square(kd).reshape(-1, d) @ ones
-        bound = scale * np.sqrt(np.maximum.reduce(qn.reshape(tq, heads))
-                                * np.maximum.reduce(kn.reshape(tk, heads)))
+        # never mix heads, so a non-finite entry reaches only its own head's
+        # bound.  A squared norm that overflows, or a bound of inf * 0, fails
+        # the test as it must, so numpy's warnings about them are silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            qn = np.square(qd).reshape(-1, d) @ ones
+            kn = np.square(kd).reshape(-1, d) @ ones
+            bound = scale * np.sqrt(np.maximum.reduce(qn.reshape(tq, heads))
+                                    * np.maximum.reduce(kn.reshape(tk, heads)))
         vmax = np.maximum.reduce(np.maximum.reduce(np.abs(vd)).reshape(heads, d), axis=1,
                                  initial=1.0)
         shift_free = (bound <= max_exponent) & (tk * vmax <= max_v_sum)
@@ -870,12 +871,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     v1, qe = operands()
     e = np.empty(hb * tk * rows, dtype=dt)
     av = np.empty((heads, d + 1, tq), dtype=dt)  # ([V | 1]^T E^T) per head
-    probs = np.empty((heads, tq, tk), dtype=dt) if return_weights else None
     for j0, j1, r0, r1 in blocks:
         eb = exp_block(qe, j0, j1, r0, r1, e)
         np.matmul(v1[j0:j1].transpose(0, 2, 1), eb, out=av[j0:j1, :, r0:r1])
-        if return_weights:
-            np.divide(eb, av[j0:j1, d:, r0:r1], out=probs[j0:j1, r0:r1].transpose(0, 2, 1))
     # O, T_q x d per head: a divide over T_q-long rows, then one transposing
     # copy, is faster than dividing straight into the strided output
     o = (av[:, :d] / av[:, d:]).transpose(2, 0, 1).copy()
@@ -911,10 +909,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         dv = np.ascontiguousarray(dv.transpose(1, 0, 2))
         return dq.reshape(tq, c), dk.reshape(tk, c), dv.reshape(tk, c)
 
-    out = _emit(Tensor._wrap(o.reshape(tq, c)), (q, k, v), bwd)
-    if return_weights:
-        return out, [Tensor._wrap(p) for p in probs]
-    return out
+    return _emit(Tensor._wrap(o.reshape(tq, c)), (q, k, v), bwd)
 
 
 def pool2d(fmap: Tensor, s: int, kind: str) -> Tensor:

@@ -41,6 +41,23 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
+def attention_probs(q: tc.Tensor, k: tc.Tensor, heads: int) -> np.ndarray:
+    """The per-head probabilities P_j (heads x T_q x T_k) of
+    ``multi_head_attention(q, k, v, heads)``, read through its output: with
+    value columns one-hot at d keys per call (fewer in the last), head j's
+    output block is those d columns of P_j."""
+    tq, c = q.shape
+    tk, d = k.shape[0], c // heads
+    probs = np.empty((heads, tq, tk), dtype=q.dtype)
+    for k0 in range(0, tk, d):
+        n = min(d, tk - k0)
+        v = np.zeros((tk, heads, d), dtype=q.dtype)
+        v[k0 + np.arange(n), :, np.arange(n)] = 1
+        out = tc.multi_head_attention(q, k, tc.Tensor(v.reshape(tk, c), dtype=q.dtype), heads)
+        probs[..., k0:k0 + n] = out.data.reshape(tq, heads, d)[..., :n].transpose(1, 0, 2)
+    return probs
+
+
 # --- malformed input files ------------------------------------------------------
 
 # Each header is paired with a payload of the byte count its shape would

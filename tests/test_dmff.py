@@ -583,7 +583,7 @@ def _unpruned_sweep(tape, output):
             if pg is not None:
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
-    return {name: grads[tid] for tid, (name, _) in tape._watched.items() if tid in grads}
+    return {name: grads[id(t)] for name, t in tape._watched.items() if id(t) in grads}
 
 
 @pytest.mark.parametrize("mode", ["a", "d"])

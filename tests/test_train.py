@@ -12,6 +12,7 @@ from crossfuse.dmff import DmffConfig
 from crossfuse.gradcheck import grad_check
 from crossfuse.icfe import stacked_spec
 from crossfuse.synth import SyntheticPairSpec, gen_synthetic_pair
+from conftest import fd_gradient, rel_err
 
 # every parameter the optimizer must not decay, in any mode, variant or
 # stack: the residual coefficients, the pooling blends and the positional
@@ -161,6 +162,30 @@ def test_loss_and_grads_is_the_taped_step(mode, dtype):
         assert record[name].data.tobytes() == g.data.tobytes()
     if dtype == np.float32:  # train_toy's precision
         assert tr.train_toy(cfg).losses == [loss]
+
+
+def test_a_tied_parameter_gets_its_gradient_under_every_name():
+    # one tensor under two names: each name gets the derivative of the loss
+    # along the tied weight, as GradRecord promises for every name that
+    # takes part
+    cfg = DmffConfig(mode="d", heads=2, ffn_hidden=16)
+    spec = SyntheticPairSpec(h=4, w=4, c=8, seed=7)
+    wts = dmff.init_dmff_weights(cfg, spec.h, spec.w, spec.c, np.random.default_rng(7),
+                                 dtype=np.float64)
+    f_r, f_t, target = gen_synthetic_pair(spec, dtype=np.float64)
+
+    def tie(alpha):
+        return dmff.replace_parameters(wts, {"cfe_r.alpha": alpha, "cfe_t.alpha": alpha})
+
+    def loss(alpha):
+        return tr.squared_error_loss(dmff.dmff_fuse(f_r, f_t, cfg, tie(alpha)).primary,
+                                     target).item()
+
+    alpha = wts.tensors["cfe_r.alpha"]
+    _, record = tr.loss_and_grads(f_r, f_t, target, cfg, tie(alpha))
+    assert record.names() == sorted(wts.tensors)
+    assert record["cfe_t.alpha"].data.tobytes() == record["cfe_r.alpha"].data.tobytes()
+    assert rel_err(record["cfe_r.alpha"].data, fd_gradient(loss, alpha)) < 1e-6
 
 
 def test_non_finite_gradient_aborts_naming_the_first_parameter(monkeypatch):
