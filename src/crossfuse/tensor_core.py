@@ -39,7 +39,6 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -148,27 +147,20 @@ def init_tensors(spec: dict, rng: np.random.Generator, dtype=STANDARD) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradRecord:
-    """Accumulated gradients keyed by parameter name ("cfe_t.w_q", ...).
+class GradRecord(dict):
+    """Accumulated gradients, a dict keyed by parameter name ("cfe_t.w_q", ...).
 
     A name is absent exactly when the parameter did not participate in the
     evaluated graph.  Present entries always match the parameter's shape.
+    ``entries`` is the record itself.
     """
 
-    entries: dict = field(default_factory=dict)
-
-    def __contains__(self, name):
-        return name in self.entries
-
-    def __getitem__(self, name) -> Tensor:
-        return self.entries[name]
-
-    def get(self, name, default=None):
-        return self.entries.get(name, default)
-
     def names(self):
-        return sorted(self.entries)
+        return sorted(self)
+
+    @property
+    def entries(self) -> dict:
+        return self
 
 
 class Tape:
@@ -282,12 +274,12 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg
-    entries = {}
+    record = GradRecord()
     for name, tensor in tape._watched.items():
         g = grads.get(id(tensor))
         if g is not None:
-            entries[name] = Tensor._wrap(np.ascontiguousarray(g))
-    return GradRecord(entries)
+            record[name] = Tensor._wrap(np.ascontiguousarray(g))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +548,8 @@ def sigmoid_blend(l: Tensor, x: Tensor, y: Tensor) -> Tensor:
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """relu(x w1 + b1) w2 + b2 for a 2-d x; both products count under the
-    active ``op_stage``.  An untaped call rectifies in place; a taped call
-    keeps only the pre-activation, the adjoint's mask and rectified layer."""
+    active ``op_stage``.  The hidden layer, rectified in place, is all a
+    taped call keeps: the adjoint's mask and dW2 operand."""
     xd, w1d, b1d, w2d, b2d = x.data, w1.data, b1.data, w2.data, b2.data
     if not xd.dtype == w1d.dtype == b1d.dtype == w2d.dtype == b2d.dtype:
         _common_dtype(x, w1, b1, w2, b2)
@@ -569,13 +561,13 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     _note_matmul(xd.shape[0], b1d.size, b2d.size)
     hidden = xd @ w1d
     hidden += b1d
-    out = np.maximum(hidden, 0, out=None if _recording() else hidden) @ w2d
+    np.maximum(hidden, 0, out=hidden)
+    out = hidden @ w2d
     out += b2d
 
     def bwd(g):
         dh = (g @ w2d.T) * (hidden > 0)
-        return (dh @ w1d.T, xd.T @ dh, dh.sum(axis=0),
-                np.maximum(hidden, 0).T @ g, g.sum(axis=0))
+        return dh @ w1d.T, xd.T @ dh, dh.sum(axis=0), hidden.T @ g, g.sum(axis=0)
 
     return _emit(Tensor._wrap(out), (x, w1, b1, w2, b2), bwd)
 
@@ -768,21 +760,24 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     The per-head test runs only when a whole-tensor pre-test fails.  Every
     row has |q_i|^2 <= d max|q|^2, so b <= scale d max|q| max|k| in every
     head, and max(1, max|v|) in a head is at most its value over all heads.
-    The pre-test asks 2 scale d max|q| max|k| <= L, where the factor 2
-    covers the rounding of b, T_k max(1, max|v|) <= M^(3/4), and
-    max|q| + max|k| <= sqrt(M / d) / 2, so that no squared row norm
-    overflows and no head's b is inf * 0.  Passing it implies passing every
-    head's test, so no head's decision changes; NaN and inf fail it, and
-    the per-head test then confines them to their own heads.
+    The pre-test asks first max|q| + max|k| <= sqrt(M / d) / 2, as
+    max|q| <= sqrt(M / d) / 2 - max|k|, which cannot overflow, so that no
+    squared row norm overflows, no head's b is inf * 0, and the product
+    next is below M / (8 sqrt(d)); then 2 scale d max|q| max|k| <= L, the
+    factor 2 covering the rounding of b, and T_k max(1, max|v|) <= M^(3/4).
+    Passing it implies passing every head's test, so no head's decision
+    changes; NaN and inf fail it, and the per-head test then confines them
+    to their own heads.
 
     Score blocks hold at most ``_ATTENTION_BLOCK_ELEMENTS`` elements: as
     many whole heads as fit, or else query-row tiles of one head, all
     computed in one reused block buffer, taped or not.  Every other buffer
-    is O(T C), so the op never holds a whole heads x T_q x T_k matrix.  A
-    taped call keeps no scores and no block: beside its operands, only its
-    output and a copy of the row sums, (C + heads) T_q elements.  Its adjoint rebuilds [V | 1]
-    and the exponent operand by the forward's own code, reads O as a view of
-    the output, and is written out directly, with P = E / s and gs = g / s:
+    is O(T C), so the op never holds a whole heads x T_q x T_k matrix.
+    Every call copies out the row sums, so a taped call keeps no scores
+    and no block: beside its operands, only its output and those sums,
+    (C + heads) T_q elements.  Its adjoint rebuilds [V | 1] and the
+    exponent operand by the forward's own code, reads O as a view of the
+    output, and is written out directly, with P = E / s and gs = g / s:
 
         dS^T = ([V | 1] [gs | -rowsum(gs * O)]^T) * E^T,
         dQ^T = scale K^T dS^T,  dV = E^T gs,  dK = scale dS^T Q.
@@ -817,7 +812,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     # per-head test alike; np.maximum propagates NaN
     aq = np.maximum.reduce(np.abs(qd), axis=None)
     ak = np.maximum.reduce(np.abs(kd), axis=None)
-    if (2 * d * scale * aq * ak <= max_exponent and aq + ak <= max_operand
+    if (aq <= max_operand - ak and 2 * d * scale * aq * ak <= max_exponent
             and tk * np.maximum.reduce(np.abs(vd), axis=None, initial=1.0) <= max_v_sum):
         shifted = []
     else:
@@ -877,7 +872,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     # O, T_q x d per head: a divide over T_q-long rows, then one transposing
     # copy, is faster than dividing straight into the strided output
     o = (av[:, :d] / av[:, d:]).transpose(2, 0, 1).copy()
-    sums = av[:, d].copy() if _recording() else None  # row sums, heads x T_q
+    sums = av[:, d].copy()  # row sums, heads x T_q
 
     def bwd(g):
         # with P = E / s, the adjoint only needs E and gs = g / s

@@ -276,16 +276,42 @@ def test_corrupt_weights_is_clean_error(tmp_path, synth_spec, capsys):
     assert "magic" in capsys.readouterr().err
 
 
-def test_console_entry_point_runs():
-    # the child process imports the same crossfuse as these tests
+def run_cli(args):
+    """`python -m crossfuse.cli` with `args` in a child process, which
+    imports the same crossfuse as these tests and runs under Python's
+    default warning filters, not this suite's."""
     src = str(Path(crossfuse.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "crossfuse.cli", "audit", "--t", "4", "--c", "8", "--h", "32"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, "-m", "crossfuse.cli", *map(str, args)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point_runs():
+    proc = run_cli(["audit", "--t", "4", "--c", "8", "--h", "32"])
     assert proc.returncode == 0
     assert "QK^T" in proc.stdout
+
+
+def test_fuse_of_a_huge_finite_scene_prints_no_warning(tmp_path):
+    # a scene scaled by 3e19 (f32) takes max|q| max|k| past the largest f32
+    # in the attention's overflow pre-test; the fuse still writes a finite
+    # map, and numpy prints no overflow warning on the way
+    spec = write_json(tmp_path / "spec.json", {"h": 8, "w": 8, "c": 16})
+    prefix, weights = tmp_path / "scene", tmp_path / "w.icaf"
+    assert main(["gen", "--spec", spec, "--out-prefix", str(prefix)]) == 0
+    assert main(["train-toy", "--config", write_json(tmp_path / "t.json", {"steps": 2}),
+                 "--out-weights", str(weights)]) == 0
+    for branch in ("rgb", "thermal"):
+        scene = tc.read_rawtensor(f"{prefix}_{branch}.rawtensor")
+        tc.write_rawtensor(tmp_path / f"huge_{branch}.rawtensor",
+                           tc.Tensor(scene.data * 3e19, dtype=np.float32))
+    out = tmp_path / "fused.rawtensor"
+    proc = run_cli(["fuse", "--rgb", tmp_path / "huge_rgb.rawtensor",
+                    "--thermal", tmp_path / "huge_thermal.rawtensor",
+                    "--weights", weights, "--mode", "d", "--out", out])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert np.all(np.isfinite(tc.read_rawtensor(out).data))
 
 
 def _fuse(tmp_path, synth_spec, rgb=None, thermal=None, weights=None, mode="d"):

@@ -71,7 +71,7 @@ def test_conv_shrink_variant_passes():
 
 def test_corrupted_adjoint_is_detected_on_exactly_that_tensor():
     def negate_wv(record):
-        bad = dict(record.entries)
+        bad = dict(record)
         bad["cfe_r.w_v"] = tc.Tensor(-bad["cfe_r.w_v"].data, dtype=np.float64)
         return tc.GradRecord(bad)
 
@@ -84,7 +84,7 @@ def test_corrupted_adjoint_is_detected_on_exactly_that_tensor():
 def test_nan_gradient_fails_every_check():
     def nan_grads(record):
         return tc.GradRecord({n: tc.Tensor(np.full(g.shape, np.nan), dtype=np.float64)
-                              for n, g in record.entries.items()})
+                              for n, g in record.items()})
 
     report = grad_check(small_cfg(mode="d"), synth=SMALL, seed=3, min_samples=1,
                         _grad_hook=nan_grads)

@@ -69,8 +69,7 @@ def test_lambda_raw_gradient_matches_finite_differences(rng):
     tape.watch(p["lambda_raw"], "lambda_raw")
     with tc.record_on(tape):
         out = sfs.shrink_pool(m, 2, p)
-        loss = tc.sum_all(tc.mul(out, out))
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    rec = tc.backward(tc.Tensor(out.data + out.data), tape, out)  # sum(out^2)
     fd = fd_gradient(loss_fn, p["lambda_raw"])
     assert rel_err(rec["lambda_raw"].data, fd) < 1e-4
 
@@ -152,6 +151,5 @@ def test_conv_gradients_match_finite_differences(rng):
     tape.watch(p["b"], "b")
     with tc.record_on(tape):
         out = sfs.shrink_conv(m, 2, p)
-        loss = tc.sum_all(tc.mul(out, out))
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    rec = tc.backward(tc.Tensor(out.data + out.data), tape, out)  # sum(out^2)
     assert rel_err(rec["w"].data, fd_gradient(loss_with, p["w"])) < 1e-4

@@ -180,15 +180,15 @@ def stored_e_attention(q, k, v, heads: int, g):
 
 def attend_with_grads(attend, arrays, probe: tc.Tensor):
     """Output of `attend` on q, k, v built from `arrays` in the probe's
-    dtype, and the q, k, v gradients of sum(output * probe)."""
+    dtype, and the q, k, v gradients of sum(output * probe), whose adjoint,
+    `probe`, seeds the output."""
     dtype = probe.dtype
     leaves = [tc.Tensor(a, dtype=dtype) for a in arrays]
     tape = tc.Tape()
     tape.watch_all(zip("qkv", leaves))
     with tc.record_on(tape):
         out = attend(*leaves)
-        loss = tc.sum_all(tc.mul(out, probe))
-    rec = tc.backward(tc.scalar(1.0, dtype=dtype), tape, loss)
+    rec = tc.backward(probe, tape, out)
     return out.data, [rec[n].data for n in "qkv"]
 
 
@@ -301,8 +301,7 @@ def test_pool_max_tie_break_first_index():
     tape.watch(m, "m")
     with tc.record_on(tape):
         out = tc.pool2d(m, 2, "max")
-        loss = tc.sum_all(out)
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    rec = tc.backward(tc.full(out.shape, 1.0, dtype=np.float64), tape, out)
     npt.assert_array_equal(
         rec["m"].data, np.array([[1.0, 0.0], [0.0, 0.0]]).reshape(2, 2, 1)
     )
@@ -318,9 +317,8 @@ def test_pool_max_taped_matches_untaped_and_routes_to_first_max(s, rng):
     tape.watch(m, "m")
     with tc.record_on(tape):
         out = tc.pool2d(m, s, "max")
-        loss = tc.sum_all(out)
     npt.assert_array_equal(out.data, untaped)
-    grad = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)["m"].data
+    grad = tc.backward(tc.full(out.shape, 1.0, dtype=np.float64), tape, out)["m"].data
     expected = np.zeros_like(x)
     for a in range(2):
         for b in range(3):
@@ -364,8 +362,7 @@ def test_pool_gradients_match_finite_differences(rng):
         tape.watch(xt, "x")
         with tc.record_on(tape):
             out = tc.pool2d(xt, 2, kind)
-            loss = tc.sum_all(tc.mul(out, out))
-        rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+        rec = tc.backward(tc.Tensor(out.data + out.data), tape, out)  # sum(out^2)
         assert rel_err(rec["x"].data, fd_gradient(loss_fn, xt)) < 1e-4
 
 
@@ -443,8 +440,7 @@ def test_bilinear_gradient_matches_finite_differences(rng):
     tape.watch(xt, "x")
     with tc.record_on(tape):
         out = tc.bilinear_resize(xt, 5, 6)
-        loss = tc.sum_all(tc.mul(out, out))
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    rec = tc.backward(tc.Tensor(out.data + out.data), tape, out)  # sum(out^2)
     assert rel_err(rec["x"].data, fd_gradient(loss_fn, xt)) < 1e-4
 
 
@@ -459,8 +455,7 @@ def test_bilinear_matches_four_corner_reference(dtype, shape, out_hw, rng):
     tape.watch(xt, "x")
     with tc.record_on(tape):
         out = tc.bilinear_resize(xt, *out_hw)
-        loss = tc.sum_all(tc.mul(out, tc.Tensor(g, dtype=dtype)))
-    grad = tc.backward(tc.scalar(1.0, dtype=dtype), tape, loss)["x"].data
+    grad = tc.backward(tc.Tensor(g, dtype=dtype), tape, out)["x"].data
     tol = DTYPE_TOL[dtype]
     assert out.dtype == grad.dtype == np.dtype(dtype)
     assert np.max(np.abs(out.data - bilinear_four_corner(x, *out_hw))) < tol
@@ -477,8 +472,7 @@ def test_backward_linear_case(rng):
     tape.watch(w, "w")
     with tc.record_on(tape):
         y = tc.matmul(w, x)
-        loss = tc.sum_all(y)
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    rec = tc.backward(tc.full(y.shape, 1.0, dtype=np.float64), tape, y)  # sum(Wx)
     # d(sum(Wx))/dW = column sums of x broadcast across rows
     expected = np.tile(x.data.sum(axis=1), (3, 1))
     npt.assert_allclose(rec["w"].data, expected, atol=1e-12)
@@ -490,8 +484,7 @@ def test_backward_softmax_row_sums_have_zero_gradient(rng):
     tape.watch(v, "v")
     with tc.record_on(tape):
         y = tc.softmax_rows(v)
-        loss = tc.sum_all(y)
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+    rec = tc.backward(tc.full(y.shape, 1.0, dtype=np.float64), tape, y)
     npt.assert_allclose(rec["v"].data, 0.0, atol=1e-12)
 
 
@@ -508,8 +501,8 @@ def test_backward_from_an_unrecorded_tensor_is_state_error(rng):
     tape = tc.Tape()
     tape.watch(x, "x")
     with tc.record_on(tape):
-        tc.sum_all(tc.mul(x, x))
-    for output in (tc.sum_all(x), x):
+        tc.add(x, x)
+    for output in (tc.add(x, x), x):
         with pytest.raises(tc.TapeStateError, match="did not record"):
             tc.backward(tc.Tensor(np.ones(output.shape), dtype=np.float64), tape, output)
 
@@ -521,8 +514,8 @@ def test_backward_unused_parameter_absent(rng):
     tape.watch(used, "used")
     tape.watch(unused, "unused")
     with tc.record_on(tape):
-        loss = tc.sum_all(used)
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+        out = tc.add(used, used)
+    rec = tc.backward(tc.full(out.shape, 1.0, dtype=np.float64), tape, out)
     assert "used" in rec
     assert "unused" not in rec
 
@@ -532,13 +525,13 @@ def test_backward_accumulates_across_reuse(rng):
     tape = tc.Tape()
     tape.watch(x, "x")
     with tc.record_on(tape):
-        loss = tc.sum_all(tc.mul(x, x))
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
-    npt.assert_allclose(rec["x"].data, 2 * x.data, atol=1e-12)
+        out = tc.add(x, tc.add(x, x))
+    rec = tc.backward(tc.full(out.shape, 1.0, dtype=np.float64), tape, out)
+    npt.assert_array_equal(rec["x"].data, 3.0)
 
 
 def test_backward_drops_consumed_gradients(rng):
-    # Chain x -> h1 -> ... -> h6 -> loss, with h3 watched.  By the time a
+    # Chain x -> h1 -> ... -> h6, seeded at h6, with h3 watched.  By the time a
     # step's adjoint runs, every gradient handed to an earlier adjoint of the
     # sweep is gone, except the watched h3's.
     x = tc.Tensor(rng.standard_normal((8, 8)), dtype=np.float64)
@@ -550,7 +543,6 @@ def test_backward_drops_consumed_gradients(rng):
             h = tc.const_scale(h, 0.5)
             if i == 3:
                 tape.watch(h, "h3")
-        loss = tc.sum_all(h)
     seen, alive = [], []
 
     def spy(fn):
@@ -561,9 +553,9 @@ def test_backward_drops_consumed_gradients(rng):
         return wrapped
 
     tape._steps = [(out, parents, spy(fn)) for out, parents, fn in tape._steps]
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
-    # adjoints run for loss, h6, h5, h4, then h3 (watched), h2, h1
-    assert alive == [0, 0, 0, 0, 0, 1, 1]
+    rec = tc.backward(tc.full(h.shape, 1.0, dtype=np.float64), tape, h)
+    # adjoints run for h6, h5, h4, then h3 (watched), h2, h1
+    assert alive == [0, 0, 0, 0, 1, 1]
     npt.assert_array_equal(rec["h3"].data, np.full((8, 8), 0.125))
     npt.assert_array_equal(rec["x"].data, np.full((8, 8), 0.5 ** 6))
 
@@ -573,9 +565,9 @@ def test_backward_rejects_seed_of_other_dtype():
     tape = tc.Tape()
     tape.watch(x, "x")
     with tc.record_on(tape):
-        loss = tc.sum_all(x)
+        out = tc.add(x, x)
     with pytest.raises(tc.ConfigurationError):
-        tc.backward(tc.scalar(1.0, dtype=np.float32), tape, loss)
+        tc.backward(tc.full(out.shape, 1.0, dtype=np.float32), tape, out)
 
 
 def test_untaped_relu_builds_no_mask(rng):
@@ -601,15 +593,15 @@ def test_composed_graph_matches_finite_differences(rng):
         att = tc.softmax_rows(toks)
         fm = tc.reshape(att, (2, 3, 4))
         up = tc.bilinear_resize(fm, 4, 6)
-        pooled = tc.pool2d(up, 2, "max")
-        return tc.mean_all(tc.mul(pooled, pooled))
+        return tc.pool2d(up, 2, "max")
 
     tape = tc.Tape()
     tape.watch(w, "w")
     with tc.record_on(tape):
-        loss = forward(w)
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
-    fd = fd_gradient(lambda t: forward(t).item(), w)
+        pooled = forward(w)
+    # mean(pooled^2) seeds `pooled` with its adjoint, 2 pooled / n
+    rec = tc.backward(tc.Tensor(pooled.data * (2 / pooled.size)), tape, pooled)
+    fd = fd_gradient(lambda t: float(np.mean(forward(t).data ** 2)), w)
     assert rel_err(rec["w"].data, fd) < 1e-4
 
 
@@ -793,17 +785,13 @@ def test_every_op_adjoint_matches_finite_differences(opname, rng):
                 getattr(tc, op)(*args[:i], t, *args[i + 1:]))
     leaf, op = builders[opname]
 
-    def run_loss(t):
-        out = op(t)
-        sq = tc.mul(out, out)
-        return tc.sum_all(sq)
-
     tape = tc.Tape()
     tape.watch(leaf, "p")
     with tc.record_on(tape):
-        loss = run_loss(leaf)
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
-    fd = fd_gradient(lambda t: run_loss(t).item(), leaf)
+        out = op(leaf)
+    # sum(out^2) seeds `out` with its adjoint, 2 out
+    rec = tc.backward(tc.Tensor(out.data + out.data), tape, out)
+    fd = fd_gradient(lambda t: float(np.sum(op(t).data ** 2)), leaf)
     assert rel_err(rec["p"].data, fd) < 1e-4, opname
 
 
@@ -1248,6 +1236,25 @@ def test_attention_guard_decides_as_the_per_head_reference(kind, dtype, seed, mo
         assert a[~nan].tobytes() == ref[~nan].tobytes(), name
 
 
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e200), (np.float32, 3e19),
+                                        (np.float64, 1e308), (np.float32, 2e38)])
+def test_attention_pre_test_does_not_overflow_on_finite_operands(dtype, big, monkeypatch):
+    # max|q| max|k|, and at the last two sizes max|q| + max|k| too, is past
+    # the dtype's largest value, yet every score is 0.  The pre-test fails on
+    # max|q| <= limit - max|k| before it forms that product, so nothing warns;
+    # the per-head test then sends both heads down the shifted path, which
+    # averages the values exactly.
+    q = tc.Tensor([[big, 0]], dtype=dtype)
+    k = tc.Tensor([[0, big], [0, 1]], dtype=dtype)
+    v = tc.Tensor([[1, 2], [3, 4]], dtype=dtype)
+    counter = _SquareCounter()
+    monkeypatch.setattr(tc, "np", counter)
+    out = tc.multi_head_attention(q, k, v, 2)
+    monkeypatch.undo()
+    assert counter.calls == 2
+    assert out.data.tolist() == [[2, 3]]
+
+
 def test_taped_attention_retains_no_score_block(rng):
     # An earlier taped call kept all heads' scores, 8 x 1024^2 f32 (32 MiB);
     # a later one kept the last 256 KiB score block, and then [V | 1], the
@@ -1312,8 +1319,8 @@ def test_scalar_mul_gradient(rng):
     tape.watch(s, "s")
     tape.watch(x, "x")
     with tc.record_on(tape):
-        loss = tc.sum_all(tc.scalar_mul(s, x))
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+        out = tc.scalar_mul(s, x)
+    rec = tc.backward(tc.full(out.shape, 1.0, dtype=np.float64), tape, out)
     npt.assert_allclose(rec["s"].data, [x.data.sum()], atol=1e-12)
     npt.assert_allclose(rec["x"].data, np.full((3, 2), 1.7), atol=1e-12)
 
@@ -1324,8 +1331,8 @@ def test_bias_add_broadcast_gradient(rng):
     tape = tc.Tape()
     tape.watch(b, "b")
     with tc.record_on(tape):
-        loss = tc.sum_all(tc.add(x, b))
-    rec = tc.backward(tc.scalar(1.0, dtype=np.float64), tape, loss)
+        out = tc.add(x, b)
+    rec = tc.backward(tc.full(out.shape, 1.0, dtype=np.float64), tape, out)
     npt.assert_allclose(rec["b"].data, np.full(3, 4.0), atol=1e-12)
 
 

@@ -156,8 +156,8 @@ def test_loss_and_grads_is_the_taped_step(mode, dtype):
         by_hand = tr.squared_error_loss(dmff.dmff_fuse(f_r, f_t, cfg.dmff, wts).primary, target)
     expected = tc.backward(tc.scalar(1.0, dtype=dtype), tape, by_hand)
     assert loss == by_hand.item()
-    assert list(record.entries) == list(expected.entries)
-    for name, g in expected.entries.items():
+    assert list(record) == list(expected)
+    for name, g in expected.items():
         assert record[name].dtype == dtype
         assert record[name].data.tobytes() == g.data.tobytes()
     if dtype == np.float32:  # train_toy's precision
@@ -200,7 +200,7 @@ def test_non_finite_gradient_aborts_naming_the_first_parameter(monkeypatch):
             for name in ("nin.b", "cfe_t.ffn_w1"):  # nin.b comes later in spec order
                 bad = np.array(grads[name].data)
                 bad.reshape(-1)[0] = np.inf if name == "nin.b" else np.nan
-                grads.entries[name] = tc.Tensor(bad)
+                grads[name] = tc.Tensor(bad)
         return grads
 
     monkeypatch.setattr(tc, "backward", poisoned_backward)
