@@ -34,13 +34,13 @@ from .tensor_core import ParamSpec, Tensor
 COEFFICIENTS = (1.0, 1.0, 1.0, 1.0)  # initial alpha, beta, gamma, delta
 
 
-def cfe_spec(channels: int, ffn_hidden: int, coefficients=COEFFICIENTS) -> dict:
+def cfe_spec(channels: int, ffn_hidden: int) -> dict:
     """The learnables of one enhancement set, name -> ParamSpec in
     ``PARAM_NAMES`` order: projection and FFN weights uniform in
-    +-1/sqrt(C), biases zero, residual coefficients filled and never decayed."""
+    +-1/sqrt(C), biases zero, coefficients ``COEFFICIENTS``, never decayed."""
     bound = 1.0 / math.sqrt(channels)
     proj = ParamSpec((channels, channels), bound)
-    alpha, beta, gamma, delta = (ParamSpec((1,), fill=x, decay=False) for x in coefficients)
+    alpha, beta, gamma, delta = (ParamSpec((1,), fill=x, decay=False) for x in COEFFICIENTS)
     return dict(w_q=proj, w_k=proj, w_v=proj, w_o=proj,
                 ffn_w1=ParamSpec((channels, ffn_hidden), bound), ffn_b1=ParamSpec((ffn_hidden,)),
                 ffn_w2=ParamSpec((ffn_hidden, channels), bound), ffn_b2=ParamSpec((channels,)),

@@ -13,10 +13,10 @@ FFN figures for ``ours`` are internally inconsistent (the per-row figure
 implies hidden width 2C, the total implies 4C); the audit reports both
 readings and flags the clash instead of resolving it.
 
-The runtime check is one counted enhancement pass per variant under one
-multiply counter, whose attention and FFN totals the ``measured_*``
-functions and the report read: one shared ``icfe_forward`` block (ours)
-or one ``cfe_forward`` call (cft).
+The runtime check is one counted enhancement pass per variant,
+``counted_pass``, whose multiply counter the report reads: one shared
+``icfe_forward`` block (ours) or one ``cfe_forward`` call (cft), at one
+head, since the counts do not depend on the head count.
 """
 
 from __future__ import annotations
@@ -165,18 +165,15 @@ def param_count(tensors) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _counted_run(variant: str, t: int, c: int, hidden: int,
-                 heads: int | None) -> tc.MultiplyCounter:
-    """The multiplies of one enhancement pass: one ``icfe_forward`` block
-    sharing one set between both directions over T tokens (ours), or
-    ``cfe_forward`` once over their 2T concatenation (cft).  Counts do not
-    depend on the head count, which defaults to 1.  Raises
-    ConfigurationError, before anything is allocated, when the weights
-    exceed ``dmff.MAX_PARAM_ELEMENTS``, when the cft pass's attention
-    exceeds ``MAX_AUDIT_MULTIPLIES`` or when its widest activation, 2T
-    tokens by max(C, hidden), exceeds the weights' bound."""
+def counted_pass(variant: str, t: int, c: int, hidden: int) -> tc.MultiplyCounter:
+    """The multiplies of one enhancement pass at one head: one
+    ``icfe_forward`` block sharing one set between both directions over T
+    tokens (ours), or ``cfe_forward`` once over their 2T concatenation
+    (cft).  Raises ConfigurationError, before anything is allocated, when
+    the weights exceed ``dmff.MAX_PARAM_ELEMENTS``, when the cft pass's
+    attention exceeds ``MAX_AUDIT_MULTIPLIES`` or when its widest
+    activation, 2T tokens by max(C, hidden), exceeds the weights' bound."""
     _cft_factor(variant)
-    heads = 1 if heads is None else heads
     spec = admit_spec(cfe_spec(c, hidden))
     mults = attention_cost("cft", t, c).evaluate(t, c)
     if mults > MAX_AUDIT_MULTIPLIES:
@@ -191,28 +188,11 @@ def _counted_run(variant: str, t: int, c: int, hidden: int,
     counter = tc.MultiplyCounter()
     with tc.count_multiplies(counter):
         if variant == "ours":
-            icfe_forward(a, b, [(p, p)], heads)
+            icfe_forward(a, b, [(p, p)], 1)
         else:
             cat = tc.Tensor(np.concatenate([a.data, b.data]), dtype=np.float64)
-            cfe_forward(cat, cat, p, heads)
+            cfe_forward(cat, cat, p, 1)
     return counter
-
-
-def measured_attention_multiplies(variant: str, t: int, c: int,
-                                  heads: int | None = None) -> dict:
-    """Run the real attention kernels and count score/mixing multiplies.
-
-    Returns {"qk": int, "av": int}.  Counts are head-count independent.
-    """
-    counter = _counted_run(variant, t, c, 1, heads)
-    return {"qk": counter.total("attention_qk"), "av": counter.total("attention_av")}
-
-
-def measured_ffn_multiplies(variant: str, t: int, c: int, hidden: int,
-                            heads: int | None = None) -> int:
-    """FFN multiplies of a full forward at the given dims (both modules
-    for ours, the single wide module for cft)."""
-    return _counted_run(variant, t, c, hidden, heads).total("ffn")
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +239,7 @@ def audit_report(t: int, c: int, h: int) -> str:
         f"published ours total implies {total_h} (4C); both readings are reported,\n"
         "the discrepancy is left unresolved.\n"
     )
-    ours, cft = (_counted_run(variant, t, c, h, None) for variant in ("ours", "cft"))
+    ours, cft = (counted_pass(variant, t, c, h) for variant in ("ours", "cft"))
     buf.write(
         "\nRuntime counters: "
         f"ours qk={ours.total('attention_qk')} av={ours.total('attention_av')} "

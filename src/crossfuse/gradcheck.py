@@ -71,12 +71,12 @@ def _rel_err(a: float, n: float) -> float:
 
 def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
                seed: int = 0, eps: float = 1e-5, tol: float = 1e-4,
-               min_samples: int = 20, weights=None, _grad_hook=None) -> GradCheckReport:
-    """Compare analytic and numeric gradients tensor by tensor.
+               min_samples: int = 20, _grad_hook=None) -> GradCheckReport:
+    """Compare analytic and numeric gradients tensor by tensor, at weights
+    freshly initialized in wide precision from `seed`.
 
-    `weights` overrides the freshly initialized parameter set (they must be
-    wide precision).  ``_grad_hook`` is a fault-injection point for the
-    checker's own tests: it receives and may replace the analytic record.
+    ``_grad_hook`` is a fault-injection point for the checker's own tests:
+    it receives and may replace the analytic record.
     A NaN error at any coordinate fails that tensor's check.  Raises
     ConfigurationError, before any fuse, unless `eps` and `tol` are finite
     floats or integers > 0, `seed` is an integer >= 0 and `min_samples` an
@@ -91,16 +91,8 @@ def grad_check(cfg: DmffConfig, synth: SyntheticPairSpec | None = None,
             raise tc.ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
     if synth is None:
         synth = SyntheticPairSpec(seed=seed)
-    rng = np.random.default_rng(seed)
-    if weights is None:
-        wts = init_dmff_weights(cfg, synth.h, synth.w, synth.c, rng, dtype=tc.WIDE)
-    else:
-        wts = weights
-        for name, t in wts.named_tensors():
-            if t.dtype != np.dtype(tc.WIDE):
-                raise tc.ConfigurationError(
-                    f"gradient checking needs wide precision, {name} is {t.dtype}"
-                )
+    wts = init_dmff_weights(cfg, synth.h, synth.w, synth.c, np.random.default_rng(seed),
+                            dtype=tc.WIDE)
     f_r, f_t, target = gen_synthetic_pair(synth, dtype=tc.WIDE)
 
     cache = {}  # each branch's unperturbed tokens, reused by every loss_of

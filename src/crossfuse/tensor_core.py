@@ -155,9 +155,6 @@ class GradRecord(dict):
     ``entries`` is the record itself.
     """
 
-    def names(self):
-        return sorted(self)
-
     @property
     def entries(self) -> dict:
         return self
@@ -505,8 +502,6 @@ def const_scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor._wrap(np.maximum(x.data, 0))
-    if not _recording():
-        return out
     mask = x.data > 0
 
     def bwd(g):
@@ -755,7 +750,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     its queries carry only the natural scale, each query's max over the
     keys (axis 0 of its block) is subtracted, and only the O(1) differences
     are scaled by log2(e), since folding before the shift would round large
-    exponents at their own ulp.  b costs O(T d) per head.
+    exponents at their own ulp.  b costs O(T d) per head.  An f32 head
+    whose b, taken again in float64 from finite operands, passes M / 4
+    could overflow f32 in its scores, their shifted differences or those
+    scaled by log2(e), so it makes all three steps in float64 and casts back
+    exponents clipped to [-M, 0]; f64 and non-finite heads never do.
 
     The per-head test runs only when a whole-tensor pre-test fails.  Every
     row has |q_i|^2 <= d max|q|^2, so b <= scale d max|q| max|k| in every
@@ -814,7 +813,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     ak = np.maximum.reduce(np.abs(kd), axis=None)
     if (aq <= max_operand - ak and 2 * d * scale * aq * ak <= max_exponent
             and tk * np.maximum.reduce(np.abs(vd), axis=None, initial=1.0) <= max_v_sum):
-        shifted = []
+        shifted = wide = ()
     else:
         # squared row norms per head, as (T heads, d) @ ones(d) products: rows
         # never mix heads, so a non-finite entry reaches only its own head's
@@ -829,6 +828,19 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                                  initial=1.0)
         shift_free = (bound <= max_exponent) & (tk * vmax <= max_v_sum)
         shifted = [j for j, ok in enumerate(shift_free.tolist()) if not ok]
+        wide = []
+        if shifted and dt == STANDARD:
+            # b again, in float64, where finite f32 operands give a finite
+            # bound; a non-finite head fails the test and keeps its path.
+            # Past M / 4, the head's scores (up to b), their shifted
+            # differences (2b) or those scaled by log2(e) could pass M
+            with np.errstate(invalid="ignore"):
+                qw, kw = qd.astype(WIDE).reshape(-1, d), kd.astype(WIDE).reshape(-1, d)
+                bound = scale * np.sqrt(
+                    np.maximum.reduce((qw * qw).sum(axis=1).reshape(tq, heads))
+                    * np.maximum.reduce((kw * kw).sum(axis=1).reshape(tk, heads)))
+            big = np.finfo(dt).max
+            wide = [j for j in shifted if big / 4 < bound[j] < np.inf]
 
     def operands():
         """[V | 1] per head, T_k x (d + 1), and the exponent operand Q^T per
@@ -840,6 +852,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         qe = np.multiply(qt, scale * log2e, out=np.empty((heads, d, tq), dtype=dt))
         for j in shifted:
             np.multiply(qt[j], scale, out=qe[j])
+        for j in wide:  # scored in float64 by exp_block; a zero product cannot overflow
+            qe[j] = 0
         return v1, qe
 
     hb, rows = _attention_blocks(heads, tq, tk)
@@ -858,7 +872,17 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         eb = block_view(buf, j0, j1, r0, r1)
         np.matmul(kh[j0:j1], qe[j0:j1, :, r0:r1], out=eb)
         for j in shifted:
-            if j0 <= j < j1:
+            if not j0 <= j < j1:
+                continue
+            if j in wide:
+                # product, shift and scaling in float64; the exponents cast
+                # back are in [-M, 0], and exp2(-M) is 0
+                qj = qd[r0:r1, j * d:(j + 1) * d].T
+                w = kh[j].astype(WIDE) @ np.multiply(qj, scale, dtype=WIDE)
+                w -= w.max(axis=0)
+                w *= math.log2(math.e)
+                eb[j - j0] = np.maximum(w, -np.finfo(dt).max, out=w)
+            else:
                 eb[j - j0] -= eb[j - j0].max(axis=0)
                 eb[j - j0] *= log2e
         return np.exp2(eb, out=eb)

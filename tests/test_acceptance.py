@@ -50,9 +50,10 @@ def test_criterion_2_attention_cost_ratio_and_counters():
             cft = audit.attention_cost("cft", t, c).evaluate(t, c)
             ok &= 2 * ours == cft
             for variant, symbolic in (("ours", ours), ("cft", cft)):
-                measured = audit.measured_attention_multiplies(variant, t, c)
-                ok &= measured["qk"] + measured["av"] == symbolic
-                ok &= measured["qk"] == measured["av"] == symbolic // 2
+                counter = audit.counted_pass(variant, t, c, 1)
+                qk, av = counter.total("attention_qk"), counter.total("attention_av")
+                ok &= qk + av == symbolic
+                ok &= qk == av == symbolic // 2
     note("2 attention cost ratio 1/2 and exact runtime counters", ok)
 
 
@@ -67,10 +68,9 @@ def test_criterion_3_shrink_scaling():
         out = sfs.shrink_pool(fmap, window, pool)
         tokens[window * window] = out.shape[0] * out.shape[1]
     assert tokens[1] == 64 and tokens[4] == 16
-    att = {s: sum(audit.measured_attention_multiplies("ours", t, c).values())
-           for s, t in tokens.items()}
-    ffn = {s: audit.measured_ffn_multiplies("ours", t, c, hidden)
-           for s, t in tokens.items()}
+    counters = {s: audit.counted_pass("ours", t, c, hidden) for s, t in tokens.items()}
+    att = {s: n.total("attention_qk", "attention_av") for s, n in counters.items()}
+    ffn = {s: n.total("ffn") for s, n in counters.items()}
     ok = att[4] * 16 == att[1] and ffn[4] * 4 == ffn[1]
     note("3 shrink scaling: attention 1/16, ffn 1/4 at S=4", ok)
 
@@ -92,7 +92,8 @@ def test_criterion_4_parameter_scaling():
 
 def test_criterion_5_identity_bypass():
     rng = np.random.default_rng(2)
-    params = tc.init_tensors(cfe.cfe_spec(16, 64, (0.0, 1.0, 1.0, 0.0)), rng, np.float64)
+    params = dict(tc.init_tensors(cfe.cfe_spec(16, 64), rng, np.float64),
+                  alpha=tc.scalar(0.0, np.float64), delta=tc.scalar(0.0, np.float64))
     target = tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64)
     aux = tc.Tensor(rng.standard_normal((16, 16)), dtype=np.float64)
     out = cfe.cfe_forward(target, aux, params, 8)

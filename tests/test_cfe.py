@@ -41,8 +41,13 @@ def attention_oracle(q, kv, wq, wk, wv, heads):
     return out
 
 
-def make_params(c, h, rng, coefficients=(1.0, 1.0, 1.0, 1.0)):
-    return tc.init_tensors(cfe.cfe_spec(c, h, coefficients), rng, np.float64)
+def make_params(c, h, rng, coefficients=cfe.COEFFICIENTS):
+    """One set drawn from `rng`, its (alpha, beta, gamma, delta) then set to
+    `coefficients`; filled leaves draw nothing, so the rest keep their bytes."""
+    p = tc.init_tensors(cfe.cfe_spec(c, h), rng, np.float64)
+    p.update(zip(("alpha", "beta", "gamma", "delta"),
+                 (tc.scalar(x, np.float64) for x in coefficients)))
+    return p
 
 
 def test_single_token_single_channel_attention_returns_value():

@@ -292,26 +292,45 @@ def test_console_entry_point_runs():
     assert "QK^T" in proc.stdout
 
 
-def test_fuse_of_a_huge_finite_scene_prints_no_warning(tmp_path):
-    # a scene scaled by 3e19 (f32) takes max|q| max|k| past the largest f32
-    # in the attention's overflow pre-test; the fuse still writes a finite
-    # map, and numpy prints no overflow warning on the way
+def fuse_scaled_scene(tmp_path, scales):
+    """For each scale, `python -m crossfuse.cli fuse` of an 8x8x16 `gen`
+    scene scaled by it (f32) with 2-step mode-d weights: (process, map path)."""
     spec = write_json(tmp_path / "spec.json", {"h": 8, "w": 8, "c": 16})
     prefix, weights = tmp_path / "scene", tmp_path / "w.icaf"
     assert main(["gen", "--spec", spec, "--out-prefix", str(prefix)]) == 0
     assert main(["train-toy", "--config", write_json(tmp_path / "t.json", {"steps": 2}),
                  "--out-weights", str(weights)]) == 0
-    for branch in ("rgb", "thermal"):
-        scene = tc.read_rawtensor(f"{prefix}_{branch}.rawtensor")
-        tc.write_rawtensor(tmp_path / f"huge_{branch}.rawtensor",
-                           tc.Tensor(scene.data * 3e19, dtype=np.float32))
-    out = tmp_path / "fused.rawtensor"
-    proc = run_cli(["fuse", "--rgb", tmp_path / "huge_rgb.rawtensor",
-                    "--thermal", tmp_path / "huge_thermal.rawtensor",
-                    "--weights", weights, "--mode", "d", "--out", out])
+    runs = []
+    for scale in scales:
+        for branch in ("rgb", "thermal"):
+            scene = tc.read_rawtensor(f"{prefix}_{branch}.rawtensor")
+            tc.write_rawtensor(tmp_path / f"huge_{branch}.rawtensor",
+                               tc.Tensor(scene.data * scale, dtype=np.float32))
+        out = tmp_path / f"fused_{scale:g}.rawtensor"
+        runs.append((run_cli(["fuse", "--rgb", tmp_path / "huge_rgb.rawtensor",
+                              "--thermal", tmp_path / "huge_thermal.rawtensor",
+                              "--weights", weights, "--mode", "d", "--out", out]), out))
+    return runs
+
+
+def test_fuse_of_a_huge_finite_scene_prints_no_warning(tmp_path):
+    # a scene scaled by 3e19 (f32) takes max|q| max|k| past the largest f32
+    # in the attention's overflow pre-test; the fuse still writes a finite
+    # map, and numpy prints no overflow warning on the way
+    [(proc, out)] = fuse_scaled_scene(tmp_path, [3e19])
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert np.all(np.isfinite(tc.read_rawtensor(out).data))
+
+
+def test_fuse_of_a_scene_past_the_f32_score_range_is_finite(tmp_path):
+    # scaled by 1e20 or 1e30, the scene's f32 scores pass the largest f32
+    # before the shift can bound them; those heads are scored in float64,
+    # so the fuse exits 0 with a finite map and prints nothing
+    for proc, out in fuse_scaled_scene(tmp_path, [1e20, 1e30]):
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert np.all(np.isfinite(tc.read_rawtensor(out).data))
 
 
 def _fuse(tmp_path, synth_spec, rgb=None, thermal=None, weights=None, mode="d"):

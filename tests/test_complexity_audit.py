@@ -18,9 +18,9 @@ def test_attention_cost_matches_runtime_counter():
     expr = audit.attention_cost("ours", 10, 3)
     qk_term = audit.CostExpr(expr.terms[:1])
     assert qk_term.evaluate(10, 3) == 600
-    measured = audit.measured_attention_multiplies("ours", 10, 3, heads=1)
-    assert measured["qk"] == 600
-    assert measured["av"] == 600
+    counter = audit.counted_pass("ours", 10, 3, 1)
+    assert counter.total("attention_qk") == 600
+    assert counter.total("attention_av") == 600
 
 
 def test_ours_is_exactly_half_of_cft():
@@ -36,15 +36,20 @@ def test_runtime_counters_equal_symbolic_on_grid():
         for c in (8, 16):
             for variant in ("ours", "cft"):
                 expr = audit.attention_cost(variant, t, c)
-                measured = audit.measured_attention_multiplies(variant, t, c)
-                assert measured["qk"] + measured["av"] == expr.evaluate(t, c)
-                assert measured["qk"] == audit.CostExpr(expr.terms[:1]).evaluate(t, c)
+                counter = audit.counted_pass(variant, t, c, 1)
+                qk = audit.CostExpr(expr.terms[:1]).evaluate(t, c)
+                assert counter.total("attention_qk", "attention_av") == expr.evaluate(t, c)
+                assert counter.total("attention_qk") == qk
 
 
-def test_counts_are_head_independent():
+def test_counts_are_head_independent(rng):
+    # the counted pass runs at one head: the kernel's count at T_q = 6,
+    # T_k = 5, C = 8 is T_q T_k C per product, whatever the head count
+    q, k, v = (tc.Tensor(rng.standard_normal((t, 8)), dtype=np.float64) for t in (6, 5, 5))
     for heads in (1, 2, 4, 8):
-        measured = audit.measured_attention_multiplies("ours", 6, 8, heads=heads)
-        assert measured["qk"] == 2 * 6 * 6 * 8
+        with tc.count_multiplies() as counter:
+            tc.multi_head_attention(q, k, v, heads)
+        assert counter.counts == {"attention_qk": 6 * 5 * 8, "attention_av": 6 * 5 * 8}
 
 
 def test_ffn_cost_reproduces_published_rows():
@@ -55,8 +60,8 @@ def test_ffn_cost_reproduces_published_rows():
 
 def test_ffn_cost_matches_runtime_counter():
     assert audit.ffn_cost("ours", 5, 4, 8).evaluate(5, 4) == 640
-    assert audit.measured_ffn_multiplies("ours", 5, 4, 8, heads=2) == 640
-    assert audit.measured_ffn_multiplies("cft", 5, 4, 8, heads=2) == 640
+    assert audit.counted_pass("ours", 5, 4, 8).total("ffn") == 640
+    assert audit.counted_pass("cft", 5, 4, 8).total("ffn") == 640
 
 
 def test_published_ffn_readings_disagree_for_ours():

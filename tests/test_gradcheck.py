@@ -27,26 +27,23 @@ def test_linear_only_configuration_is_machine_precision():
     assert report.worst().max_rel_err < 1e-8
 
 
-def test_identity_coefficients_bypass_attention_at_machine_precision():
+def test_identity_coefficients_bypass_attention_at_machine_precision(monkeypatch):
     # (alpha, beta, gamma, delta) = (0, 1, 1, 0): the attention and ffn
     # branches drop out of the loss, which becomes quadratic in everything
-    # that still matters
-    from crossfuse import dmff, tensor_core as tc2
+    # that still matters.  The check's own init is wrapped to set them.
 
+    def bypass_init(*args, **kwargs):
+        wts = dmff.init_dmff_weights(*args, **kwargs)
+        return dmff.replace_parameters(wts, {
+            name: tc.scalar(0.0, dtype=np.float64) for name, _ in wts.named_tensors()
+            if name.rsplit(".", 1)[-1] in ("alpha", "delta")})
+
+    monkeypatch.setattr(gradcheck, "init_dmff_weights", bypass_init)
     # window 1 makes the pooling blend the identity for any lambda, so the
-    # whole pipeline is linear in every remaining parameter
-    cfg = small_cfg(mode="d", shrink_window=1)
-    wts = dmff.init_dmff_weights(cfg, SMALL.h, SMALL.w, SMALL.c,
-                                 np.random.default_rng(11), dtype=np.float64)
-    mapping = {}
-    for name, _ in wts.named_tensors():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf in ("alpha", "delta"):
-            mapping[name] = tc2.scalar(0.0, dtype=np.float64)
-    wts = dmff.replace_parameters(wts, mapping)
-    # central differences of a quadratic are exact at any step; a wider step
+    # whole pipeline is linear in every remaining parameter; central
+    # differences of a quadratic are exact at any step, and a wider step
     # only shrinks the cancellation noise
-    report = grad_check(cfg, synth=SMALL, seed=11, weights=wts, eps=1e-3)
+    report = grad_check(small_cfg(mode="d", shrink_window=1), synth=SMALL, seed=11, eps=1e-3)
     assert report.passed
     assert report.worst().max_rel_err < 1e-8
 

