@@ -30,14 +30,7 @@ from .dmff import (
     param_spec,
     replace_parameters,
 )
-from .complexity_audit import (
-    CostExpr,
-    attention_cost,
-    ffn_cost,
-    param_breakdown,
-    param_count,
-    shrink_reduction,
-)
+from .complexity_audit import CostExpr, attention_cost, ffn_cost, param_count
 from .synth import SyntheticPairSpec, gen_synthetic_pair
 from .train import TrainConfig, TrainResult, cosine_lr, train_toy
 from .gradcheck import GradCheckReport, grad_check

@@ -7,11 +7,14 @@ measured.
 
 Two attention variants are compared: ``ours`` runs two cross-attention
 modules over T tokens each, ``cft`` runs one self-attention over the 2T
-concatenation of both branches.  Every cft cost term is twice ours except
-the FFN's, since both variants feed 2T tokens through it.  The published
-FFN figures for ``ours`` are internally inconsistent (the per-row figure
-implies hidden width 2C, the total implies 4C); the audit reports both
-readings and flags the clash instead of resolving it.
+concatenation of both branches.  One per-variant cost table, step name
+to CostExpr, holds both: every cft term is twice ours except the general
+FFN's, since both variants feed 2T tokens through it, and the published
+total's T*C^2 term.  ``attention_cost``, ``ffn_cost`` and the report all
+read it.  The published FFN figures for ``ours`` are internally
+inconsistent (the per-row figure implies hidden width 2C, the total
+implies 4C); the report derives both readings from the table's
+coefficients and flags the clash instead of resolving it.
 
 The runtime check is one counted enhancement pass per variant,
 ``counted_pass``, whose multiply counter the report reads: one shared
@@ -59,14 +62,9 @@ class CostExpr:
     def __str__(self):
         def fmt(m):
             parts = [str(m.coeff)]
-            if m.t_power == 1:
-                parts.append("T")
-            elif m.t_power > 1:
-                parts.append(f"T^{m.t_power}")
-            if m.c_power == 1:
-                parts.append("C")
-            elif m.c_power > 1:
-                parts.append(f"C^{m.c_power}")
+            for name, power in (("T", m.t_power), ("C", m.c_power)):
+                if power:
+                    parts.append(name if power == 1 else f"{name}^{power}")
             return "*".join(parts)
 
         return " + ".join(fmt(m) for m in self.terms)
@@ -76,13 +74,25 @@ def _expr(*terms) -> CostExpr:
     return CostExpr(tuple(Monomial(*t) for t in terms))
 
 
-def _cft_factor(variant: str) -> int:
-    """Validate `variant` and return its cost over ours: 1 for ours, 2 for
-    cft, which attends over twice the tokens.  Every cost term scales by it
-    except the FFN's."""
+def _cost_table(variant: str, t: int, c: int, h: int) -> dict:
+    """Step name -> CostExpr of `variant` at FFN hidden width `h`, in the
+    report's row order; the one place that checks a variant and sizes.
+    `h` is folded into the FFN coefficient so evaluation stays exact
+    integer arithmetic."""
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return 1 if variant == "ours" else 2
+    bad = ", ".join(f"{n}={v}" for n, v in (("T", t), ("C", c), ("h", h)) if v < 1)
+    if bad:
+        raise ConfigurationError(f"need T, C, h >= 1, got {bad}")
+    k = 1 if variant == "ours" else 2  # cft attends over twice the tokens
+    return {
+        "QK^T": _expr((2 * k, 2, 1)),
+        "softmax": _expr((2 * k, 2, 0)),  # entries, not multiplies; never measured
+        "scores*V": _expr((2 * k, 2, 1)),
+        "FFN (published)": _expr((8 * k, 1, 2)),
+        f"FFN (h={h})": _expr((4 * h, 1, 1)),
+        "Total (published)": _expr((2 * k, 2, 1), (16, 1, 2)),
+    }
 
 
 def attention_cost(variant: str, t: int, c: int) -> CostExpr:
@@ -91,73 +101,20 @@ def attention_cost(variant: str, t: int, c: int) -> CostExpr:
     ``ours`` totals the two cross-attention modules (each T^2*C per term);
     ``cft`` runs one self-attention over 2T tokens (4T^2*C per term).
     """
-    k = 2 * _cft_factor(variant)
-    if t < 1 or c < 1:
-        raise ConfigurationError(f"need T, C >= 1, got T={t}, C={c}")
-    return _expr((k, 2, 1), (k, 2, 1))
-
-
-def softmax_cost(variant: str) -> CostExpr:
-    """Symbolic softmax entry count (not multiplies; never measured)."""
-    return _expr((2 * _cft_factor(variant), 2, 0))
+    table = _cost_table(variant, t, c, 1)  # no attention term depends on h
+    return CostExpr(table["QK^T"].terms + table["scores*V"].terms)
 
 
 def ffn_cost(variant: str, t: int, c: int, h: int) -> CostExpr:
-    """General two-layer FFN multiplies at hidden width `h`.
-
-    Both variants process 2T tokens in total (two modules of T tokens
-    versus one module of 2T), so both come to 4*T*C*h; `h` is folded into
-    the coefficient so evaluation stays exact integer arithmetic.
-    """
-    _cft_factor(variant)
-    if t < 1 or c < 1 or h < 1:
-        raise ConfigurationError(f"need T, C, h >= 1, got T={t}, C={c}, h={h}")
-    return _expr((4 * h, 1, 1))
-
-
-def published_ffn_row(variant: str) -> CostExpr:
-    """FFN figure as published: 8*T*C^2 for ours, 16*T*C^2 for cft."""
-    return _expr((8 * _cft_factor(variant), 1, 2))
-
-
-def published_total(variant: str) -> CostExpr:
-    """Published totals: ours 2T^2C + 16TC^2, cft 4T^2C + 16TC^2."""
-    return _expr((2 * _cft_factor(variant), 2, 1), (16, 1, 2))
-
-
-def implied_ffn_hidden(row: CostExpr, c: int) -> int:
-    """Hidden width a published T*C^2 row implies: coeff*T*C^2 == 4*T*C*h."""
-    (m,) = row.terms
-    if (m.t_power, m.c_power) != (1, 2) or (m.coeff * c) % 4:
-        raise ConfigurationError(f"row {row} does not determine a hidden width at C={c}")
-    return m.coeff * c // 4
-
-
-def shrink_reduction(w: int, h: int, c: int, s: int):
-    """Total multiply count before and after shrinking tokens by factor `s`.
-
-    Returns constant expressions (term 0: attention, term 1: linear) built
-    from the published pair: W^2*H^2*C + 8*W*H*C^2 shrinks to
-    W^2*H^2/S^2*C + 8*W*H/S*C^2.
-    """
-    if s < 1:
-        raise ConfigurationError(f"shrink factor must be >= 1, got {s}")
-    if (w * h) % s:
-        raise ConfigurationError(f"shrink factor {s} does not divide token count {w * h}")
-    before = _expr((w * w * h * h * c, 0, 0), (8 * w * h * c * c, 0, 0))
-    after = _expr((w * w * h * h * c // (s * s), 0, 0), (8 * w * h * c * c // s, 0, 0))
-    return before, after
-
-
-def param_breakdown(tensors) -> dict:
-    """Learnable scalar count per tensor of a name -> Tensor mapping."""
-    return {name: t.size for name, t in tensors.items()}
+    """General two-layer FFN multiplies at hidden width `h`: 4*T*C*h for
+    both variants (two modules of T tokens versus one module of 2T)."""
+    return _cost_table(variant, t, c, h)[f"FFN (h={h})"]
 
 
 def param_count(tensors) -> int:
     """Exact total of learnable scalars in a name -> Tensor mapping.  A
     shared set is stored under one name per tensor, so it counts once."""
-    return sum(param_breakdown(tensors).values())
+    return sum(t.size for t in tensors.values())
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +130,7 @@ def counted_pass(variant: str, t: int, c: int, hidden: int) -> tc.MultiplyCounte
     the weights exceed ``dmff.MAX_PARAM_ELEMENTS``, when the cft pass's
     attention exceeds ``MAX_AUDIT_MULTIPLIES`` or when its widest
     activation, 2T tokens by max(C, hidden), exceeds the weights' bound."""
-    _cft_factor(variant)
+    _cost_table(variant, t, c, hidden)  # checks the variant and sizes
     spec = admit_spec(cfe_spec(c, hidden))
     mults = attention_cost("cft", t, c).evaluate(t, c)
     if mults > MAX_AUDIT_MULTIPLIES:
@@ -202,18 +159,9 @@ def counted_pass(variant: str, t: int, c: int, hidden: int) -> tc.MultiplyCounte
 
 def audit_rows(t: int, c: int, h: int) -> list:
     """Table rows: (step, cft expr, cft value, ours expr, ours value)."""
-
-    def half_attention(variant):  # Q.Kt and scores.V cost the same
-        return CostExpr(attention_cost(variant, t, c).terms[:1])
-
-    rows = []
-    for step, cost in (("QK^T", half_attention), ("softmax", softmax_cost),
-                       ("scores*V", half_attention), ("FFN (published)", published_ffn_row),
-                       (f"FFN (h={h})", lambda variant: ffn_cost(variant, t, c, h)),
-                       ("Total (published)", published_total)):
-        cft, ours = cost("cft"), cost("ours")
-        rows.append((step, cft, cft.evaluate(t, c), ours, ours.evaluate(t, c)))
-    return rows
+    cft, ours = (_cost_table(variant, t, c, h) for variant in ("cft", "ours"))
+    return [(step, cft[step], cft[step].evaluate(t, c), ours[step], ours[step].evaluate(t, c))
+            for step in ours]
 
 
 def audit_report(t: int, c: int, h: int) -> str:
@@ -224,16 +172,12 @@ def audit_report(t: int, c: int, h: int) -> str:
     buf.write(f"Multiply audit at T={t}, C={c}, h={h}\n")
     header = ("step", "cft", "cft@T,C", "ours", "ours@T,C")
     widths = [max(len(str(r[i])) for r in ([header] + rows)) for i in range(5)]
-    line = "  ".join(f"{header[i]:<{widths[i]}}" for i in range(5))
-    buf.write(line + "\n")
-    buf.write("-" * len(line) + "\n")
-    for step, ce, cv, oe, ov in rows:
-        buf.write(
-            f"{step:<{widths[0]}}  {str(ce):<{widths[1]}}  {str(cv):<{widths[2]}}  "
-            f"{str(oe):<{widths[3]}}  {str(ov):<{widths[4]}}\n"
-        )
-    row_h = implied_ffn_hidden(published_ffn_row("ours"), c)
-    total_h = implied_ffn_hidden(CostExpr(published_total("ours").terms[1:]), c)
+    lines = ["  ".join(f"{str(x):<{w}}" for x, w in zip(r, widths)) for r in [header] + rows]
+    buf.write("\n".join([lines[0], "-" * len(lines[0])] + lines[1:]) + "\n")
+    # a published coeff*T*C^2 FFN term equals 4*T*C*h at h = coeff*C/4
+    table = _cost_table("ours", t, c, h)
+    row_h = table["FFN (published)"].terms[0].coeff * c // 4
+    total_h = table["Total (published)"].terms[1].coeff * c // 4
     buf.write(
         f"\nNOTE: published ours FFN row implies hidden width {row_h} (2C) but the\n"
         f"published ours total implies {total_h} (4C); both readings are reported,\n"

@@ -220,12 +220,11 @@ def _emit(out: Tensor, parents, backward_fn):
     return out
 
 
-def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> GradRecord:
+def backward(output_grad: Tensor, tape: Tape, output: Tensor) -> GradRecord:
     """Reverse sweep over `tape`, seeding `output` with `output_grad`.
 
-    `output` defaults to the tape's final recorded result; any other must
-    be the result of a step on this tape (TapeStateError), and
-    `output_grad` must match its shape and dtype.  Returns the gradient of
+    `output` must be the result of a step on this tape (TapeStateError),
+    and `output_grad` must match its shape and dtype.  Returns the gradient of
     every watched tensor that is reachable from the output, under each name
     it is watched by; unreachable parameters are simply absent from the
     record.  Only tensors that are watched or computed from a watched
@@ -238,9 +237,7 @@ def backward(output_grad: Tensor, tape: Tape, output: Tensor | None = None) -> G
     """
     if not tape._steps:
         raise TapeStateError("backward before forward: tape has no recorded operations")
-    if output is None:
-        output = tape._steps[-1][0]
-    elif not any(out is output for out, _, _ in tape._steps):
+    if not any(out is output for out, _, _ in tape._steps):
         raise TapeStateError("backward from a tensor that this tape did not record")
     if output_grad.shape != output.shape:
         raise DimensionError(
@@ -295,8 +292,6 @@ class MultiplyCounter:
         self.counts[stage] = self.counts.get(stage, 0) + n
 
     def total(self, *stages) -> int:
-        if not stages:
-            return sum(self.counts.values())
         return sum(self.counts.get(s, 0) for s in stages)
 
 

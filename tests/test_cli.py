@@ -132,6 +132,18 @@ def test_audit_past_its_bounds_is_clean_error(capsys, sizes):
     assert capsys.readouterr().out.startswith("step,")
 
 
+@pytest.mark.parametrize("csv", [[], ["--csv"]])
+@pytest.mark.parametrize("sizes", [
+    "--t 0 --c 8 --h 32", "--t 4 --c 0 --h 32", "--t 4 --c 8 --h 0",
+    "--t -1 --c 8 --h 32", "--t 4 --c -1 --h 32", "--t 4 --c 8 --h -1",
+])
+def test_audit_sizes_below_one_are_clean_error(capsys, sizes, csv):
+    rc = main(["audit", *sizes.split(), *csv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_missing_file_is_clean_error(tmp_path, capsys):
     rc = main(["gen", "--spec", str(tmp_path / "nope.json"), "--out-prefix", "x"])
     assert rc == 2

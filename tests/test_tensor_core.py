@@ -490,8 +490,9 @@ def test_backward_softmax_row_sums_have_zero_gradient(rng):
 
 def test_backward_before_forward_is_state_error():
     tape = tc.Tape()
+    loss = tc.scalar(1.0)
     with pytest.raises(tc.TapeStateError):
-        tc.backward(tc.scalar(1.0), tape)
+        tc.backward(tc.scalar(1.0), tape, loss)
 
 
 def test_backward_from_an_unrecorded_tensor_is_state_error(rng):
